@@ -41,7 +41,6 @@ from .dynamics import (
     free_motion_radius_squared,
     integrate,
     integrate_oracle,
-    step_selfconsistent,
 )
 from .field import (
     DensityGrid,
@@ -69,6 +68,5 @@ from .phase_space import (
     RadialCoordinates,
     Shell,
     from_radial,
-    reduced_mass,
     to_radial,
 )

@@ -38,6 +38,7 @@ from .reporting import (
     require_manifest_matches,
     save_certificate,
     save_membership_report,
+    save_oracle_summary,
     save_run,
     save_snapshot,
     save_verification_report,
@@ -180,16 +181,7 @@ def _cmd_oracle(args) -> int:
     for outcome in result.violations[:10]:
         print(f"  violation in {outcome.label}: {outcome.detail}")
     if args.out is not None:
-        import configparser
-
-        parser = configparser.ConfigParser()
-        parser["oracle-suite"] = {
-            "cases": str(result.n_cases),
-            "violations": str(len(result.violations)),
-            "passed": "true" if result.passed else "false",
-        }
-        with open(args.out, "w", newline="\n") as handle:
-            parser.write(handle)
+        save_oracle_summary(result, args.out)
         print(f"summary -> {args.out}")
     return 0 if result.passed else CHECK_FAILED
 

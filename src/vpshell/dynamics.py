@@ -2,11 +2,15 @@
 
 Each shell obeys r' = w, w' = ell/r^3 + m(t, r)/r^2 with ell constant,
 where m is the enclosed mass of the ensemble itself.  The ensemble is
-advanced with kick-drift-kick steps whose enclosed masses are frozen per
-step, an adaptive step size that resolves pericenter passages, and a
-step-halving guard that keeps every radius positive (the centrifugal
-term makes r = 0 unreachable for ell > 0, so halving always succeeds
-eventually).
+advanced by integrate, the one step routine: kick-drift-kick steps
+whose enclosed masses are frozen per step, an adaptive step size that
+resolves pericenter passages, and a step-halving guard that keeps every
+radius positive.  Each state is sorted once; that index yields both the
+state's diagnostics row and the next step's enclosed masses.  The
+centrifugal term makes r = 0 unreachable for ell > 0, so halving
+succeeds eventually; a purely radial shell (ell = 0) can still fall
+toward the center, and a StiffnessError stops the run once the adaptive
+step or a halved step falls below IntegratorConfig.dt_min.
 
 integrate_oracle solves the single-trajectory equation
 y'' = ell/y^3 + profile(t) * P / y^2 with a high-order adaptive method
@@ -27,7 +31,7 @@ from .phase_space import Ensemble
 
 
 class StiffnessError(RuntimeError):
-    """Step halving hit the minimum step without restoring r > 0."""
+    """The step size fell below IntegratorConfig.dt_min."""
 
     def __init__(self, shell_id: int, time: float, dt: float):
         self.shell_id = shell_id
@@ -49,7 +53,8 @@ class IntegratorConfig:
 
     dt = cfl * min_i r_i / (|w_i| + sqrt(a_i r_i)) capped at dt_max; the
     sqrt term shortens steps during pericenter passage where the
-    acceleration a_i blows up.
+    acceleration a_i blows up.  A run stops with StiffnessError when this
+    dt, or a step halved to keep radii positive, falls below dt_min.
     """
 
     t_end: float
@@ -78,8 +83,8 @@ class IntegratorConfig:
 def accel(r, ell, m_enc):
     """Radial acceleration ell/r^3 + m_enc/r^2 (always outward)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("acceleration undefined for r <= 0")
+    if not np.all(r > 0):
+        raise ValueError("acceleration undefined for r <= 0 or NaN")
     out = ell / r**3 + m_enc / r**2
     return float(out) if out.ndim == 0 else out
 
@@ -87,44 +92,21 @@ def accel(r, ell, m_enc):
 def _kdk_attempt(r, w, ell, m_frozen, a_start, dt):
     """One kick-drift-kick trial with frozen enclosed masses.
 
-    Returns None when any shell would drift to r <= 0, signalling the
-    caller to halve dt.
+    Returns None when any shell would drift to r <= 0 (or to NaN),
+    signalling the caller to halve dt.
     """
     w_half = w + 0.5 * dt * a_start
     r_new = r + dt * w_half
-    if np.any(r_new <= 0.0):
+    if not np.all(r_new > 0.0):
         return None
     a_end = accel(r_new, ell, m_frozen)
     w_new = w_half + 0.5 * dt * a_end
     return r_new, w_new
 
 
-def step_selfconsistent(
-    ensemble: Ensemble, dt: float, dt_min: Optional[float] = None
-) -> Ensemble:
-    """Advance the ensemble by one step of at most dt.
-
-    The step is halved (never clamped) while any radius would cross
-    zero; the actual advance is encoded in the returned ensemble's time.
-    Weights are untouched, so total mass is conserved bitwise.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if dt_min is None:
-        dt_min = 1e-12 * dt
-    index = SortedMassIndex.from_ensemble(ensemble)
-    m_frozen = index.interior_mass()
-    a_start = accel(ensemble.r, ensemble.ell, m_frozen)
-    dt_try = dt
-    while True:
-        result = _kdk_attempt(ensemble.r, ensemble.w, ensemble.ell, m_frozen, a_start, dt_try)
-        if result is not None:
-            r_new, w_new = result
-            return ensemble.advanced(r_new, w_new, ensemble.time + dt_try)
-        dt_try *= 0.5
-        if dt_try < dt_min or dt_try == 0.0:
-            deepest = int(ensemble.ids[np.argmin(ensemble.r)])
-            raise StiffnessError(deepest, ensemble.time, dt_try)
+def _stiffness(ensemble: Ensemble, dt: float) -> StiffnessError:
+    deepest = int(ensemble.ids[np.argmin(ensemble.r)])
+    return StiffnessError(deepest, ensemble.time, dt)
 
 
 @dataclass(frozen=True)
@@ -141,8 +123,20 @@ class DiagnosticsRow:
     dt_current: float
 
 
+class SnapshotLookup:
+    """snapshot_at for any run record holding (time, Ensemble) snapshots."""
+
+    snapshots: list
+
+    def snapshot_at(self, t: float, rel_tol: float = 1e-12) -> Ensemble:
+        for time, ens in self.snapshots:
+            if time == t or abs(time - t) <= rel_tol * max(abs(t), 1.0):
+                return ens
+        raise KeyError(f"no snapshot recorded at t={t!r}")
+
+
 @dataclass
-class RunResult:
+class RunResult(SnapshotLookup):
     """Everything a completed run exposes to verification and reporting."""
 
     rows: list  # of DiagnosticsRow
@@ -153,12 +147,6 @@ class RunResult:
     t_at_r_min: np.ndarray  # per shell time of that minimum
     steps: int
     traces: dict = field(default_factory=dict)  # shell id -> (t, r, w) arrays
-
-    def snapshot_at(self, t: float, rel_tol: float = 1e-12) -> Ensemble:
-        for time, ens in self.snapshots:
-            if time == t or abs(time - t) <= rel_tol * max(abs(t), 1.0):
-                return ens
-        raise KeyError(f"no snapshot recorded at t={t!r}")
 
 
 def _adaptive_dt(r, w, a, cfl, dt_max):
@@ -215,8 +203,8 @@ def integrate(
         for tid, pos in trace_pos.items():
             traces[tid].append((state.time, float(state.r[pos]), float(state.w[pos])))
 
-    def make_row(state: Ensemble, dt_current: float) -> DiagnosticsRow:
-        norms = sup_norms(state, bin_edges, n_bins)
+    def make_row(state: Ensemble, index: SortedMassIndex, dt_current: float) -> DiagnosticsRow:
+        norms = sup_norms(state, index, bin_edges, n_bins)
         return DiagnosticsRow(
             t=state.time,
             rho_sup_binned=norms.rho_sup_binned,
@@ -228,7 +216,8 @@ def integrate(
             dt_current=dt_current,
         )
 
-    rows = [make_row(ens, 0.0)]
+    index = SortedMassIndex.from_ensemble(ens)
+    rows = [make_row(ens, index, 0.0)]
     snapshots = [(ens.time, ens)]
     record_trace(ens)
 
@@ -254,10 +243,12 @@ def integrate(
         if steps >= max_steps:
             raise RuntimeError(f"exceeded {max_steps} steps before t_end")
 
-        index = SortedMassIndex.from_ensemble(ens)
         m_frozen = index.interior_mass()
         a_start = accel(ens.r, ens.ell, m_frozen)
         dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max)
+        # checked before landing clips dt, so a short gap to a mark is no stop
+        if dt < config.dt_min:
+            raise _stiffness(ens, dt)
         landing = ens.time + dt >= target
         if landing:
             dt = target - ens.time
@@ -270,8 +261,7 @@ def integrate(
             dt_try *= 0.5
             landing = False
             if dt_try < config.dt_min or dt_try == 0.0:
-                deepest = int(ens.ids[np.argmin(ens.r)])
-                raise StiffnessError(deepest, ens.time, dt_try)
+                raise _stiffness(ens, dt_try)
         r_new, w_new = result
         t_new = target if landing else ens.time + dt_try
 
@@ -292,6 +282,7 @@ def integrate(
             t_at_r_min[idx] = t_star[lower]
 
         ens = ens.advanced(r_new, w_new, t_new)
+        index = SortedMassIndex.from_ensemble(ens)
         steps += 1
 
         lower = ens.r < r_min_shell
@@ -302,7 +293,7 @@ def integrate(
         landed = ens.time >= target
         if landed or steps % config.output_stride == 0:
             if rows[-1].t != ens.time:
-                rows.append(make_row(ens, dt_try))
+                rows.append(make_row(ens, index, dt_try))
         if landed:
             snapshots.append((ens.time, ens))
             stop_idx += 1

@@ -1,11 +1,13 @@
 """Radial field quantities from a shell ensemble.
 
-The enclosed mass m(t, r), the field magnitude m/r^2, and the binned
-density estimate are all derived from a sorted-radius index that is
-rebuilt from scratch at every evaluation time.  The field is exact for
-the discrete measure (up to the tie convention at coincident radii); the
-density is a histogram estimate and is reported alongside a certified
-lower bound that is independent of binning.
+The enclosed mass m(t, r) and the field magnitude m/r^2 are derived from
+a sorted-radius index.  The caller builds one index per ensemble state
+and passes it to every consumer of that state (the integrator uses it
+for the state's sup norms and for the next step's enclosed masses).  The
+field is exact for the discrete measure (up to the tie convention at
+coincident radii).  The density is a histogram estimate, binned in the
+ensemble's own order, and is reported alongside a certified lower bound
+that is independent of binning.
 """
 
 from __future__ import annotations
@@ -171,7 +173,10 @@ class SupNorms:
     r_max: float
 
 
-def sup_norms(ensemble: Ensemble, bin_edges: np.ndarray = None, n_bins: int = 256) -> SupNorms:
+def sup_norms(
+    ensemble: Ensemble, index: SortedMassIndex, bin_edges: np.ndarray = None, n_bins: int = 256
+) -> SupNorms:
+    """Sup norms of one state; index must be SortedMassIndex.from_ensemble(ensemble)."""
     if len(ensemble) == 0:
         raise ValueError("sup norms are undefined for an empty ensemble")
     r_min = float(np.min(ensemble.r))
@@ -179,7 +184,6 @@ def sup_norms(ensemble: Ensemble, bin_edges: np.ndarray = None, n_bins: int = 25
     if bin_edges is None:
         bin_edges = default_grid_edges(r_min, r_max, n_bins)
     grid = density_estimate(ensemble, bin_edges)
-    index = SortedMassIndex.from_ensemble(ensemble)
     certified = 3.0 * ensemble.total_mass / (4.0 * np.pi * r_max**3)
     return SupNorms(
         rho_sup_binned=float(np.max(grid.bin_values)),

@@ -159,22 +159,11 @@ class Ensemble:
         return float(np.sum(self.weight)) - self.total_mass
 
 
-def reduced_mass(ensemble: Ensemble) -> float:
-    """Total mass carried by an ensemble (the weight sum).
-
-    Shell weights are built as 4 pi^2 f dl dw dr cell masses, so this sum
-    is the reduced-coordinate quadrature of the total mass integral.
-    """
-    if np.any(ensemble.weight < 0):
-        raise ValueError("negative shell weight")
-    return float(np.sum(ensemble.weight))
-
-
 def reduced_mass_quadrature(f_values: np.ndarray, cell_volume: float) -> float:
     """Mass of a sampled density: 4 pi^2 * sum(f) * cell volume in (r, w, ell).
 
     The generic form of the identity behind shell weights; agrees with
-    reduced_mass when the ensemble was built by the sampler.
+    Ensemble.total_mass when the ensemble was built by the sampler.
     """
     f_values = np.asarray(f_values, dtype=float)
     if np.any(f_values < 0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,20 +21,11 @@ import numpy as np
 
 from . import __version__
 from .design import BoundsCertificate, RefusalError, StageResult, VerificationReport
-from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult
+from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult, SnapshotLookup
 from .initial_data import ClassSpec
 from .phase_space import Ensemble
 
-ROWS_COLUMNS = (
-    "t",
-    "rho_sup_binned",
-    "rho_sup_certified",
-    "e_sup_exact",
-    "r_min",
-    "r_max",
-    "mass_error",
-    "dt_current",
-)
+ROWS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 SHELLS_COLUMNS = (
     "id",
     "ell",
@@ -63,6 +54,23 @@ def _write_ini(parser: configparser.ConfigParser, path: Path):
         parser.write(handle)
 
 
+def _class_section(spec: ClassSpec) -> dict:
+    """The [class] section shared by certificates and run manifests."""
+    section = {"a0": _fmt(spec.a0), "a1": _fmt(spec.a1), "eps": _fmt(spec.eps)}
+    if spec.target_mass is not None:
+        section["target_mass"] = _fmt(spec.target_mass)
+    return section
+
+
+def _read_class(section) -> ClassSpec:
+    return ClassSpec(
+        a0=float(section["a0"]),
+        a1=float(section["a1"]),
+        eps=float(section["eps"]),
+        target_mass=float(section["target_mass"]) if "target_mass" in section else None,
+    )
+
+
 # ---------------------------------------------------------------- certificates
 
 def save_certificate(cert: BoundsCertificate, path) -> Path:
@@ -84,13 +92,7 @@ def save_certificate(cert: BoundsCertificate, path) -> Path:
         value = getattr(cert, key)
         if value is not None:
             parser["certificate"][key.lower()] = _fmt(value)
-    parser["class"] = {
-        "a0": _fmt(cert.spec.a0),
-        "a1": _fmt(cert.spec.a1),
-        "eps": _fmt(cert.spec.eps),
-    }
-    if cert.spec.target_mass is not None:
-        parser["class"]["target_mass"] = _fmt(cert.spec.target_mass)
+    parser["class"] = _class_section(cert.spec)
     _write_ini(parser, path)
     return path
 
@@ -100,13 +102,6 @@ def load_certificate(path) -> BoundsCertificate:
     if not parser.read(path):
         raise FileNotFoundError(f"certificate file not found: {path}")
     c = parser["certificate"]
-    k = parser["class"]
-    spec = ClassSpec(
-        a0=float(k["a0"]),
-        a1=float(k["a1"]),
-        eps=float(k["eps"]),
-        target_mass=float(k["target_mass"]) if "target_mass" in k else None,
-    )
 
     def opt(key: str) -> Optional[float]:
         return float(c[key]) if key in c else None
@@ -115,7 +110,7 @@ def load_certificate(path) -> BoundsCertificate:
         recipe=c["recipe"],
         c1=float(c["c1"]),
         c2=float(c["c2"]),
-        spec=spec,
+        spec=_read_class(parser["class"]),
         t_horizon=float(c["t_horizon"]),
         eps_admissible_max=float(c["eps_admissible_max"]),
         exploratory=c["exploratory"] == "true",
@@ -247,19 +242,7 @@ def save_run(
     _write_csv(
         out / "rows.csv",
         ROWS_COLUMNS,
-        (
-            [
-                _fmt(row.t),
-                _fmt(row.rho_sup_binned),
-                _fmt(row.rho_sup_certified),
-                _fmt(row.e_sup_exact),
-                _fmt(row.r_min),
-                _fmt(row.r_max),
-                _fmt(row.mass_error),
-                _fmt(row.dt_current),
-            ]
-            for row in result.rows
-        ),
+        ([_fmt(getattr(row, name)) for name in ROWS_COLUMNS] for row in result.rows),
     )
 
     final = result.final
@@ -305,13 +288,7 @@ def save_run(
     parser["run"]["t_end"] = _fmt(config.t_end)
     parser["run"]["dt_max"] = _fmt(config.dt_max)
     parser["run"]["mark_times"] = ",".join(_fmt(m) for m in marks)
-    parser["class"] = {
-        "a0": _fmt(cert.spec.a0),
-        "a1": _fmt(cert.spec.a1),
-        "eps": _fmt(cert.spec.eps),
-    }
-    if cert.spec.target_mass is not None:
-        parser["class"]["target_mass"] = _fmt(cert.spec.target_mass)
+    parser["class"] = _class_section(cert.spec)
     parser["snapshots"] = {
         "count": str(len(snapshot_files)),
         "files": ",".join(name for name, _ in snapshot_files),
@@ -336,7 +313,7 @@ def _load_snapshot(path: Path, time: float) -> Ensemble:
 
 
 @dataclass
-class RunSummary:
+class RunSummary(SnapshotLookup):
     """Reloaded run record exposing the same surface verify needs."""
 
     rows: list
@@ -349,12 +326,6 @@ class RunSummary:
 
     def __post_init__(self):
         self.final = self.snapshots[-1][1]
-
-    def snapshot_at(self, t: float, rel_tol: float = 1e-12) -> Ensemble:
-        for time, ens in self.snapshots:
-            if time == t or abs(time - t) <= rel_tol * max(abs(t), 1.0):
-                return ens
-        raise KeyError(f"no snapshot recorded at t={t!r}")
 
 
 def load_run_data(out_dir) -> RunSummary:
@@ -401,18 +372,11 @@ def load_run_data(out_dir) -> RunSummary:
 def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate):
     """Refuse to verify a run against a certificate it was not produced
     from: the class parameters recorded in the manifest must agree."""
-    k = summary.manifest["class"]
-    recorded = (
-        float(k["a0"]),
-        float(k["a1"]),
-        float(k["eps"]),
-        float(k["target_mass"]) if "target_mass" in k else None,
-    )
-    expected = (cert.spec.a0, cert.spec.a1, cert.spec.eps, cert.spec.target_mass)
-    if recorded != expected:
+    recorded = _read_class(summary.manifest["class"])
+    if recorded != cert.spec:
         raise RefusalError(
             f"run manifest class parameters {recorded} do not match "
-            f"certificate {expected}"
+            f"certificate {cert.spec}"
         )
 
 
@@ -432,6 +396,19 @@ def save_membership_report(report, path) -> Path:
         }
         if check.witness is not None:
             parser[section]["witness"] = ",".join(repr(v) for v in check.witness)
+    _write_ini(parser, path)
+    return path
+
+
+def save_oracle_summary(result, path) -> Path:
+    """Write the outcome counts of an oracle-suite run."""
+    path = Path(path)
+    parser = _new_parser()
+    parser["oracle-suite"] = {
+        "cases": str(result.n_cases),
+        "violations": str(len(result.violations)),
+        "passed": "true" if result.passed else "false",
+    }
     _write_ini(parser, path)
     return path
 

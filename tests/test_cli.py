@@ -125,5 +125,5 @@ class TestOracleCommand:
         out = tmp_path / "suite.ini"
         rc = cli.main(["oracle", "--cases", "3", "--seed", "7", "--out", str(out)])
         assert rc == 0
-        assert out.exists()
+        assert out.read_text() == "[oracle-suite]\ncases = 3\nviolations = 0\npassed = true\n\n"
         assert "0 violations" in capsys.readouterr().out

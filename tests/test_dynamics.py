@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+import vpshell.dynamics
 from vpshell import (
     Ensemble,
     IntegratorConfig,
     PiecewiseConstantProfile,
+    SortedMassIndex,
     StiffnessError,
     accel,
     free_motion_radius_squared,
     integrate,
     integrate_oracle,
-    step_selfconsistent,
     turning_point_bound,
     infall_envelope,
     sample_ensemble,
@@ -37,6 +38,8 @@ class TestAccel:
         assert out.tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             accel(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            accel(np.array([1.0, np.nan]), 1.0, 1.0)
 
 
 class TestConfig:
@@ -57,7 +60,20 @@ class TestConfig:
         assert cfg.dt_min == 0.25e-12
 
 
+def radial_shell():
+    # ell = 0 removes the centrifugal barrier entirely
+    return Ensemble(
+        r=np.array([1.0]),
+        w=np.array([-1.0]),
+        ell=np.array([0.0]),
+        weight=np.array([1e-6]),
+        ids=np.array([7]),
+    )
+
+
 class TestStep:
+    """The single step routine, exercised through integrate."""
+
     def test_outward_drift_of_static_shells(self):
         ens = Ensemble(
             r=np.array([1.0, 2.0]),
@@ -66,7 +82,9 @@ class TestStep:
             weight=np.array([0.1, 0.1]),
             ids=np.arange(2),
         )
-        out = step_selfconsistent(ens, 1e-3)
+        result = integrate(ens, IntegratorConfig(t_end=1e-3, dt_max=1e-3))
+        out = result.final
+        assert result.steps == 1
         assert out.time == 1e-3
         assert np.all(out.r > ens.r)
         assert np.all(out.w > 0.0)
@@ -75,30 +93,50 @@ class TestStep:
         assert np.array_equal(out.weight, ens.weight)
         assert out.total_mass == ens.total_mass
 
-    def test_halving_keeps_radius_positive(self):
-        ens = single_shell(r=1.0, w=-100.0, ell=1.0)
-        out = step_selfconsistent(ens, 0.1)
-        assert out.r[0] > 0.0
-        # the advance was shortened, never clamped to a zero radius
-        assert 0.0 < out.time < 0.1
+    def test_halving_keeps_radius_positive(self, monkeypatch):
+        # at cfl = 1 the first trial step lands the shell exactly on r = 0,
+        # so every step of this run needs the halving branch
+        radii = []
+
+        def recording_accel(r, ell, m_enc):
+            radii.append(np.array(r, dtype=float))
+            return accel(r, ell, m_enc)
+
+        monkeypatch.setattr(vpshell.dynamics, "accel", recording_accel)
+        cfg = IntegratorConfig(t_end=1.0, dt_max=1.0, cfl=1.0)
+        with pytest.raises(StiffnessError) as exc:
+            integrate(radial_shell(), cfg)
+        assert exc.value.shell_id == 7
+        seen = np.concatenate(radii)
+        assert np.all(seen > 0.0)
+        assert 0.0 < seen[1] < 1.0
 
     def test_stiffness_error_for_radial_free_fall(self):
-        # ell = 0 removes the centrifugal barrier entirely
-        ens = Ensemble(
-            r=np.array([1e-13]),
-            w=np.array([-1.0]),
-            ell=np.array([0.0]),
-            weight=np.array([1e-6]),
-            ids=np.array([7]),
-        )
-        with pytest.raises(StiffnessError) as exc:
-            step_selfconsistent(ens, 1.0)
-        assert exc.value.shell_id == 7
-        assert exc.value.dt < 1e-12
+        # the radius shrinks geometrically; the run must stop with a named
+        # error before it underflows to NaN, at any cfl
+        for cfl in (0.2, 1.0):
+            cfg = IntegratorConfig(t_end=2.0, dt_max=0.1, cfl=cfl)
+            with pytest.raises(StiffnessError) as exc:
+                integrate(radial_shell(), cfg)
+            assert exc.value.shell_id == 7
+            assert exc.value.dt < cfg.dt_min
+            assert exc.value.time < 2.0
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            step_selfconsistent(single_shell(), 0.0)
+    def test_one_index_build_per_state(self, monkeypatch):
+        build = SortedMassIndex.from_ensemble
+        calls = []
+
+        def counting(ensemble):
+            calls.append(ensemble.time)
+            return build(ensemble)
+
+        monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting))
+        ens = sample_ensemble(canonical_data(), 6, 6, 4)
+        cfg = IntegratorConfig(t_end=0.02, dt_max=1e-3, output_stride=3)
+        result = integrate(ens, cfg, mark_times=(0.005,))
+        assert result.steps > 3
+        assert len(calls) == result.steps + 1
+        assert len(set(calls)) == len(calls)
 
 
 class TestIntegrateSingleShell:

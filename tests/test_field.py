@@ -82,7 +82,7 @@ class TestField:
         idx = SortedMassIndex.from_ensemble(ens)
         lb = confinement_lower_bounds(m, b)
         assert idx.e_sup_exact() == lb.e_lower
-        assert sup_norms(ens).rho_sup_certified == lb.rho_lower
+        assert sup_norms(ens, idx).rho_sup_certified == lb.rho_lower
 
     def test_e_sup_exceeds_any_sampled_value(self):
         rng = np.random.default_rng(3)
@@ -154,14 +154,15 @@ class TestDensityGrid:
 class TestSupNorms:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sup_norms(Ensemble.from_shells([]))
+            empty = Ensemble.from_shells([])
+            sup_norms(empty, SortedMassIndex.from_ensemble(empty))
 
     def test_certified_below_binned_for_spread_ensemble(self):
         # certified bound treats all mass as a ball of radius r_max, so it
         # cannot exceed the actual sup estimate by construction
         rng = np.random.default_rng(5)
         ens = ensemble_at(rng.uniform(0.5, 1.5, 400), rng.uniform(0, 1e-3, 400))
-        sn = sup_norms(ens)
+        sn = sup_norms(ens, SortedMassIndex.from_ensemble(ens))
         assert sn.rho_sup_certified <= sn.rho_sup_binned * (1 + 1e-12)
         assert sn.r_min == float(np.min(ens.r))
         assert sn.r_max == float(np.max(ens.r))
@@ -169,8 +170,9 @@ class TestSupNorms:
     def test_bin_count_propagates(self):
         rng = np.random.default_rng(21)
         ens = ensemble_at(rng.uniform(0.5, 1.5, 300), rng.uniform(0, 1e-3, 300))
-        coarse = sup_norms(ens, n_bins=4)
-        fine = sup_norms(ens, n_bins=256)
+        idx = SortedMassIndex.from_ensemble(ens)
+        coarse = sup_norms(ens, idx, n_bins=4)
+        fine = sup_norms(ens, idx, n_bins=256)
         assert coarse.rho_sup_binned != fine.rho_sup_binned
         # binning cannot change the exact and certified values
         assert coarse.e_sup_exact == fine.e_sup_exact

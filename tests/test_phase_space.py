@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpshell import Ensemble, RadialCoordinates, Shell, from_radial, reduced_mass, to_radial
+from vpshell import Ensemble, RadialCoordinates, Shell, from_radial, to_radial
 from vpshell.phase_space import reduced_mass_quadrature
 
 
@@ -68,11 +68,8 @@ def test_coordinate_validation():
 
 
 def test_reduced_mass_empty_and_single():
-    empty = Ensemble.from_shells([])
-    assert reduced_mass(empty) == 0.0
-    single = Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=0.5)
-    assert reduced_mass(single) == 0.5
-    assert single.total_mass == 0.5
+    assert Ensemble.from_shells([]).total_mass == 0.0
+    assert Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=0.5).total_mass == 0.5
 
 
 def test_reduced_mass_quadrature_matches_weight_construction():
@@ -89,7 +86,7 @@ def test_reduced_mass_quadrature_matches_weight_construction():
         weight=weights,
         ids=np.arange(3),
     )
-    assert reduced_mass(ens) == pytest.approx(total, rel=1e-15)
+    assert ens.total_mass == pytest.approx(total, rel=1e-15)
 
 
 def test_reduced_mass_quadrature_rejects_negative():

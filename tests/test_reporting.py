@@ -16,6 +16,7 @@ from vpshell import (
     verify_focusing_run,
 )
 from vpshell.design import StageResult, VerificationReport
+from vpshell.dynamics import DiagnosticsRow
 from vpshell.reporting import (
     RunSetup,
     load_certificate,
@@ -153,6 +154,26 @@ class TestRunRecord:
         text = (out / "manifest.ini").read_text()
         for banned in ("thread", "timestamp", "date", "hostname"):
             assert banned not in text.lower()
+
+    def test_rows_header_is_diagnostics_row_fields(self, tmp_path, small_run):
+        cert, setup, result = small_run
+        out = save_run(result, cert, setup, tmp_path / "out")
+        header = (out / "rows.csv").read_text().splitlines()[0]
+        assert header.split(",") == [f.name for f in dataclasses.fields(DiagnosticsRow)]
+
+    def test_class_section_is_one_text(self, tmp_path, small_run):
+        def class_section(path):
+            # sections are written one after another, each closed by a blank line
+            text = path.read_text()
+            return text[text.index("[class]\n"):].split("\n\n")[0]
+
+        small, setup, result = small_run
+        fixed = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True)
+        for cert in (small, fixed):
+            out = save_run(result, cert, setup, tmp_path / cert.recipe)
+            manifest = class_section(out / "manifest.ini")
+            assert manifest == class_section(out / "certificate.ini")
+            assert ("target_mass" in manifest) == (cert.spec.target_mass is not None)
 
     def test_snapshot_writer_standalone(self, tmp_path, small_run):
         _, _, result = small_run
