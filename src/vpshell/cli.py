@@ -8,8 +8,10 @@ Subcommands:
   verify  check a completed run directory against a certificate
   oracle  run the randomized bound-vs-integrator property suite
 
-Exit codes: 0 success / all checks pass, 1 a check failed or the run
-aborted, 2 usage error or refusal (mismatched run/certificate).
+Exit codes, mapped from exceptions in main alone: 0 success / all
+checks pass, 1 a check failed or the run aborted, 2 usage error or
+refusal (bad argument, missing file or key, inconsistent run record,
+run not made from the certificate or stopped before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -18,6 +20,7 @@ deterministic and its results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
@@ -87,19 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_design(args) -> int:
-    try:
-        if args.t is None:
-            cert = design_small_data(args.c1, args.c2, eps=args.eps, exploratory=args.exploratory)
-        else:
-            cert = design_fixed_mass(
-                args.c1, args.c2, args.t, eps=args.eps, exploratory=args.exploratory
-            )
-    except InadmissibleParameterError as exc:
-        print(f"design error ({exc.constraint}): {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"design error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.t is None:
+        cert = design_small_data(args.c1, args.c2, eps=args.eps, exploratory=args.exploratory)
+    else:
+        cert = design_fixed_mass(args.c1, args.c2, args.t, eps=args.eps, exploratory=args.exploratory)
     path = save_certificate(cert, args.out)
     print(f"certificate ({cert.recipe}{', exploratory' if cert.exploratory else ''}) -> {path}")
     print(f"  a0 = {cert.spec.a0!r}, a1 = {cert.spec.a1!r}, eps = {cert.spec.eps!r}")
@@ -139,11 +133,7 @@ def _cmd_run(args) -> int:
     data = InitialData.from_spec(cert.spec)
     ensemble = sample_ensemble(data, setup.n_r, setup.n_w, setup.n_ell)
     config, marks = setup.resolve(cert)
-    try:
-        result = integrate(ensemble, config, mark_times=marks, n_bins=setup.n_bins)
-    except StiffnessError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    result = integrate(ensemble, config, mark_times=marks, n_bins=setup.n_bins)
     out = save_run(result, cert, setup, args.out)
     last = result.rows[-1]
     print(
@@ -160,11 +150,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     cert = load_certificate(args.certificate)
     summary = load_run_data(args.run_dir)
-    try:
-        require_manifest_matches(summary, cert)
-    except RefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    require_manifest_matches(summary, cert)
     report = verify_focusing_run(summary, cert)
     out = args.out if args.out is not None else Path(args.run_dir) / "verification.ini"
     save_verification_report(report, out)
@@ -187,6 +173,7 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place exceptions become exit codes."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "design": _cmd_design,
@@ -195,7 +182,23 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "oracle": _cmd_oracle,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except StiffnessError as exc:
+        print(f"run aborted: {exc}", file=sys.stderr)
+        return CHECK_FAILED
+    except RefusalError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except InadmissibleParameterError as exc:
+        print(f"{args.command} error ({exc.constraint}): {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except KeyError as exc:
+        print(f"{args.command} error: missing key {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (ValueError, OSError, configparser.Error) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

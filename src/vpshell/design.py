@@ -78,17 +78,17 @@ class BoundsCertificate:
 
 
 def _validate_targets(c1: float, c2: float):
-    if not c1 > 0:
-        raise ValueError(f"C1 must be positive, got {c1}")
-    if not c2 > 0:
-        raise ValueError(f"C2 must be positive, got {c2}")
+    if not 0 < c1 < math.inf:
+        raise ValueError(f"C1 must be positive and finite, got {c1}")
+    if not 0 < c2 < math.inf:
+        raise ValueError(f"C2 must be positive and finite, got {c2}")
 
 
 def _resolve_eps(eps, admissible_max, default, exploratory, extra_note=""):
     if eps is None:
         return default, False
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if eps < admissible_max:
         return float(eps), False
     if exploratory:
@@ -160,8 +160,8 @@ def design_fixed_mass(
     C0 = 3 + 12 sqrt(1 + C1 T).
     """
     _validate_targets(c1, c2)
-    if not t_horizon > 0:
-        raise ValueError(f"T must be positive, got {t_horizon}")
+    if not 0 < t_horizon < math.inf:
+        raise ValueError(f"T must be positive and finite, got {t_horizon}")
     c0 = 3.0 + 12.0 * math.sqrt(1.0 + c1 * t_horizon)
     admissible_max = min(
         1.0,

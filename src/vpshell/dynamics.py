@@ -61,7 +61,6 @@ class IntegratorConfig:
     dt_max: float
     cfl: float = 0.2
     output_stride: int = 1
-    oracle_tolerance: float = 1e-11
 
     def __post_init__(self):
         if self.t_end < 0:
@@ -72,8 +71,6 @@ class IntegratorConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.output_stride < 1:
             raise ValueError("output_stride must be a positive integer")
-        if not self.oracle_tolerance > 0:
-            raise ValueError("oracle_tolerance must be positive")
 
     @property
     def dt_min(self) -> float:
@@ -161,7 +158,6 @@ def integrate(
     ensemble: Ensemble,
     config: IntegratorConfig,
     mark_times: Sequence[float] = (),
-    bin_edges: Optional[np.ndarray] = None,
     n_bins: int = 256,
     trace_shells: Sequence[int] = (),
     max_steps: int = 10_000_000,
@@ -173,7 +169,8 @@ def integrate(
     time, the marks, and the end.  Per shell, tracks the running radius
     minimum and the turning time, the latter interpolated from the step
     that saw w change sign (trajectories are convex, so the first sign
-    change is the only one).
+    change is the only one).  Each row's binned density uses n_bins
+    geometric bins spanning that state's radii (see sup_norms).
     """
     if len(ensemble) == 0:
         raise ValueError("cannot integrate an empty ensemble")
@@ -204,7 +201,7 @@ def integrate(
             traces[tid].append((state.time, float(state.r[pos]), float(state.w[pos])))
 
     def make_row(state: Ensemble, index: SortedMassIndex, dt_current: float) -> DiagnosticsRow:
-        norms = sup_norms(state, index, bin_edges, n_bins)
+        norms = sup_norms(state, index, n_bins)
         return DiagnosticsRow(
             t=state.time,
             rho_sup_binned=norms.rho_sup_binned,

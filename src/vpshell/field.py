@@ -67,8 +67,8 @@ class SortedMassIndex:
     def field_at(self, r):
         """Radial field magnitude m(r)/r^2 (outward for the repulsive case)."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
-            raise ValueError("field evaluation needs r > 0")
+        if not np.all(r > 0):
+            raise ValueError("field evaluation needs r > 0 (NaN refused)")
         out = self.enclosed_mass(r) / np.square(r)
         return float(out) if np.ndim(out) == 0 else out
 
@@ -173,17 +173,16 @@ class SupNorms:
     r_max: float
 
 
-def sup_norms(
-    ensemble: Ensemble, index: SortedMassIndex, bin_edges: np.ndarray = None, n_bins: int = 256
-) -> SupNorms:
-    """Sup norms of one state; index must be SortedMassIndex.from_ensemble(ensemble)."""
+def sup_norms(ensemble: Ensemble, index: SortedMassIndex, n_bins: int = 256) -> SupNorms:
+    """Sup norms of one state; index must be SortedMassIndex.from_ensemble(ensemble).
+
+    The density is binned on default_grid_edges(r_min, r_max, n_bins).
+    """
     if len(ensemble) == 0:
         raise ValueError("sup norms are undefined for an empty ensemble")
     r_min = float(np.min(ensemble.r))
     r_max = float(np.max(ensemble.r))
-    if bin_edges is None:
-        bin_edges = default_grid_edges(r_min, r_max, n_bins)
-    grid = density_estimate(ensemble, bin_edges)
+    grid = density_estimate(ensemble, default_grid_edges(r_min, r_max, n_bins))
     certified = 3.0 * ensemble.total_mass / (4.0 * np.pi * r_max**3)
     return SupNorms(
         rho_sup_binned=float(np.max(grid.bin_values)),

@@ -245,8 +245,8 @@ class InitialData:
         r = np.asarray(r, dtype=float)
         w = np.asarray(w, dtype=float)
         ell = np.asarray(ell, dtype=float)
-        if np.any(r <= 0):
-            raise ValueError("radius must be positive")
+        if not np.all(r > 0):
+            raise ValueError("radius must be positive (NaN refused)")
         if np.any(ell < 0):
             raise ValueError("squared angular momentum must be nonnegative")
         spec = self.spec
@@ -281,8 +281,8 @@ class InitialData:
         rho(r) = (pi / r^2) * double integral of f0 over w and ell."""
         scalar = np.isscalar(r) or np.ndim(r) == 0
         radii = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(radii <= 0):
-            raise ValueError("radius must be positive")
+        if not np.all(radii > 0):
+            raise ValueError("radius must be positive (NaN refused)")
         spec = self.spec
         s_max = self.profile.support_bound
         e = np.sqrt(s_max)

@@ -1,21 +1,27 @@
-"""Serialization layer: certificates, run configs, manifests, CSV output.
+"""Serialization layer: certificates, run configs, manifests, CSV tables.
 
-All file formats are human-readable: INI (key/value with sections) for
-configuration, certificates, manifests, and verification reports; CSV
-for the diagnostics time series, per-shell summaries, and snapshots.
-Floats are written as repr(float(x)), which round-trips exactly, so a
-rerun of the same configuration reproduces output byte for byte.  The
-manifest deliberately omits wall-clock times and thread counts: results
-do not depend on them and reruns must compare equal.
+INI (key/value with sections) holds configuration, certificates,
+manifests, and verification reports; CSV holds the run record's tables:
+rows.csv (diagnostics), shells.csv (per-shell summary), and snapshots
+(initial.csv included).  Each record is described once: the rows.csv
+columns and the [certificate] and [class] keys are dataclass fields,
+SHELLS_COLUMNS and SNAPSHOT_COLUMNS map columns to attributes, and all
+tables share _write_table and _read_table.  Ids are written as integers,
+other values as repr(float(x)), which round-trips exactly, so a rerun
+reproduces output byte for byte.  The manifest deliberately omits
+wall-clock times and thread counts: results do not depend on them and
+reruns must compare equal.  load_run_data raises RecordError for a run
+directory whose tables disagree with the manifest or with each other.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -26,17 +32,23 @@ from .initial_data import ClassSpec
 from .phase_space import Ensemble
 
 ROWS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
-SHELLS_COLUMNS = (
-    "id",
-    "ell",
-    "weight",
-    "turning_time",
-    "r_min",
-    "t_at_r_min",
-    "r_final",
-    "w_final",
-)
-SNAPSHOT_COLUMNS = ("id", "r", "w", "ell", "weight")
+# column -> Ensemble attribute
+SNAPSHOT_COLUMNS = {"id": "ids", "r": "r", "w": "w", "ell": "ell", "weight": "weight"}
+# column -> run-record attribute; the "final." columns repeat the last snapshot
+SHELLS_COLUMNS = {
+    "id": "final.ids",
+    "ell": "final.ell",
+    "weight": "final.weight",
+    "turning_time": "turning_time",
+    "r_min": "r_min_shell",
+    "t_at_r_min": "t_at_r_min",
+    "r_final": "final.r",
+    "w_final": "final.w",
+}
+
+
+class RecordError(ValueError):
+    """A CSV table or run directory is malformed or inconsistent."""
 
 
 def _fmt(x: float) -> str:
@@ -54,21 +66,31 @@ def _write_ini(parser: configparser.ConfigParser, path: Path):
         parser.write(handle)
 
 
-def _class_section(spec: ClassSpec) -> dict:
-    """The [class] section shared by certificates and run manifests."""
-    section = {"a0": _fmt(spec.a0), "a1": _fmt(spec.a1), "eps": _fmt(spec.eps)}
-    if spec.target_mass is not None:
-        section["target_mass"] = _fmt(spec.target_mass)
-    return section
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _to_section(record, skip: str = "") -> dict:
+    """INI section of a dataclass's fields, leaving out skip and None values."""
+    values = {f.name: getattr(record, f.name) for f in fields(record) if f.init and f.name != skip}
+    return {key: _ini_value(value) for key, value in values.items() if value is not None}
+
+
+def _from_section(cls, section, skip: str = "") -> dict:
+    """Keyword arguments for cls read back from a _to_section section."""
+    types = get_type_hints(cls)
+    parse = {bool: lambda text: text == "true", str: str}
+    return {
+        f.name: parse.get(types[f.name], float)(section[f.name])
+        for f in fields(cls)
+        if f.init and f.name != skip and (f.name in section or f.default is MISSING)
+    }
 
 
 def _read_class(section) -> ClassSpec:
-    return ClassSpec(
-        a0=float(section["a0"]),
-        a1=float(section["a1"]),
-        eps=float(section["eps"]),
-        target_mass=float(section["target_mass"]) if "target_mass" in section else None,
-    )
+    return ClassSpec(**_from_section(ClassSpec, section))
 
 
 # ---------------------------------------------------------------- certificates
@@ -76,23 +98,8 @@ def _read_class(section) -> ClassSpec:
 def save_certificate(cert: BoundsCertificate, path) -> Path:
     path = Path(path)
     parser = _new_parser()
-    parser["certificate"] = {
-        "recipe": cert.recipe,
-        "c1": _fmt(cert.c1),
-        "c2": _fmt(cert.c2),
-        "t_horizon": _fmt(cert.t_horizon),
-        "eps_admissible_max": _fmt(cert.eps_admissible_max),
-        "exploratory": "true" if cert.exploratory else "false",
-        "sup_r_bound": _fmt(cert.sup_r_bound),
-        "rhot_lower": _fmt(cert.rhot_lower),
-        "et_lower": _fmt(cert.et_lower),
-        "mass_used": _fmt(cert.mass_used),
-    }
-    for key in ("rho0_sup_bound", "e0_sup_bound", "c0", "eta"):
-        value = getattr(cert, key)
-        if value is not None:
-            parser["certificate"][key.lower()] = _fmt(value)
-    parser["class"] = _class_section(cert.spec)
+    parser["certificate"] = _to_section(cert, skip="spec")
+    parser["class"] = _to_section(cert.spec)
     _write_ini(parser, path)
     return path
 
@@ -101,28 +108,8 @@ def load_certificate(path) -> BoundsCertificate:
     parser = _new_parser()
     if not parser.read(path):
         raise FileNotFoundError(f"certificate file not found: {path}")
-    c = parser["certificate"]
-
-    def opt(key: str) -> Optional[float]:
-        return float(c[key]) if key in c else None
-
-    return BoundsCertificate(
-        recipe=c["recipe"],
-        c1=float(c["c1"]),
-        c2=float(c["c2"]),
-        spec=_read_class(parser["class"]),
-        t_horizon=float(c["t_horizon"]),
-        eps_admissible_max=float(c["eps_admissible_max"]),
-        exploratory=c["exploratory"] == "true",
-        sup_r_bound=float(c["sup_r_bound"]),
-        rhot_lower=float(c["rhot_lower"]),
-        et_lower=float(c["et_lower"]),
-        mass_used=float(c["mass_used"]),
-        rho0_sup_bound=opt("rho0_sup_bound"),
-        e0_sup_bound=opt("e0_sup_bound"),
-        c0=opt("c0"),
-        eta=opt("eta"),
-    )
+    values = _from_section(BoundsCertificate, parser["certificate"], skip="spec")
+    return BoundsCertificate(spec=_read_class(parser["class"]), **values)
 
 
 # ----------------------------------------------------------------- run configs
@@ -201,32 +188,53 @@ def load_run_config(path) -> RunSetup:
 
 # ------------------------------------------------------------------ run output
 
-def _write_csv(path: Path, header, rows_iter):
+def _codec(name: str):
+    """(dtype, parse, format) of a table column: ids are integers, the rest floats."""
+    return (np.int64, int, str) if name == "id" else (np.float64, float, repr)
+
+
+def _write_table(path: Path, columns: dict) -> Path:
+    """Write a CSV table from a mapping of column name to 1-D column."""
+    cells = []
+    for name, column in columns.items():
+        dtype, _, fmt = _codec(name)
+        cells.append(list(map(fmt, np.asarray(column, dtype=dtype).tolist())))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows_iter:
-            writer.writerow(row)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+    return path
+
+
+def _read_table(path: Path, names) -> dict:
+    """Read a table written by _write_table; maps each name to its column."""
+    names = tuple(names)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = tuple(next(reader, ()))
+        if header != names:
+            raise RecordError(f"{path}: columns {','.join(header)}, expected {','.join(names)}")
+        data = list(reader)
+    for line, row in enumerate(data, start=2):
+        if len(row) != len(names):
+            raise RecordError(f"{path}: line {line} has {len(row)} fields, expected {len(names)}")
+    table = {}
+    for name, column in zip(names, zip(*data) if data else [()] * len(names)):
+        dtype, parse, _ = _codec(name)
+        try:
+            table[name] = np.fromiter(map(parse, column), dtype=dtype, count=len(column))
+        except ValueError as exc:
+            raise RecordError(f"{path}: column {name}: {exc}") from exc
+    return table
+
+
+def _columns(record, attributes: dict) -> dict:
+    return {name: attrgetter(attr)(record) for name, attr in attributes.items()}
 
 
 def save_snapshot(ens: Ensemble, path) -> Path:
     """Write one ensemble state as a snapshot CSV."""
-    path = Path(path)
-    _write_csv(
-        path,
-        SNAPSHOT_COLUMNS,
-        (
-            [
-                str(int(ens.ids[i])),
-                _fmt(ens.r[i]),
-                _fmt(ens.w[i]),
-                _fmt(ens.ell[i]),
-                _fmt(ens.weight[i]),
-            ]
-            for i in range(len(ens))
-        ),
-    )
-    return path
+    return _write_table(Path(path), _columns(ens, SNAPSHOT_COLUMNS))
 
 
 def save_run(
@@ -239,30 +247,9 @@ def save_run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(
-        out / "rows.csv",
-        ROWS_COLUMNS,
-        ([_fmt(getattr(row, name)) for name in ROWS_COLUMNS] for row in result.rows),
-    )
-
-    final = result.final
-    _write_csv(
-        out / "shells.csv",
-        SHELLS_COLUMNS,
-        (
-            [
-                str(int(final.ids[i])),
-                _fmt(final.ell[i]),
-                _fmt(final.weight[i]),
-                _fmt(result.turning_time[i]),
-                _fmt(result.r_min_shell[i]),
-                _fmt(result.t_at_r_min[i]),
-                _fmt(final.r[i]),
-                _fmt(final.w[i]),
-            ]
-            for i in range(len(final))
-        ),
-    )
+    rows = {name: [getattr(row, name) for row in result.rows] for name in ROWS_COLUMNS}
+    _write_table(out / "rows.csv", rows)
+    _write_table(out / "shells.csv", _columns(result, SHELLS_COLUMNS))
 
     snapshot_files = []
     for k, (time, ens) in enumerate(result.snapshots):
@@ -272,23 +259,22 @@ def save_run(
 
     parser = _new_parser()
     parser["manifest"] = {"format": "1", "version": __version__}
-    cert_path = Path(out / "certificate.ini")
-    save_certificate(cert, cert_path)
+    save_certificate(cert, out / "certificate.ini")
+    config, marks = setup.resolve(cert)
     parser["run"] = {
         "n_r": str(setup.n_r),
         "n_w": str(setup.n_w),
         "n_ell": str(setup.n_ell),
-        "n_shells": str(len(final)),
+        "n_shells": str(len(result.final)),
         "n_bins": str(setup.n_bins),
         "cfl": _fmt(setup.cfl),
         "output_stride": str(setup.output_stride),
         "steps": str(result.steps),
+        "t_end": _fmt(config.t_end),
+        "dt_max": _fmt(config.dt_max),
+        "mark_times": ",".join(_fmt(m) for m in marks),
     }
-    config, marks = setup.resolve(cert)
-    parser["run"]["t_end"] = _fmt(config.t_end)
-    parser["run"]["dt_max"] = _fmt(config.dt_max)
-    parser["run"]["mark_times"] = ",".join(_fmt(m) for m in marks)
-    parser["class"] = _class_section(cert.spec)
+    parser["class"] = _to_section(cert.spec)
     parser["snapshots"] = {
         "count": str(len(snapshot_files)),
         "files": ",".join(name for name, _ in snapshot_files),
@@ -299,17 +285,8 @@ def save_run(
 
 
 def _load_snapshot(path: Path, time: float) -> Ensemble:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != SNAPSHOT_COLUMNS:
-            raise ValueError(f"unexpected snapshot columns in {path}: {header}")
-        data = list(reader)
-    ids = np.array([int(row[0]) for row in data], dtype=np.int64)
-    cols = np.array([[float(v) for v in row[1:]] for row in data], dtype=float)
-    return Ensemble(
-        r=cols[:, 0], w=cols[:, 1], ell=cols[:, 2], weight=cols[:, 3], ids=ids, time=time
-    )
+    table = _read_table(path, SNAPSHOT_COLUMNS)
+    return Ensemble(time=time, **{attr: table[name] for name, attr in SNAPSHOT_COLUMNS.items()})
 
 
 @dataclass
@@ -322,62 +299,76 @@ class RunSummary(SnapshotLookup):
     r_min_shell: np.ndarray
     t_at_r_min: np.ndarray
     manifest: configparser.ConfigParser
-    final: Ensemble = field(init=False)
 
-    def __post_init__(self):
-        self.final = self.snapshots[-1][1]
+    @property
+    def final(self) -> Ensemble:
+        return self.snapshots[-1][1]
 
 
 def load_run_data(out_dir) -> RunSummary:
+    """Reload a run directory, refusing one that is incomplete or inconsistent.
+
+    Raises RecordError unless the manifest lists [snapshots] count files
+    and times, every snapshot and shells.csv has [run] n_shells rows, and
+    the id, ell, weight, r_final and w_final columns of shells.csv are
+    bitwise equal to the final snapshot's.
+    """
     out = Path(out_dir)
     manifest = _new_parser()
     if not manifest.read(out / "manifest.ini"):
         raise FileNotFoundError(f"no manifest.ini under {out}")
 
-    rows = []
-    with open(out / "rows.csv", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != ROWS_COLUMNS:
-            raise ValueError(f"unexpected rows.csv columns: {header}")
-        for row in reader:
-            rows.append(DiagnosticsRow(*[float(v) for v in row]))
-
-    with open(out / "shells.csv", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != SHELLS_COLUMNS:
-            raise ValueError(f"unexpected shells.csv columns: {header}")
-        data = list(reader)
-    turning = np.array([float(row[3]) for row in data], dtype=float)
-    r_min_shell = np.array([float(row[4]) for row in data], dtype=float)
-    t_at_r_min = np.array([float(row[5]) for row in data], dtype=float)
+    table = _read_table(out / "rows.csv", ROWS_COLUMNS)
+    rows = [DiagnosticsRow(*values) for values in zip(*(c.tolist() for c in table.values()))]
 
     snaps = manifest["snapshots"]
     files = snaps["files"].split(",")
     times = [float(s) for s in snaps["times"].split(",")]
+    if not len(files) == len(times) == int(snaps["count"]):
+        raise RecordError(
+            f"{out / 'manifest.ini'}: {len(files)} snapshot files and {len(times)} "
+            f"times listed, [snapshots] count is {snaps['count']}"
+        )
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
-    return RunSummary(
+    shells = _read_table(out / "shells.csv", SHELLS_COLUMNS)
+
+    n_shells = int(manifest["run"]["n_shells"])
+    lengths = [("shells.csv", len(shells["id"]))]
+    lengths += [(name, len(ens)) for name, (_, ens) in zip(files, snapshots)]
+    for name, length in lengths:
+        if length != n_shells:
+            raise RecordError(f"{out / name}: {length} rows, [run] n_shells is {n_shells}")
+
+    summary = RunSummary(
         rows=rows,
         snapshots=snapshots,
-        turning_time=turning,
-        r_min_shell=r_min_shell,
-        t_at_r_min=t_at_r_min,
         manifest=manifest,
+        **{attr: shells[name] for name, attr in SHELLS_COLUMNS.items() if "." not in attr},
     )
+    for name, column in _columns(summary, SHELLS_COLUMNS).items():
+        if column.tobytes() != shells[name].tobytes():
+            raise RecordError(f"{out / 'shells.csv'}: column {name} differs from {files[-1]}")
+    return summary
 
 
 def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate):
     """Refuse to verify a run against a certificate it was not produced
-    from: the class parameters recorded in the manifest must agree."""
+    from (the class parameters recorded in the manifest must agree), or a
+    run that holds no snapshot at the certificate's horizon T."""
     recorded = _read_class(summary.manifest["class"])
     if recorded != cert.spec:
         raise RefusalError(
             f"run manifest class parameters {recorded} do not match "
             f"certificate {cert.spec}"
         )
+    try:
+        summary.snapshot_at(cert.t_horizon)
+    except KeyError:
+        raise RefusalError(
+            f"run has no snapshot at T = {cert.t_horizon!r}; it ends at t = {summary.final.time!r}"
+        ) from None
 
 
 # -------------------------------------------------------- validation reports

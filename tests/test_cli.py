@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from vpshell import cli
+from vpshell.dynamics import StiffnessError
 from vpshell.reporting import (
     RunSetup,
     load_certificate,
@@ -127,3 +131,86 @@ class TestOracleCommand:
         assert rc == 0
         assert out.read_text() == "[oracle-suite]\ncases = 3\nviolations = 0\npassed = true\n\n"
         assert "0 violations" in capsys.readouterr().out
+
+
+def _run_dir(ws, name="out", **setup):
+    """Run the workspace's small grid, optionally with changed RunSetup fields."""
+    config = save_run_config(
+        RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, **setup), ws / f"{name}.ini"
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(ws / name)]) == 0
+    return ws / name
+
+
+def _config_without_n_w(ws):
+    config = ws / "no_n_w.ini"
+    config.write_text((ws / "run.ini").read_text().replace("n_w = 8\n", ""))
+    return ["run", "--config", str(config), "--out", str(ws / "out")]
+
+
+def _verify_stopped_before_t(ws):
+    t_horizon = load_certificate(ws / "cert.ini").t_horizon
+    return ["verify", str(_run_dir(ws, "short", t_end=0.5 * t_horizon)), str(ws / "cert.ini")]
+
+
+def _verify_truncated(name):
+    def argv(ws):
+        out = _run_dir(ws)
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines[:-3]))
+        return ["verify", str(out), str(ws / "cert.ini")]
+    return argv
+
+
+USAGE_ERRORS = {
+    "design-c1-inf": lambda ws: ["design", "--c1", "inf", "--c2", "1", "--out", str(ws / "c.ini")],
+    "design-t-inf": lambda ws: ["design", "--c1", "1", "--c2", "1", "--t", "inf", "--out", str(ws / "c.ini")],
+    "config-without-n_w": _config_without_n_w,
+    "oracle-zero-cases": lambda ws: ["oracle", "--cases", "0"],
+    "verify-missing-dir": lambda ws: ["verify", str(ws / "nowhere"), str(ws / "cert.ini")],
+    "verify-stopped-before-T": _verify_stopped_before_t,
+    "verify-truncated-shells": _verify_truncated("shells.csv"),
+    "verify-truncated-snapshot": _verify_truncated("snapshot_001.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_one_line(case, workspace, capsys):
+    argv = USAGE_ERRORS[case](workspace[0])
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_stiffness_error_is_a_failed_run(workspace, monkeypatch, capsys):
+    def stiff(*args, **kwargs):
+        raise StiffnessError(7, 0.5, 1e-15)
+
+    ws, _, config_path = workspace
+    monkeypatch.setattr(cli, "integrate", stiff)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(ws / "out")]) == 1
+    assert "run aborted" in capsys.readouterr().err
+
+
+def test_desk_run_files_match_recorded_digests(tmp_path):
+    """design -> init -> run -> verify on the README desk config reproduces
+    every run-directory file byte for byte."""
+    recorded = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "desk_digests.json").read_text()
+    )
+    cert, config = tmp_path / "certificate.ini", tmp_path / "run.ini"
+    save_run_config(RunSetup(certificate_path="certificate.ini"), config)
+    for argv in (
+        ["design", "--c1", "32", "--c2", "1e-7", "--eps", "0.2", "--out", str(cert)],
+        ["init", "--config", str(config), "--out", str(tmp_path / "init")],
+        ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+        ["verify", str(tmp_path / "run"), str(cert)],
+    ):
+        assert cli.main(argv) == 0, argv
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "run").iterdir()
+    }
+    assert digests == recorded
+    initial = hashlib.sha256((tmp_path / "init" / "initial.csv").read_bytes()).hexdigest()
+    assert initial == recorded["snapshot_000.csv"]

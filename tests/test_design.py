@@ -79,6 +79,13 @@ class TestSmallDataRecipe:
             design_small_data(c1=1.0, c2=-1.0)
         with pytest.raises(ValueError):
             design_small_data(c1=1.0, c2=1.0, eps=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                design_small_data(c1=bad, c2=1.0)
+            with pytest.raises(ValueError):
+                design_small_data(c1=1.0, c2=bad)
+            with pytest.raises(ValueError):
+                design_small_data(c1=1.0, c2=1.0, eps=bad, exploratory=True)
 
     def test_consistency_with_confinement_formulas(self):
         cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
@@ -120,6 +127,9 @@ class TestFixedMassRecipe:
     def test_validation(self):
         with pytest.raises(ValueError):
             design_fixed_mass(c1=1.0, c2=1.0, t_horizon=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                design_fixed_mass(c1=1.0, c2=1.0, t_horizon=bad)
 
     def test_consistency_with_confinement_formulas(self):
         cert = design_fixed_mass(c1=2.0, c2=0.5, t_horizon=1.0)

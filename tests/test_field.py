@@ -65,6 +65,10 @@ class TestField:
         assert idx.field_at(2.5) == pytest.approx(0.3 / 2.5**2, rel=1e-15)
         with pytest.raises(ValueError):
             idx.field_at(0.0)
+        with pytest.raises(ValueError):
+            idx.field_at(float("nan"))
+        with pytest.raises(ValueError):
+            idx.field_at(np.array([1.5, np.nan]))
 
     def test_unit_mass_example(self):
         idx = SortedMassIndex.from_ensemble(ensemble_at([0.5], [1.0]))

@@ -144,6 +144,12 @@ class TestInitialData:
             data.evaluate_reduced(0.0, -25.0, 0.0)
         with pytest.raises(ValueError):
             data.evaluate_reduced(1.0, -25.0, -1.0)
+        with pytest.raises(ValueError):
+            data.evaluate_reduced(np.nan, -25.0, 0.0)
+        with pytest.raises(ValueError):
+            data.rho0(0.0)
+        with pytest.raises(ValueError):
+            data.rho0(np.array([1.0, np.nan]))
 
     def test_density_plateau_matches_ball_value(self):
         data = canonical_data()

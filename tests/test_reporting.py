@@ -18,7 +18,11 @@ from vpshell import (
 from vpshell.design import StageResult, VerificationReport
 from vpshell.dynamics import DiagnosticsRow
 from vpshell.reporting import (
+    SHELLS_COLUMNS,
+    RecordError,
     RunSetup,
+    _read_table,
+    _write_table,
     load_certificate,
     load_run_config,
     load_run_data,
@@ -108,6 +112,7 @@ class TestRunRecord:
         summary = load_run_data(out)
 
         assert summary.rows == result.rows
+        assert np.isinf(result.turning_time).any()  # shells that never turned
         assert np.array_equal(summary.turning_time, result.turning_time)
         assert np.array_equal(summary.r_min_shell, result.r_min_shell)
         assert np.array_equal(summary.t_at_r_min, result.t_at_r_min)
@@ -180,6 +185,82 @@ class TestRunRecord:
         path = save_snapshot(result.final, tmp_path / "snap.csv")
         header = path.read_text().splitlines()[0]
         assert header == "id,r,w,ell,weight"
+
+
+class TestTables:
+    def test_ids_and_infinities_round_trip(self, tmp_path):
+        columns = {"id": np.array([3, 0, 7]), "t": np.array([np.inf, -0.0, 1e-300])}
+        table = _read_table(_write_table(tmp_path / "t.csv", columns), ("id", "t"))
+        assert (tmp_path / "t.csv").read_text() == "id,t\n3,inf\n0,-0.0\n7,1e-300\n"
+        assert table["id"].dtype == np.int64 and table["id"].tolist() == [3, 0, 7]
+        assert table["t"].tobytes() == columns["t"].tobytes()
+
+    def test_wrong_header_names_the_file(self, tmp_path):
+        path = _write_table(tmp_path / "t.csv", {"id": [1], "r": [2.0]})
+        with pytest.raises(ValueError, match="t.csv"):
+            _read_table(path, ("id", "w"))
+
+    def test_short_row_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,r\n1,2.0\n2\n")
+        with pytest.raises(ValueError, match="t.csv: line 3"):
+            _read_table(path, ("id", "r"))
+
+    def test_reloaded_rows_hold_python_floats(self, tmp_path, small_run):
+        cert, setup, result = small_run
+        summary = load_run_data(save_run(result, cert, setup, tmp_path / "out"))
+        for row in summary.rows:
+            assert all(type(getattr(row, f.name)) is float for f in dataclasses.fields(row))
+
+
+def _drop_last_lines(name, k=3):
+    def edit(out):
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines[:-k]))
+    return edit
+
+
+def _swap_first_rows(out):
+    lines = (out / "shells.csv").read_text().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    (out / "shells.csv").write_text("".join(lines))
+
+
+def _bump_r_final(out):
+    table = _read_table(out / "shells.csv", SHELLS_COLUMNS)
+    table["r_final"][0] = np.nextafter(table["r_final"][0], np.inf)
+    _write_table(out / "shells.csv", table)
+
+
+def _edit_manifest(old, new):
+    def edit(out):
+        text = (out / "manifest.ini").read_text()
+        assert old in text
+        (out / "manifest.ini").write_text(text.replace(old, new))
+    return edit
+
+
+class TestRunDirectoryIntegrity:
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _drop_last_lines("shells.csv"),
+            _drop_last_lines("snapshot_001.csv"),
+            _swap_first_rows,
+            _bump_r_final,
+            _edit_manifest("count = 2", "count = 3"),
+            _edit_manifest("files = snapshot_000.csv,snapshot_001.csv", "files = snapshot_000.csv"),
+        ],
+        ids=["short-shells", "short-snapshot", "reordered-shells", "r-final-off-by-1ulp",
+             "count", "files"],
+    )
+    def test_inconsistent_directory_is_refused(self, tmp_path, small_run, tamper):
+        cert, setup, result = small_run
+        out = save_run(result, cert, setup, tmp_path / "out")
+        load_run_data(out)
+        tamper(out)
+        with pytest.raises(RecordError):
+            load_run_data(out)
 
 
 class TestReports:
