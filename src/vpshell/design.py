@@ -33,7 +33,12 @@ import math
 import numpy as np
 
 from .bounds import confinement_lower_bounds
-from .initial_data import ClassSpec, derived_bounds
+from .initial_data import MASS_REL_TOL, ClassSpec, derived_bounds
+
+# Relative headroom of the binned time-zero density over its cap.
+RHO_BIN_SLACK = 0.5
+# Relative headroom of the radii at T over the confinement radius.
+RADIUS_REL_SLACK = 1e-6
 
 
 class InadmissibleParameterError(ValueError):
@@ -84,7 +89,7 @@ def _validate_targets(c1: float, c2: float):
         raise ValueError(f"C2 must be positive and finite, got {c2}")
 
 
-def _resolve_eps(eps, admissible_max, default, exploratory, extra_note=""):
+def _resolve_eps(eps, admissible_max, default, exploratory):
     if eps is None:
         return default, False
     if not 0 < eps < math.inf:
@@ -96,7 +101,7 @@ def _resolve_eps(eps, admissible_max, default, exploratory, extra_note=""):
     raise InadmissibleParameterError(
         "eps-admissible-max",
         f"eps = {eps} is not below the admissible bound "
-        f"{admissible_max}{extra_note}; pass exploratory to force it",
+        f"{admissible_max}; pass exploratory to force it",
     )
 
 
@@ -222,24 +227,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_focusing_run(
-    run,
-    cert: BoundsCertificate,
-    rho_bin_slack: float = 0.5,
-    radius_rel_slack: float = 1e-6,
-    mass_rel_tol: float = 1e-12,
-) -> VerificationReport:
+def verify_focusing_run(run, cert: BoundsCertificate) -> VerificationReport:
     """Check a completed run against its certificate, stage by stage.
 
     run must expose rows (diagnostics), turning_time (per shell),
     snapshot_at(t), and final (ensemble); both the in-memory run result
     and the reloaded on-disk record satisfy this.
 
-    The binned density at time zero is only compared up to rho_bin_slack
+    The binned density at time zero is only compared up to RHO_BIN_SLACK
     because column quantization makes the histogram noisy on a thin
     shell; the continuum density bound is validated by quadrature at
     construction time (membership checks), and the certified bound and
-    the exact field sup are checked without slack.
+    the exact field sup are checked without slack.  The radii at T are
+    compared up to RADIUS_REL_SLACK, and a fixed-mass run's total mass
+    up to initial_data.MASS_REL_TOL.
     """
     stages = []
     t_target = cert.t_horizon
@@ -257,7 +258,7 @@ def verify_focusing_run(
         row0 = run.rows[0]
         ok_e = row0.e_sup_exact <= cert.e0_sup_bound
         ok_rho_cert = row0.rho_sup_certified <= cert.rho0_sup_bound
-        ok_rho_bin = row0.rho_sup_binned <= cert.rho0_sup_bound * (1.0 + rho_bin_slack)
+        ok_rho_bin = row0.rho_sup_binned <= cert.rho0_sup_bound * (1.0 + RHO_BIN_SLACK)
         status = "pass" if (ok_e and ok_rho_cert and ok_rho_bin) else "fail"
         stages.append(
             StageResult(
@@ -265,7 +266,7 @@ def verify_focusing_run(
                 status,
                 f"E {row0.e_sup_exact:.6g} <= {cert.e0_sup_bound:.6g}; "
                 f"rho certified {row0.rho_sup_certified:.6g} <= {cert.rho0_sup_bound:.6g}; "
-                f"rho binned {row0.rho_sup_binned:.6g} <= cap*(1+{rho_bin_slack:g})",
+                f"rho binned {row0.rho_sup_binned:.6g} <= cap*(1+{RHO_BIN_SLACK:g})",
             )
         )
 
@@ -288,7 +289,7 @@ def verify_focusing_run(
         stages.append(
             StageResult(
                 "total-mass",
-                "pass" if rel <= mass_rel_tol else "fail",
+                "pass" if rel <= MASS_REL_TOL else "fail",
                 f"mass {mass!r} vs C1 {cert.c1!r}, rel err {rel:.3e}",
             )
         )
@@ -310,14 +311,14 @@ def verify_focusing_run(
     snap = run.snapshot_at(t_target)
     r_max = float(np.max(snap.r))
     worst = int(np.argmax(snap.r))
-    cap = cert.sup_r_bound * (1.0 + radius_rel_slack)
+    cap = cert.sup_r_bound * (1.0 + RADIUS_REL_SLACK)
     ok = r_max <= cap
     stages.append(
         StageResult(
             "confinement-radius",
             "pass" if ok else "fail",
             f"max radius at T = {r_max:.6g} vs bound {cert.sup_r_bound:.6g} "
-            f"(rel slack {radius_rel_slack:g})",
+            f"(rel slack {RADIUS_REL_SLACK:g})",
             witness_id=None if ok else int(snap.ids[worst]),
         )
     )

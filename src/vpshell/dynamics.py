@@ -13,21 +13,27 @@ toward the center, and a StiffnessError stops the run once the adaptive
 step or a halved step falls below IntegratorConfig.dt_min.
 
 integrate_oracle solves the single-trajectory equation
-y'' = ell/y^3 + profile(t) * P / y^2 with a high-order adaptive method
-and locates the turning point by event detection; it serves as the
-reference implementation the bound formulas are tested against.
+y'' = ell/y^3 + profile(t) * P / y^2 with DOP853 at ORACLE_RTOL and
+ORACLE_ATOL and locates the turning point by event detection; it serves
+as the reference implementation the bound formulas are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .field import SortedMassIndex, sup_norms
 from .phase_space import Ensemble
+
+# Relative and absolute tolerance of the reference integrator.
+ORACLE_RTOL = 1e-11
+ORACLE_ATOL = 1e-13
+# Relative distance within which a requested time matches a snapshot's.
+SNAPSHOT_TIME_REL_TOL = 1e-12
 
 
 class StiffnessError(RuntimeError):
@@ -49,7 +55,7 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Knobs of the ensemble integrator.
+    """Parameters of the ensemble integrator.
 
     dt = cfl * min_i r_i / (|w_i| + sqrt(a_i r_i)) capped at dt_max; the
     sqrt term shortens steps during pericenter passage where the
@@ -63,10 +69,10 @@ class IntegratorConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not 0.0 < self.dt_max < np.inf:
+            raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         if self.output_stride < 1:
@@ -125,9 +131,9 @@ class SnapshotLookup:
 
     snapshots: list
 
-    def snapshot_at(self, t: float, rel_tol: float = 1e-12) -> Ensemble:
+    def snapshot_at(self, t: float) -> Ensemble:
         for time, ens in self.snapshots:
-            if time == t or abs(time - t) <= rel_tol * max(abs(t), 1.0):
+            if time == t or abs(time - t) <= SNAPSHOT_TIME_REL_TOL * max(abs(t), 1.0):
                 return ens
         raise KeyError(f"no snapshot recorded at t={t!r}")
 
@@ -217,18 +223,6 @@ def integrate(
     rows = [make_row(ens, index, 0.0)]
     snapshots = [(ens.time, ens)]
     record_trace(ens)
-
-    if config.t_end <= ens.time:
-        return RunResult(
-            rows=rows,
-            snapshots=snapshots,
-            final=ens,
-            turning_time=turning_time,
-            r_min_shell=r_min_shell,
-            t_at_r_min=t_at_r_min,
-            steps=0,
-            traces={tid: np.array(v) for tid, v in traces.items()},
-        )
 
     steps = 0
     stop_idx = 0
@@ -357,15 +351,14 @@ def integrate_oracle(
     w0: float,
     ell: float,
     P: float = 0.0,
-    profile: Union[None, float, PiecewiseConstantProfile, Callable] = None,
+    profile: Union[float, PiecewiseConstantProfile] = 1.0,
     t_end: float = 1.0,
     t_eval: Optional[np.ndarray] = None,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> OracleTrajectory:
     """Reference solution of y'' = ell/y^3 + profile(t) * P / y^2.
 
-    Integrates with DOP853 at tight tolerance, splitting at profile
+    A float profile is the constant profile of that value.  Integrates
+    with DOP853 at ORACLE_RTOL/ORACLE_ATOL, splitting at profile
     breakpoints so discontinuous forcing never degrades the order, and
     locates the first turning point (ydot = 0 crossing upward) by event
     detection on the dense output.
@@ -377,20 +370,8 @@ def integrate_oracle(
     if not t_end > 0:
         raise ValueError("t_end must be positive")
 
-    if profile is None:
-        profile = 1.0
-    if isinstance(profile, (int, float)):
-        const = float(profile)
-        if not 0.0 <= const <= 1.0:
-            raise ValueError("profile values must lie in [0, 1]")
-        profile_fn: Callable = lambda t: const  # noqa: E731
-        breakpoints: np.ndarray = np.array([])
-    elif isinstance(profile, PiecewiseConstantProfile):
-        profile_fn = profile
-        breakpoints = profile.edges
-    else:
-        profile_fn = profile
-        breakpoints = np.array([])
+    if not isinstance(profile, PiecewiseConstantProfile):
+        profile = PiecewiseConstantProfile(edges=(), values=(float(profile),))
 
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
@@ -399,7 +380,8 @@ def integrate_oracle(
         raise ValueError("t_eval must lie inside [0, t_end]")
     t_eval = np.sort(t_eval)
 
-    cuts = np.concatenate(([0.0], breakpoints[(breakpoints > 0) & (breakpoints < t_end)], [t_end]))
+    edges = profile.edges
+    cuts = np.concatenate(([0.0], edges[(edges > 0) & (edges < t_end)], [t_end]))
 
     def turn_event(t, state):
         return state[1]
@@ -417,20 +399,19 @@ def integrate_oracle(
     for ta, tb in zip(cuts[:-1], cuts[1:]):
         # evaluate forcing strictly inside the segment so breakpoints
         # never alias to the wrong side
-        p_mid = float(profile_fn(0.5 * (ta + tb)))
+        p = float(profile(0.5 * (ta + tb)))
 
-        def rhs(t, s, p=p_mid, smooth=not isinstance(profile, PiecewiseConstantProfile)):
+        def rhs(t, s, p=p):
             y, yd = s
-            val = float(profile_fn(t)) if smooth and callable(profile_fn) else p
-            return (yd, ell / y**3 + val * P / y**2)
+            return (yd, ell / y**3 + p * P / y**2)
 
         sol = solve_ivp(
             rhs,
             (ta, tb),
             state,
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=ORACLE_RTOL,
+            atol=ORACLE_ATOL,
             dense_output=True,
             events=turn_event,
         )

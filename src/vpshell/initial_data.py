@@ -31,6 +31,15 @@ from .phase_space import REDUCED_MEASURE, Ensemble
 # density 3/(4 pi a0^3) after the velocity shift by (a1/a0) x.
 PROFILE_NORMALIZATION = 3.0 / (4.0 * np.pi)
 
+# Gauss-Legendre nodes per axis of the density and mass quadratures.
+N_QUAD = 64
+# Radii sampled by each density membership check.
+N_RHO_SAMPLES = 33
+# Relative tolerance of the density bound and plateau checks.
+RHO_REL_TOL = 1e-6
+# Relative tolerance of a fixed-mass total against its target.
+MASS_REL_TOL = 1e-12
+
 
 class EmptyEnsembleError(ValueError):
     """Raised when sampling places no shell inside the support."""
@@ -54,14 +63,14 @@ class ClassSpec:
     delta_w: float = field(init=False)
 
     def __post_init__(self):
-        if not self.a0 > 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
-        if not self.a1 < 0:
-            raise ValueError(f"a1 must be negative, got {self.a1}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.target_mass is not None and not self.target_mass > 0:
-            raise ValueError(f"target_mass must be positive, got {self.target_mass}")
+        if not 0 < self.a0 < np.inf:
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if not -np.inf < self.a1 < 0:
+            raise ValueError(f"a1 must be negative and finite, got {self.a1}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if self.target_mass is not None and not 0 < self.target_mass < np.inf:
+            raise ValueError(f"target_mass must be positive and finite, got {self.target_mass}")
         object.__setattr__(self, "delta_r", self.eps**3)
         object.__setattr__(
             self, "delta_w", (abs(self.a1) * self.delta_r + self.eps) / self.a0
@@ -229,12 +238,21 @@ class InitialData:
     scale: float = 1.0
 
     @classmethod
-    def from_spec(
-        cls, spec: ClassSpec, base_profile: Optional[ProfileH] = None
-    ) -> "InitialData":
-        base = base_profile if base_profile is not None else bump_profile()
-        profile = rescale_profile(base, spec.eps)
-        cutoff = smooth_cutoff(spec.a0, spec.delta_r)
+    def from_spec(cls, spec: ClassSpec) -> "InitialData":
+        """Bump profile and smooth cutoff of the spec.
+
+        Refuses a shell too thin for double precision to separate the
+        cutoff breakpoints a0 - delta_r < a0 - delta_r/2 < a0 <
+        a0 + delta_r/2 < a0 + delta_r.
+        """
+        a0, delta_r = spec.a0, spec.delta_r
+        if not a0 - delta_r < a0 - 0.5 * delta_r < a0 < a0 + 0.5 * delta_r < a0 + delta_r:
+            raise ValueError(
+                f"radial shell half-width delta_r = {delta_r!r} does not resolve at "
+                f"a0 = {a0!r} in double precision"
+            )
+        profile = rescale_profile(bump_profile(), spec.eps)
+        cutoff = smooth_cutoff(a0, delta_r)
         data = cls(spec=spec, profile=profile, cutoff=cutoff, scale=1.0)
         if spec.is_fixed_mass:
             data = replace(data, scale=spec.target_mass / data.l1_norm())
@@ -276,9 +294,9 @@ class InitialData:
         ell_hi = (r_hi / spec.a0) ** 2 * self.profile.support_bound
         return r_lo, r_hi, w_lo, w_hi, ell_hi
 
-    def rho0(self, r, n_quad: int = 64):
-        """Initial charge density by quadrature of the (w, ell) marginal:
-        rho(r) = (pi / r^2) * double integral of f0 over w and ell."""
+    def rho0(self, r):
+        """Initial charge density by N_QUAD-point quadrature of the (w, ell)
+        marginal: rho(r) = (pi / r^2) * double integral of f0 over w and ell."""
         scalar = np.isscalar(r) or np.ndim(r) == 0
         radii = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all(radii > 0):
@@ -286,7 +304,7 @@ class InitialData:
         spec = self.spec
         s_max = self.profile.support_bound
         e = np.sqrt(s_max)
-        nodes, wts = leggauss(n_quad)
+        nodes, wts = leggauss(N_QUAD)
         vals = np.zeros_like(radii)
         for i, ri in enumerate(radii):
             phi_r = float(self.cutoff(ri))
@@ -308,7 +326,7 @@ class InitialData:
             vals[i] = np.pi / ri**2 * np.sum(inner * w_weights)
         return float(vals[0]) if scalar else vals
 
-    def l1_norm(self, n_quad: int = 64) -> float:
+    def l1_norm(self) -> float:
         """Total mass of the current evaluator: 4 pi * int rho0(r) r^2 dr.
 
         Integrates piecewise between the cutoff breakpoints (support
@@ -321,12 +339,12 @@ class InitialData:
             spec.a0 + 0.5 * spec.delta_r,
             spec.a0 + spec.delta_r,
         ]
-        nodes, wts = leggauss(n_quad)
+        nodes, wts = leggauss(N_QUAD)
         total = 0.0
         for lo, hi in zip(pts[:-1], pts[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             radii = mid + half * nodes
-            total += half * float(np.sum(wts * self.rho0(radii, n_quad) * radii**2))
+            total += half * float(np.sum(wts * self.rho0(radii) * radii**2))
         return 4.0 * np.pi * total
 
 
@@ -414,21 +432,16 @@ def _worst_shell(ensemble: Ensemble, margin: np.ndarray):
     )
 
 
-def check_membership(
-    data: InitialData,
-    ensemble: Ensemble,
-    rho_rel_tol: float = 1e-6,
-    mass_rel_tol: float = 1e-12,
-    n_rho_samples: int = 33,
-) -> MembershipReport:
+def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
     """Validate an ensemble and its generating data against the family
     conditions.
 
     Per-shell support conditions are checked on the ensemble; the density
-    conditions are checked on the continuum f0 by quadrature at sampled
-    radii.  The density bound and plateau equality apply to the
-    small-density family; the fixed-mass family instead requires the
-    weight sum to equal the target mass.
+    conditions are checked on the continuum f0 by quadrature at
+    N_RHO_SAMPLES radii, up to RHO_REL_TOL.  The density bound and plateau
+    equality apply to the small-density family; the fixed-mass family
+    instead requires the weight sum to equal the target mass up to
+    MASS_REL_TOL.
     """
     spec = data.spec
     checks = []
@@ -492,34 +505,34 @@ def check_membership(
     if not spec.is_fixed_mass:
         # density bound everywhere (sampled across the shell and just outside)
         radii = np.linspace(
-            spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, n_rho_samples
+            spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES
         )
         rho = data.rho0(radii)
         worst = float(np.max(rho)) / rho_cap
-        ok = worst <= 1.0 + rho_rel_tol
+        ok = worst <= 1.0 + RHO_REL_TOL
         checks.append(
             MembershipCheck(
                 name="density-bound",
                 passed=ok,
                 hard=False,
-                detail=f"max rho0 / cap = {worst:.12f} (tol {rho_rel_tol:g})",
+                detail=f"max rho0 / cap = {worst:.12f} (tol {RHO_REL_TOL:g})",
                 witness=None if ok else (float(radii[int(np.argmax(rho))]),),
             )
         )
 
         # plateau equality on [a0 - delta_r/2, a0 + delta_r/2]
         plateau = np.linspace(
-            spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, n_rho_samples
+            spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, N_RHO_SAMPLES
         )
         rho_p = data.rho0(plateau)
         rel_err = float(np.max(np.abs(rho_p / rho_cap - 1.0)))
-        ok = rel_err <= rho_rel_tol
+        ok = rel_err <= RHO_REL_TOL
         checks.append(
             MembershipCheck(
                 name="density-plateau",
                 passed=ok,
                 hard=False,
-                detail=f"max relative deviation {rel_err:.3e} (tol {rho_rel_tol:g})",
+                detail=f"max relative deviation {rel_err:.3e} (tol {RHO_REL_TOL:g})",
                 witness=None if ok else (float(plateau[int(np.argmax(np.abs(rho_p / rho_cap - 1.0)))]),),
             )
         )
@@ -539,7 +552,7 @@ def check_membership(
     else:
         m = ensemble.total_mass
         rel = abs(m / spec.target_mass - 1.0)
-        ok = rel <= mass_rel_tol
+        ok = rel <= MASS_REL_TOL
         checks.append(
             MembershipCheck(
                 name="total-mass",

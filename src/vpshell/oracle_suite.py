@@ -3,11 +3,13 @@ reference integrator.
 
 Each case draws hypothesis-satisfying parameters (L > 0, P >= 0,
 y0 > 0, y1 < 0) and a force profile with values in [0, 1], integrates
-y'' = L/y^3 + profile(t) P/y^2 at tight tolerance, and checks three
-claims: the radial velocity stays negative up to the predicted
-turning-time lower bound, the radius at the true turning point does not
-exceed the predicted minimum-radius bound, and the parabolic envelope
-dominates y(t)^2 up to the turning time.
+y'' = L/y^3 + profile(t) P/y^2 with integrate_oracle (at
+dynamics.ORACLE_RTOL), sampled at N_SAMPLES times per horizon, and
+checks three claims: the radial velocity stays negative up to the
+predicted turning-time lower bound, the radius at the true turning
+point does not exceed the predicted minimum-radius bound, and the
+parabolic envelope dominates y(t)^2 up to the turning time.  The last
+two hold up to BOUND_TOL.
 
 The draws are seeded and the profiles include the two extremes
 (identically 0 and identically 1) plus random piecewise-constant
@@ -24,6 +26,11 @@ import numpy as np
 
 from .bounds import infall_envelope, turning_point_bound
 from .dynamics import OracleError, PiecewiseConstantProfile, integrate_oracle
+
+# Absolute slack of the radius and envelope comparisons.
+BOUND_TOL = 1e-9
+# Evenly spaced sample times per integration horizon.
+N_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,11 @@ def draw_cases(n_cases: int, seed: int = 1234) -> list:
     return cases
 
 
-def _integrate_until_turning(case: OracleCase, t_extra: np.ndarray, rtol: float, n_samples: int):
+def _integrate_until_turning(case: OracleCase, t_extra: np.ndarray):
     t_end = 3.0 * case.y0 / abs(case.y1)
     for _ in range(6):
         t_eval = np.unique(
-            np.concatenate((np.linspace(0.0, t_end, n_samples), t_extra[t_extra <= t_end]))
+            np.concatenate((np.linspace(0.0, t_end, N_SAMPLES), t_extra[t_extra <= t_end]))
         )
         traj = integrate_oracle(
             r0=case.y0,
@@ -131,7 +138,6 @@ def _integrate_until_turning(case: OracleCase, t_extra: np.ndarray, rtol: float,
             profile=case.profile,
             t_end=t_end,
             t_eval=t_eval,
-            rtol=rtol,
         )
         if traj.turning_time is not None:
             return traj
@@ -139,25 +145,19 @@ def _integrate_until_turning(case: OracleCase, t_extra: np.ndarray, rtol: float,
     raise OracleError(f"no turning point found out to t={t_end} for {case}")
 
 
-def check_case(
-    case: OracleCase,
-    index: int = 0,
-    rtol: float = 1e-11,
-    tol: float = 1e-9,
-    n_samples: int = 129,
-) -> CaseOutcome:
+def check_case(case: OracleCase, index: int = 0) -> CaseOutcome:
     bound = turning_point_bound(case.L, case.P, case.y0, case.y1)
-    traj = _integrate_until_turning(case, np.array([bound.t0_lower]), rtol, n_samples)
+    traj = _integrate_until_turning(case, np.array([bound.t0_lower]))
 
     pre_turn = traj.times <= bound.t0_lower
     ydot_ok = bool(np.all(traj.ydot[pre_turn] < 0.0))
 
-    y_turn_ok = bool(traj.y_turn <= bound.y_star + tol)
+    y_turn_ok = bool(traj.y_turn <= bound.y_star + BOUND_TOL)
 
     mask = traj.times <= traj.turning_time
     env = infall_envelope(case.L, case.P, case.y0, case.y1, traj.times[mask])
     gap = env - traj.y[mask] ** 2
-    envelope_ok = bool(np.all(gap >= -tol))
+    envelope_ok = bool(np.all(gap >= -BOUND_TOL))
 
     detail = ""
     if not ydot_ok:
@@ -181,18 +181,9 @@ def check_case(
     )
 
 
-def run_oracle_suite(
-    n_cases: int = 1000,
-    seed: int = 1234,
-    rtol: float = 1e-11,
-    tol: float = 1e-9,
-    n_samples: int = 129,
-) -> SuiteResult:
+def run_oracle_suite(n_cases: int = 1000, seed: int = 1234) -> SuiteResult:
     start = time.perf_counter()
-    outcomes = [
-        check_case(case, index=i, rtol=rtol, tol=tol, n_samples=n_samples)
-        for i, case in enumerate(draw_cases(n_cases, seed))
-    ]
+    outcomes = [check_case(case, index=i) for i, case in enumerate(draw_cases(n_cases, seed))]
     return SuiteResult(
         outcomes=tuple(outcomes),
         n_cases=n_cases,

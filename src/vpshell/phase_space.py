@@ -135,13 +135,6 @@ class Ensemble:
     def single(cls, r: float, w: float, ell: float, weight: float, time: float = 0.0) -> "Ensemble":
         return cls.from_shells([Shell(RadialCoordinates(r, w, ell), weight)], time=time)
 
-    def shell(self, i: int) -> Shell:
-        return Shell(
-            coords=RadialCoordinates(float(self.r[i]), float(self.w[i]), float(self.ell[i])),
-            weight=float(self.weight[i]),
-            id=int(self.ids[i]),
-        )
-
     def advanced(self, r: np.ndarray, w: np.ndarray, time: float) -> "Ensemble":
         """New ensemble with updated positions/velocities and the same
         weights, ids, ell, and cached total mass."""

@@ -162,6 +162,27 @@ def _verify_truncated(name):
     return argv
 
 
+def _init_unresolved_shell(*design_argv):
+    """design exits 0, but its shell is thinner than double precision
+    resolves at a0, so init refuses the certificate."""
+    def argv(ws):
+        assert cli.main(["design", *design_argv, "--out", str(ws / "thin.ini")]) == 0
+        config = save_run_config(
+            RunSetup(certificate_path="thin.ini", n_r=8, n_w=8, n_ell=6), ws / "thin_run.ini"
+        )
+        return ["init", "--config", str(config), "--out", str(ws / "init")]
+    return argv
+
+
+def _run_t_end_nan(ws):
+    config = save_run_config(
+        RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, t_end=float("nan"),
+                 dt_max=0.001),
+        ws / "nan.ini",
+    )
+    return ["run", "--config", str(config), "--out", str(ws / "out")]
+
+
 USAGE_ERRORS = {
     "design-c1-inf": lambda ws: ["design", "--c1", "inf", "--c2", "1", "--out", str(ws / "c.ini")],
     "design-t-inf": lambda ws: ["design", "--c1", "1", "--c2", "1", "--t", "inf", "--out", str(ws / "c.ini")],
@@ -171,6 +192,9 @@ USAGE_ERRORS = {
     "verify-stopped-before-T": _verify_stopped_before_t,
     "verify-truncated-shells": _verify_truncated("shells.csv"),
     "verify-truncated-snapshot": _verify_truncated("snapshot_001.csv"),
+    "init-fixed-mass-unresolved-shell": _init_unresolved_shell("--c1", "1", "--c2", "1", "--t", "1"),
+    "init-small-data-unresolved-shell": _init_unresolved_shell("--c1", "32", "--c2", "1e3"),
+    "run-t_end-nan": _run_t_end_nan,
 }
 
 

@@ -50,6 +50,11 @@ class TestConfig:
             IntegratorConfig(t_end=-1.0, dt_max=0.1)
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, dt_max=0.0)
+        for t_end in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_end"):
+                IntegratorConfig(t_end=t_end, dt_max=0.001)
+        with pytest.raises(ValueError, match="dt_max"):
+            IntegratorConfig(t_end=1.0, dt_max=float("inf"))
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, dt_max=0.1, cfl=1.5)
         with pytest.raises(ValueError):
@@ -254,6 +259,14 @@ class TestIntegrateEdgeCases:
         assert result.steps == 0
         assert len(result.rows) == 1
         assert len(result.snapshots) == 1
+        # an ensemble already past t_end is returned as it came
+        late = Ensemble.single(r=1.0, w=-1.0, ell=1.0, weight=1e-3, time=2.0)
+        result = integrate(late, IntegratorConfig(t_end=1.0, dt_max=0.1))
+        assert result.steps == 0
+        assert result.final is late
+        assert [row.t for row in result.rows] == [2.0]
+        assert result.snapshots == [(2.0, late)]
+        assert np.all(result.turning_time == np.inf)
 
     def test_mark_validation(self):
         cfg = IntegratorConfig(t_end=1.0, dt_max=0.1)
@@ -331,6 +344,12 @@ class TestOracle:
         a = integrate_oracle(1.0, -1.5, 0.5, P=2.0, profile=pcw, t_end=1.0)
         b = integrate_oracle(1.0, -1.5, 0.5, P=2.0, profile=0.6, t_end=1.0)
         assert np.max(np.abs(a.y / b.y - 1.0)) < 1e-10
+        # a profile without breakpoints is the float profile, bit for bit
+        flat = PiecewiseConstantProfile(edges=[], values=[0.6])
+        c = integrate_oracle(1.0, -1.5, 0.5, P=2.0, profile=flat, t_end=1.0)
+        assert c.y.tobytes() == b.y.tobytes()
+        assert c.ydot.tobytes() == b.ydot.tobytes()
+        assert c.turning_time == b.turning_time
 
     def test_profile_switch_takes_effect(self):
         pcw = PiecewiseConstantProfile(edges=np.array([0.2]), values=np.array([0.0, 1.0]))

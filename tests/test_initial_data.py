@@ -109,6 +109,11 @@ class TestClassSpec:
             ClassSpec(a0=1.0, a1=-1.0, eps=0.0)
         with pytest.raises(ValueError):
             ClassSpec(a0=1.0, a1=-1.0, eps=0.1, target_mass=0.0)
+        inf = float("inf")
+        for name in ("a0", "a1", "eps", "target_mass"):
+            for value in (inf, -inf):
+                with pytest.raises(ValueError, match="finite"):
+                    ClassSpec(**{**dict(a0=1.0, a1=-1.0, eps=0.1), name: value})
 
     def test_derived_bounds_families(self):
         spec = ClassSpec(a0=1.0, a1=-25.0, eps=0.2)
@@ -150,6 +155,12 @@ class TestInitialData:
             data.rho0(0.0)
         with pytest.raises(ValueError):
             data.rho0(np.array([1.0, np.nan]))
+
+    def test_shell_below_double_precision_is_refused(self):
+        # delta_r = eps^3 is under half an ulp of a0, so a0 +- delta_r == a0
+        for a0, eps, target_mass in ((9.79e7, 1.01e-4, 1.0), (1.0, 6.25e-11, None)):
+            with pytest.raises(ValueError, match=r"delta_r = .* a0 = "):
+                canonical_data(a0=a0, eps=eps, target_mass=target_mass)
 
     def test_density_plateau_matches_ball_value(self):
         data = canonical_data()

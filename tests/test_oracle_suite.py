@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpshell import draw_cases, run_oracle_suite
+from vpshell import draw_cases, oracle_suite, run_oracle_suite
 from vpshell.oracle_suite import OracleCase, check_case
 
 
@@ -38,10 +38,11 @@ def test_check_case_free_motion():
     assert out.y_turn == pytest.approx(out.y_star, abs=1e-9)
 
 
-def test_check_case_reports_violation_detail():
+def test_check_case_reports_violation_detail(monkeypatch):
     # a deliberately wrong bound: tolerance below the oracle's own error
     case = OracleCase(L=1.0, P=0.0, y0=1.0, y1=-1.0, profile=0.0, label="tight")
-    out = check_case(case, tol=-1e-3)  # impossible tolerance forces failure
+    monkeypatch.setattr(oracle_suite, "BOUND_TOL", -1e-3)  # impossible tolerance forces failure
+    out = check_case(case)
     assert not out.passed
     assert out.detail != ""
 
