@@ -6,12 +6,12 @@ Subcommands:
   init    sample the initial ensemble for a run config and validate it
   run     integrate a run config and write CSV/manifest output
   verify  check a completed run directory against a certificate
-  oracle  run the randomized bound-vs-integrator property suite
+  oracle  run the randomized bound-vs-reference property suite
 
 Exit codes, mapped from exceptions in main alone: 0 success / all
-checks pass, 1 a check failed or the run aborted, 2 usage error or
-refusal (bad argument, missing file or key, inconsistent run record,
-run not made from the certificate or stopped before T).
+checks pass, 1 a check failed or the run or the oracle aborted, 2 usage
+error or refusal (bad argument, missing file or key, inconsistent run
+record, run not made from the certificate or stopped before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -31,7 +31,7 @@ from .design import (
     design_small_data,
     verify_focusing_run,
 )
-from .dynamics import StiffnessError, integrate
+from .dynamics import OracleError, StiffnessError, integrate
 from .initial_data import InitialData, check_membership, sample_ensemble
 from .reporting import (
     RunSetup,
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("certificate", help="certificate file")
     p_verify.add_argument("--out", default=None, help="report path (default: <run_dir>/verification.ini)")
 
-    p_oracle = sub.add_parser("oracle", help="run the bound-vs-integrator property suite")
+    p_oracle = sub.add_parser("oracle", help="run the bound-vs-reference property suite")
     p_oracle.add_argument("--cases", type=int, default=1000, help="number of random draws")
     p_oracle.add_argument("--seed", type=int, default=1234, help="draw seed")
     p_oracle.add_argument("--out", default=None, help="optional summary file")
@@ -186,6 +186,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except StiffnessError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
+        return CHECK_FAILED
+    except OracleError as exc:
+        print(f"oracle aborted: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -13,9 +13,11 @@ toward the center, and a StiffnessError stops the run once the adaptive
 step or a halved step falls below IntegratorConfig.dt_min.
 
 integrate_oracle solves the single-trajectory equation
-y'' = ell/y^3 + profile(t) * P / y^2 with DOP853 at ORACLE_RTOL and
-ORACLE_ATOL and locates the turning point by event detection; it serves
-as the reference implementation the bound formulas are tested against.
+y'' = ell/y^3 + profile(t) * P / y^2 exactly: under a piecewise-constant
+profile each segment is free motion or a repulsive Kepler orbit, whose
+time equation a Newton solve of at most ORACLE_NEWTON_MAX_ITER steps
+inverts, and the turning point is that orbit's pericenter.  It serves
+as the reference the bound formulas are tested against.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .field import SortedMassIndex, sup_norms
 from .phase_space import Ensemble
 
-# Relative and absolute tolerance of the reference integrator.
-ORACLE_RTOL = 1e-11
-ORACLE_ATOL = 1e-13
+# Newton steps allowed per sample when solving the Kepler time equation.
+ORACLE_NEWTON_MAX_ITER = 50
 # Relative distance within which a requested time matches a snapshot's.
 SNAPSHOT_TIME_REL_TOL = 1e-12
 
@@ -50,7 +50,7 @@ class StiffnessError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The reference integrator failed to meet its tolerance."""
+    """The closed-form reference did not converge or overflowed."""
 
 
 @dataclass(frozen=True)
@@ -355,13 +355,15 @@ def integrate_oracle(
     t_end: float = 1.0,
     t_eval: Optional[np.ndarray] = None,
 ) -> OracleTrajectory:
-    """Reference solution of y'' = ell/y^3 + profile(t) * P / y^2.
+    """Exact solution of y'' = ell/y^3 + profile(t) * P / y^2.
 
-    A float profile is the constant profile of that value.  Integrates
-    with DOP853 at ORACLE_RTOL/ORACLE_ATOL, splitting at profile
-    breakpoints so discontinuous forcing never degrades the order, and
-    locates the first turning point (ydot = 0 crossing upward) by event
-    detection on the dense output.
+    A float profile is the constant profile of that value.  The profile
+    splits [0, t_end] at its breakpoints; on each segment the charge
+    k = profile * P is constant and the trajectory is advanced in closed
+    form (_free_segment, _kepler_segment), its end state starting the
+    next segment.  A sample time on a breakpoint belongs to the earlier
+    segment.  The first turning point (ydot = 0 crossing upward) is the
+    pericenter of the first segment that starts inbound and reaches it.
     """
     if not (r0 > 0 and ell > 0):
         raise ValueError("oracle requires r0 > 0 and ell > 0")
@@ -382,57 +384,98 @@ def integrate_oracle(
 
     edges = profile.edges
     cuts = np.concatenate(([0.0], edges[(edges > 0) & (edges < t_end)], [t_end]))
-
-    def turn_event(t, state):
-        return state[1]
-
-    turn_event.direction = 1.0
-    turn_event.terminal = False
+    segment = np.maximum(np.searchsorted(cuts, t_eval, side="left") - 1, 0)
 
     ys = np.empty_like(t_eval)
     yds = np.empty_like(t_eval)
-    filled = np.zeros(t_eval.shape, dtype=bool)
-    state = np.array([r0, w0], dtype=float)
+    y, yd = float(r0), float(w0)
     turning_time = None
     y_turn = None
 
-    for ta, tb in zip(cuts[:-1], cuts[1:]):
+    for j, (ta, tb) in enumerate(zip(cuts[:-1], cuts[1:])):
         # evaluate forcing strictly inside the segment so breakpoints
         # never alias to the wrong side
-        p = float(profile(0.5 * (ta + tb)))
+        k = float(profile(0.5 * (ta + tb))) * P
+        mask = segment == j
+        # the segment's own end time rides along as the last entry
+        dt = np.append(t_eval[mask] - ta, tb - ta)
+        if k == 0.0:
+            y_at, yd_at, turn = _free_segment(y, yd, ell, dt)
+        else:
+            y_at, yd_at, turn = _kepler_segment(y, yd, ell, k, dt)
+        if not (np.all(np.isfinite(y_at)) and np.all(np.isfinite(yd_at))):
+            raise OracleError(f"closed form is not finite on [{ta}, {tb}]")
+        ys[mask] = y_at[:-1]
+        yds[mask] = yd_at[:-1]
+        if turning_time is None and turn is not None and turn[0] <= tb - ta:
+            turning_time = float(ta + turn[0])
+            y_turn = float(turn[1])
+        y, yd = float(y_at[-1]), float(yd_at[-1])
 
-        def rhs(t, s, p=p):
-            y, yd = s
-            return (yd, ell / y**3 + p * P / y**2)
-
-        sol = solve_ivp(
-            rhs,
-            (ta, tb),
-            state,
-            method="DOP853",
-            rtol=ORACLE_RTOL,
-            atol=ORACLE_ATOL,
-            dense_output=True,
-            events=turn_event,
-        )
-        if not sol.success:
-            raise OracleError(f"reference integration failed on [{ta}, {tb}]: {sol.message}")
-        mask = (~filled) & (t_eval >= ta) & (t_eval <= tb)
-        if np.any(mask):
-            vals = sol.sol(t_eval[mask])
-            ys[mask] = vals[0]
-            yds[mask] = vals[1]
-            filled[mask] = True
-        if turning_time is None and sol.t_events[0].size:
-            for te in sol.t_events[0]:
-                if te > 1e-300:
-                    turning_time = float(te)
-                    y_turn = float(sol.sol(te)[0])
-                    break
-        state = sol.y[:, -1]
-
-    if not np.all(filled):
-        raise OracleError("internal error: sample times not covered by segments")
     return OracleTrajectory(
         times=t_eval, y=ys, ydot=yds, turning_time=turning_time, y_turn=y_turn
     )
+
+
+def _free_segment(y0: float, w0: float, ell: float, t: np.ndarray):
+    """Force-free motion from (y0, w0) at the times t after the segment start.
+
+    Returns (y, ydot, turn), where turn is (time, radius) of the
+    pericenter when it lies ahead (w0 < 0), else None.
+    """
+    y = np.sqrt(free_motion_radius_squared(y0, w0, ell, t))
+    ydot = ((y0 + w0 * t) * w0 + ell * t / y0**2) / y
+    turn = None
+    if w0 < 0.0:
+        t_turn = -y0 * w0 / (w0**2 + ell / y0**2)
+        turn = (t_turn, np.sqrt(free_motion_radius_squared(y0, w0, ell, t_turn)))
+    return y, ydot, turn
+
+
+def _kepler_segment(y0: float, w0: float, ell: float, k: float, t: np.ndarray):
+    """Repulsive Kepler motion under the constant charge k > 0.
+
+    With E = w0^2/2 + ell/(2 y0^2) + k/y0, a = k/(2E),
+    e = sqrt(1 + 2 E ell/k^2) and n = sqrt(a^3/k), the orbit is
+    y = a(e cosh F + 1) at the time tau(F) = n(e sinh F + F) from
+    pericenter.  It is evaluated through b = a e = sqrt(a^2 + ell/(2E))
+    and c = n/a = 1/sqrt(2E), which stay finite as k -> 0 where e does
+    not: y = b cosh F + a, tau = c(b sinh F + a F).
+
+    tau(F) = tau(F0) + t is solved for every t at once by Newton from
+    asinh(target/(b c)), which lies on the outer side of the root of a
+    function that is convex for F > 0 and concave for F < 0, so every
+    iterate moves monotonically toward the root.  A sample counts as
+    converged once its Newton step stops pointing that way or no longer
+    changes it; OracleError is raised if any sample still moves after
+    ORACLE_NEWTON_MAX_ITER steps.  Returns (y, ydot, turn) as
+    _free_segment does.
+    """
+    energy = 0.5 * w0**2 + ell / (2.0 * y0**2) + k / y0
+    a = k / (2.0 * energy)
+    b = np.sqrt(a**2 + ell / (2.0 * energy))
+    c = 1.0 / np.sqrt(2.0 * energy)
+    f0 = np.arcsinh(c * w0 * y0 / b)
+    tau0 = c * (b * np.sinh(f0) + a * f0)
+
+    target = tau0 + t
+    inward = np.sign(target)
+    f = np.arcsinh(target / (b * c))
+    moving = np.ones(f.shape, dtype=bool)
+    for _ in range(ORACLE_NEWTON_MAX_ITER):
+        step = (c * (b * np.sinh(f) + a * f) - target) / (c * (b * np.cosh(f) + a))
+        f_next = f - step
+        moving &= (step * inward > 0.0) & (f_next != f)
+        if not np.any(moving):
+            break
+        f = np.where(moving, f_next, f)
+    else:
+        raise OracleError(
+            f"Newton solve of the Kepler time equation did not converge in "
+            f"{ORACLE_NEWTON_MAX_ITER} steps at {int(np.sum(moving))} samples"
+        )
+
+    y = b * np.cosh(f) + a
+    ydot = b * np.sinh(f) / (c * y)
+    turn = (-tau0, a + b) if f0 < 0.0 else None
+    return y, ydot, turn

@@ -24,8 +24,8 @@ class SortedMassIndex:
     """Shells sorted by (radius, id) with cumulative masses.
 
     cum[k] is the summed weight of the first k sorted shells, so mass
-    strictly below / at / above any radius reads off two searchsorted
-    calls.  Tie convention: mass *at* a radius counts half, and a shell
+    strictly below / at / above any radius reads off the bounds of its
+    tie group.  Tie convention: mass *at* a radius counts half, and a shell
     never feels its own weight (see interior_mass).
     """
 
@@ -80,8 +80,11 @@ class SortedMassIndex:
         each shell uses in its own equation of motion.
         """
         n = len(self)
-        lo = np.searchsorted(self.radii, self.radii, side="left")
-        hi = np.searchsorted(self.radii, self.radii, side="right")
+        # each shell's tie group spans sorted positions [lo, hi)
+        ends = _tie_group_ends(self.radii)
+        sizes = np.diff(ends, prepend=0)
+        lo = np.repeat(ends - sizes, sizes)
+        hi = np.repeat(ends, sizes)
         below = self.cum[lo]
         group = self.cum[hi] - self.cum[lo]
         interior_sorted = below + 0.5 * (group - self.weights)
@@ -96,16 +99,20 @@ class SortedMassIndex:
         attained as a right limit at some shell radius: max over distinct
         radii of (mass at or below) / radius^2.
         """
-        n = len(self)
-        if n == 0:
+        if len(self) == 0:
             raise ValueError("empty ensemble has no field sup")
-        last = np.ones(n, dtype=bool)
-        last[:-1] = self.radii[1:] != self.radii[:-1]
-        idx = np.flatnonzero(last)
-        r = self.radii[idx]
+        ends = _tie_group_ends(self.radii)
+        r = self.radii[ends - 1]
         # explicit multiply keeps the squaring bit-identical to the
         # confinement bound without leaning on numpy's ** lowering
-        return float(np.max(self.cum[idx + 1] / (r * r)))
+        return float(np.max(self.cum[ends] / (r * r)))
+
+
+def _tie_group_ends(radii: np.ndarray) -> np.ndarray:
+    """One past the last position of each run of equal ascending radii."""
+    last = np.ones(radii.size, dtype=bool)
+    last[:-1] = radii[1:] != radii[:-1]
+    return np.flatnonzero(last) + 1
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Randomized property suite pitting the bound formulas against the
-reference integrator.
+exact reference trajectory.
 
 Each case draws hypothesis-satisfying parameters (L > 0, P >= 0,
-y0 > 0, y1 < 0) and a force profile with values in [0, 1], integrates
-y'' = L/y^3 + profile(t) P/y^2 with integrate_oracle (at
-dynamics.ORACLE_RTOL), sampled at N_SAMPLES times per horizon, and
+y0 > 0, y1 < 0) and a force profile with values in [0, 1], solves
+y'' = L/y^3 + profile(t) P/y^2 with integrate_oracle (exact per
+constant-force segment), sampled at N_SAMPLES times per horizon, and
 checks three claims: the radial velocity stays negative up to the
 predicted turning-time lower bound, the radius at the true turning
 point does not exceed the predicted minimum-radius bound, and the

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from vpshell import cli
-from vpshell.dynamics import StiffnessError
+from vpshell import cli, oracle_suite
+from vpshell.dynamics import OracleError, StiffnessError
 from vpshell.reporting import (
     RunSetup,
     load_certificate,
@@ -215,6 +215,16 @@ def test_stiffness_error_is_a_failed_run(workspace, monkeypatch, capsys):
     monkeypatch.setattr(cli, "integrate", stiff)
     assert cli.main(["run", "--config", str(config_path), "--out", str(ws / "out")]) == 1
     assert "run aborted" in capsys.readouterr().err
+
+
+def test_oracle_error_is_a_failed_run(monkeypatch, capsys):
+    def unconverged(*args, **kwargs):
+        raise OracleError("Newton solve did not converge")
+
+    monkeypatch.setattr(oracle_suite, "integrate_oracle", unconverged)
+    assert cli.main(["oracle", "--cases", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "oracle aborted" in err and "Traceback" not in err
 
 
 def test_desk_run_files_match_recorded_digests(tmp_path):

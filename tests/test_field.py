@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell import Ensemble, SortedMassIndex, default_grid_edges, density_estimate, sup_norms
+from vpshell import (
+    ClassSpec,
+    Ensemble,
+    InitialData,
+    SortedMassIndex,
+    default_grid_edges,
+    density_estimate,
+    sample_ensemble,
+    sup_norms,
+)
 from vpshell.bounds import confinement_lower_bounds
 
 
@@ -119,6 +128,36 @@ class TestInteriorMass:
         ens = ensemble_at([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
         m = SortedMassIndex.from_ensemble(ens).interior_mass()
         assert m.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.3)]
+
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            pytest.param([2.0, 1.0, 3.0, 1.0, 3.0], id="ties-first-and-last"),
+            pytest.param([1.5], id="single-shell"),
+            pytest.param([0.7] * 5, id="all-equal"),
+        ],
+    )
+    def test_bitwise_equal_to_searchsorted_bounds(self, radii):
+        weights = np.linspace(0.1, 0.5, len(radii))
+        self._assert_matches_searchsorted(ensemble_at(radii, weights))
+
+    def test_sampled_ensemble_bitwise_equal_to_searchsorted_bounds(self):
+        data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
+        ens = sample_ensemble(data, 6, 5, 4)
+        # at t = 0 each grid radius is shared by up to n_w * n_ell shells
+        _, shared = np.unique(ens.r, return_counts=True)
+        assert shared.size == 6 and np.all(shared > 1) and np.max(shared) <= 20
+        self._assert_matches_searchsorted(ens)
+
+    @staticmethod
+    def _assert_matches_searchsorted(ens):
+        idx = SortedMassIndex.from_ensemble(ens)
+        lo = np.searchsorted(idx.radii, idx.radii, side="left")
+        hi = np.searchsorted(idx.radii, idx.radii, side="right")
+        expected = np.empty(len(idx))
+        expected[idx.order] = idx.cum[lo] + 0.5 * ((idx.cum[hi] - idx.cum[lo]) - idx.weights)
+        assert idx.interior_mass().tobytes() == expected.tobytes()
 
 
 class TestDensityGrid:
