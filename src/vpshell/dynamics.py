@@ -175,8 +175,10 @@ def integrate(
     time, the marks, and the end.  Per shell, tracks the running radius
     minimum and the turning time, the latter interpolated from the step
     that saw w change sign (trajectories are convex, so the first sign
-    change is the only one).  Each row's binned density uses n_bins
-    geometric bins spanning that state's radii (see sup_norms).
+    change is the only one).  Each state is sorted once: its
+    SortedMassIndex gives the state's row (sup norms and a density binned
+    on n_bins geometric bins spanning its radii, see sup_norms) and the
+    next step's enclosed masses.
     """
     if len(ensemble) == 0:
         raise ValueError("cannot integrate an empty ensemble")
@@ -207,7 +209,7 @@ def integrate(
             traces[tid].append((state.time, float(state.r[pos]), float(state.w[pos])))
 
     def make_row(state: Ensemble, index: SortedMassIndex, dt_current: float) -> DiagnosticsRow:
-        norms = sup_norms(state, index, n_bins)
+        norms = sup_norms(index, n_bins)
         return DiagnosticsRow(
             t=state.time,
             rho_sup_binned=norms.rho_sup_binned,

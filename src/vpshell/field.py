@@ -5,9 +5,9 @@ a sorted-radius index.  The caller builds one index per ensemble state
 and passes it to every consumer of that state (the integrator uses it
 for the state's sup norms and for the next step's enclosed masses).  The
 field is exact for the discrete measure (up to the tie convention at
-coincident radii).  The density is a histogram estimate, binned in the
-ensemble's own order, and is reported alongside a certified lower bound
-that is independent of binning.
+coincident radii).  The density is a histogram estimate read off the
+same index's prefix sums, and is reported alongside a certified lower
+bound that is independent of binning.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class SortedMassIndex:
     weights: np.ndarray    # aligned with radii
     order: np.ndarray      # ensemble position of each sorted entry
     cum: np.ndarray        # length n + 1, cum[0] = 0
+    group_ends: np.ndarray  # one past the last position of each tie group
     total_mass: float
 
     @classmethod
@@ -47,6 +48,7 @@ class SortedMassIndex:
             weights=weights,
             order=order,
             cum=cum,
+            group_ends=_tie_group_ends(radii),
             total_mass=ensemble.total_mass,
         )
 
@@ -81,7 +83,7 @@ class SortedMassIndex:
         """
         n = len(self)
         # each shell's tie group spans sorted positions [lo, hi)
-        ends = _tie_group_ends(self.radii)
+        ends = self.group_ends
         sizes = np.diff(ends, prepend=0)
         lo = np.repeat(ends - sizes, sizes)
         hi = np.repeat(ends, sizes)
@@ -101,7 +103,7 @@ class SortedMassIndex:
         """
         if len(self) == 0:
             raise ValueError("empty ensemble has no field sup")
-        ends = _tie_group_ends(self.radii)
+        ends = self.group_ends
         r = self.radii[ends - 1]
         # explicit multiply keeps the squaring bit-identical to the
         # confinement bound without leaning on numpy's ** lowering
@@ -153,14 +155,21 @@ def default_grid_edges(r_min: float, r_max: float, n_bins: int = 256) -> np.ndar
     return np.geomspace(0.5 * r_min, 1.01 * r_max, n_bins + 1)
 
 
-def density_estimate(ensemble: Ensemble, bin_edges: np.ndarray) -> DensityGrid:
-    """Bin shell weights by radius and divide by shell-volume per bin."""
+def density_estimate(index: SortedMassIndex, bin_edges: np.ndarray) -> DensityGrid:
+    """Bin shell weights by radius and divide by shell-volume per bin.
+
+    Bin masses are differences of the index's prefix sums at the edges.
+    Bins are half-open [lo, hi) except the last, which is closed, as in
+    np.histogram.
+    """
     bin_edges = np.asarray(bin_edges, dtype=float)
     if bin_edges.ndim != 1 or bin_edges.size < 2:
         raise ValueError("bin_edges must list at least two ascending radii")
     if np.any(np.diff(bin_edges) <= 0):
         raise ValueError("bin_edges must be strictly ascending")
-    masses, _ = np.histogram(ensemble.r, bins=bin_edges, weights=ensemble.weight)
+    pos = np.searchsorted(index.radii, bin_edges, side="left")
+    pos[-1] = np.searchsorted(index.radii, bin_edges[-1], side="right")
+    masses = np.diff(index.cum[pos])
     return DensityGrid(bin_edges=bin_edges, bin_masses=masses)
 
 
@@ -180,17 +189,18 @@ class SupNorms:
     r_max: float
 
 
-def sup_norms(ensemble: Ensemble, index: SortedMassIndex, n_bins: int = 256) -> SupNorms:
-    """Sup norms of one state; index must be SortedMassIndex.from_ensemble(ensemble).
+def sup_norms(index: SortedMassIndex, n_bins: int = 256) -> SupNorms:
+    """Sup norms of the state that index was built from.
 
-    The density is binned on default_grid_edges(r_min, r_max, n_bins).
+    The density is binned from the index on
+    default_grid_edges(r_min, r_max, n_bins).
     """
-    if len(ensemble) == 0:
+    if len(index) == 0:
         raise ValueError("sup norms are undefined for an empty ensemble")
-    r_min = float(np.min(ensemble.r))
-    r_max = float(np.max(ensemble.r))
-    grid = density_estimate(ensemble, default_grid_edges(r_min, r_max, n_bins))
-    certified = 3.0 * ensemble.total_mass / (4.0 * np.pi * r_max**3)
+    r_min = float(index.radii[0])
+    r_max = float(index.radii[-1])
+    grid = density_estimate(index, default_grid_edges(r_min, r_max, n_bins))
+    certified = 3.0 * index.total_mass / (4.0 * np.pi * r_max**3)
     return SupNorms(
         rho_sup_binned=float(np.max(grid.bin_values)),
         rho_sup_certified=certified,

@@ -18,18 +18,19 @@ in reduced coordinates reads H_eps((a1 r - a0 w)^2 + a0^2 l / r^2) phi(r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .phase_space import REDUCED_MEASURE, Ensemble
 
 # Value of the 3-space integral of H(|u|^2); fixes the homogeneous-ball
 # density 3/(4 pi a0^3) after the velocity shift by (a1/a0) x.
 PROFILE_NORMALIZATION = 3.0 / (4.0 * np.pi)
+# int_0^1 exp(-1/(1-u^2)) u^2 du, as adaptive quadrature returns it; the
+# tests recompute it.  Fixes the bump profile's normalization constant.
+BUMP_INTEGRAL = 0.03510073837648729
 
 # Gauss-Legendre nodes per axis of the density and mass quadratures.
 N_QUAD = 64
@@ -53,6 +54,9 @@ class ClassSpec:
     small-density family.  delta_r and delta_w are derived: delta_r = eps^3
     and delta_w = (|a1| delta_r + eps) / a0, the half-widths of the radial
     shell and of the velocity window that the support conditions imply.
+    A shell too thin for double precision to separate the cutoff
+    breakpoints a0 - delta_r < a0 - delta_r/2 < a0 < a0 + delta_r/2 <
+    a0 + delta_r is refused, so no certificate or run is made for it.
     """
 
     a0: float
@@ -75,6 +79,12 @@ class ClassSpec:
         object.__setattr__(
             self, "delta_w", (abs(self.a1) * self.delta_r + self.eps) / self.a0
         )
+        a0, delta_r = self.a0, self.delta_r
+        if not a0 - delta_r < a0 - 0.5 * delta_r < a0 < a0 + 0.5 * delta_r < a0 + delta_r:
+            raise ValueError(
+                f"radial shell half-width delta_r = {delta_r!r} does not resolve at "
+                f"a0 = {a0!r} in double precision"
+            )
 
     @property
     def is_fixed_mass(self) -> bool:
@@ -99,26 +109,13 @@ class ProfileH:
         out = self.evaluator(s)
         return float(out) if out.ndim == 0 else out
 
-    def space_integral(self) -> float:
-        """4 pi * integral of H(u^2) u^2 du, for normalization checks."""
-        u_max = np.sqrt(self.support_bound)
-        val, _ = quad(lambda u: self(u * u) * u * u, 0.0, u_max, limit=200)
-        return 4.0 * np.pi * val
-
-
-@lru_cache(maxsize=1)
-def _bump_constant() -> float:
-    # c such that 4 pi * c * int_0^1 exp(-1/(1-u^2)) u^2 du = 3/(4 pi)
-    integral, _ = quad(lambda u: np.exp(-1.0 / (1.0 - u * u)) * u * u, 0.0, 1.0)
-    return PROFILE_NORMALIZATION / (4.0 * np.pi * integral)
-
 
 def bump_profile() -> ProfileH:
     """The default profile: a smooth bump c exp(-1/(1-s)) on [0, 1).
 
-    c is fixed once by quadrature so the 3-space normalization holds.
+    c is fixed by BUMP_INTEGRAL so the 3-space normalization holds.
     """
-    c = _bump_constant()
+    c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
 
     def evaluator(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -239,20 +236,9 @@ class InitialData:
 
     @classmethod
     def from_spec(cls, spec: ClassSpec) -> "InitialData":
-        """Bump profile and smooth cutoff of the spec.
-
-        Refuses a shell too thin for double precision to separate the
-        cutoff breakpoints a0 - delta_r < a0 - delta_r/2 < a0 <
-        a0 + delta_r/2 < a0 + delta_r.
-        """
-        a0, delta_r = spec.a0, spec.delta_r
-        if not a0 - delta_r < a0 - 0.5 * delta_r < a0 < a0 + 0.5 * delta_r < a0 + delta_r:
-            raise ValueError(
-                f"radial shell half-width delta_r = {delta_r!r} does not resolve at "
-                f"a0 = {a0!r} in double precision"
-            )
+        """Bump profile and smooth cutoff of the spec."""
         profile = rescale_profile(bump_profile(), spec.eps)
-        cutoff = smooth_cutoff(a0, delta_r)
+        cutoff = smooth_cutoff(spec.a0, spec.delta_r)
         data = cls(spec=spec, profile=profile, cutoff=cutoff, scale=1.0)
         if spec.is_fixed_mass:
             data = replace(data, scale=spec.target_mass / data.l1_norm())

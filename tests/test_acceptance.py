@@ -136,7 +136,7 @@ def test_criterion_04_single_shell_saturates_bounds_bitwise():
     ens = Ensemble.single(r=b, w=0.0, ell=1e-4, weight=m)
     idx = SortedMassIndex.from_ensemble(ens)
     lb = confinement_lower_bounds(m, b)
-    norms = sup_norms(ens, idx)
+    norms = sup_norms(idx)
     ok = (
         idx.e_sup_exact() == lb.e_lower
         and norms.rho_sup_certified == lb.rho_lower

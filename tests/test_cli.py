@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,10 @@ class TestDesign:
 
     def test_fixed_mass_route(self, tmp_path):
         out = tmp_path / "fm.ini"
-        rc = cli.main(["design", "--c1", "1", "--c2", "1", "--t", "1.0", "--out", str(out)])
+        rc = cli.main(
+            ["design", "--c1", "1", "--c2", "1", "--t", "1.0", "--eps", "0.02", "--exploratory",
+             "--out", str(out)]
+        )
         assert rc == 0
         assert load_certificate(out).recipe == "fixed-mass"
 
@@ -162,11 +166,20 @@ def _verify_truncated(name):
     return argv
 
 
-def _init_unresolved_shell(*design_argv):
-    """design exits 0, but its shell is thinner than double precision
-    resolves at a0, so init refuses the certificate."""
+def _init_unresolved_shell(design_argv, a0, eps):
+    """design refuses a shell thinner than double precision resolves at a0,
+    so the same class is written into a certificate by hand; init must
+    refuse that certificate too."""
     def argv(ws):
-        assert cli.main(["design", *design_argv, "--out", str(ws / "thin.ini")]) == 0
+        thin = ws / "thin.ini"
+        assert cli.main(["design", *design_argv, "--out", str(thin)]) == 2
+        assert not thin.exists()
+        forced = [*design_argv, "--eps", "0.02", "--exploratory", "--out", str(thin)]
+        assert cli.main(["design", *forced]) == 0
+        text = thin.read_text()
+        for key, value in (("a0", a0), ("a1", -1.0 / eps**2), ("eps", eps)):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+        thin.write_text(text)
         config = save_run_config(
             RunSetup(certificate_path="thin.ini", n_r=8, n_w=8, n_ell=6), ws / "thin_run.ini"
         )
@@ -183,6 +196,11 @@ def _run_t_end_nan(ws):
     return ["run", "--config", str(config), "--out", str(ws / "out")]
 
 
+# default eps gives delta_r ~ 1.0e-12 at a0 ~ 9.8e7 (fixed mass) and
+# 6.25e-11**3 at a0 = 1 (small data)
+FIXED_MASS_THIN = ("--c1", "1", "--c2", "1", "--t", "1")
+SMALL_DATA_THIN = ("--c1", "32", "--c2", "1e3")
+
 USAGE_ERRORS = {
     "design-c1-inf": lambda ws: ["design", "--c1", "inf", "--c2", "1", "--out", str(ws / "c.ini")],
     "design-t-inf": lambda ws: ["design", "--c1", "1", "--c2", "1", "--t", "inf", "--out", str(ws / "c.ini")],
@@ -192,8 +210,10 @@ USAGE_ERRORS = {
     "verify-stopped-before-T": _verify_stopped_before_t,
     "verify-truncated-shells": _verify_truncated("shells.csv"),
     "verify-truncated-snapshot": _verify_truncated("snapshot_001.csv"),
-    "init-fixed-mass-unresolved-shell": _init_unresolved_shell("--c1", "1", "--c2", "1", "--t", "1"),
-    "init-small-data-unresolved-shell": _init_unresolved_shell("--c1", "32", "--c2", "1e3"),
+    "design-fixed-mass-unresolved-shell": lambda ws: ["design", *FIXED_MASS_THIN, "--out", str(ws / "c.ini")],
+    "design-small-data-unresolved-shell": lambda ws: ["design", *SMALL_DATA_THIN, "--out", str(ws / "c.ini")],
+    "init-fixed-mass-unresolved-shell": _init_unresolved_shell(FIXED_MASS_THIN, 97870568.64380415, 1.0108202744905371e-4),
+    "init-small-data-unresolved-shell": _init_unresolved_shell(SMALL_DATA_THIN, 1.0, 6.25e-11),
     "run-t_end-nan": _run_t_end_nan,
 }
 

@@ -40,7 +40,8 @@ class TestSmallDataRecipe:
         assert not cert.exploratory
 
     def test_tiny_density_target_binds_on_c2(self):
-        cert = design_small_data(c1=32.0, c2=1.0)
+        # no admissible eps resolves here, so force one
+        cert = design_small_data(c1=32.0, c2=1.0, eps=0.02, exploratory=True)
         assert cert.eps_admissible_max == pytest.approx(1.0 / 200.0**3, rel=1e-15)
 
     def test_default_eps_gives_positive_horizon(self):
@@ -98,7 +99,9 @@ class TestSmallDataRecipe:
 
 class TestFixedMassRecipe:
     def test_unit_mass_unit_horizon_constants(self):
-        cert = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0)
+        # every admissible eps here is below what double precision resolves
+        # at a0 ~ 1/eps^2 (see test_unresolvable_shell_refused), so force one
+        cert = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True)
         assert cert.c0 == 3.0 + 12.0 * math.sqrt(2.0)
         assert cert.eps_admissible_max == pytest.approx(2.0216405489810742e-4, rel=1e-12)
         # six significant digits of the frozen value
@@ -107,14 +110,24 @@ class TestFixedMassRecipe:
         assert cert.spec.is_fixed_mass
 
     def test_shell_starts_far_out(self):
-        cert = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=1e-4)
-        assert cert.eta == pytest.approx(cert.c0 * 1e-12, rel=1e-12)
-        assert cert.spec.a0 == pytest.approx((1.0 + cert.eta) * 1e8, rel=1e-12)
-        assert cert.sup_r_bound == pytest.approx(8.0 * cert.c0 * 1e-4, rel=1e-12)
+        cert = design_fixed_mass(c1=1.0, c2=1e-6, t_horizon=1.0, eps=1e-2)
+        assert not cert.exploratory
+        assert cert.eta == pytest.approx(cert.c0 * 1e-6, rel=1e-12)
+        assert cert.spec.a0 == pytest.approx((1.0 + cert.eta) * 1e4, rel=1e-12)
+        assert cert.sup_r_bound == pytest.approx(8.0 * cert.c0 * 1e-2, rel=1e-12)
+
+    def test_unresolvable_shell_refused(self):
+        # default eps ~ 1.0e-4 puts a0 ~ 9.8e7 with delta_r ~ 1.0e-12
+        with pytest.raises(ValueError, match="does not resolve"):
+            design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0)
+        with pytest.raises(ValueError, match="does not resolve"):
+            design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=1e-4)
+        with pytest.raises(ValueError, match="does not resolve"):
+            design_small_data(c1=32.0, c2=1e3)
 
     def test_longer_horizon_shrinks_admissible_eps(self):
-        short = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0)
-        long = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=100.0)
+        short = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True)
+        long = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=100.0, eps=0.02, exploratory=True)
         assert long.eps_admissible_max < short.eps_admissible_max
 
     def test_exploratory_forcing(self):
@@ -132,7 +145,7 @@ class TestFixedMassRecipe:
                 design_fixed_mass(c1=1.0, c2=1.0, t_horizon=bad)
 
     def test_consistency_with_confinement_formulas(self):
-        cert = design_fixed_mass(c1=2.0, c2=0.5, t_horizon=1.0)
+        cert = design_fixed_mass(c1=2.0, c2=0.5, t_horizon=1.0, eps=0.02, exploratory=True)
         lb = confinement_lower_bounds(cert.mass_used, cert.sup_r_bound)
         assert cert.et_lower == pytest.approx(lb.e_lower, rel=1e-12)
         assert cert.rhot_lower <= lb.rho_lower * (1.0 + 1e-12)

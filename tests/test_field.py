@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vpshell.field
 from vpshell import (
     ClassSpec,
     Ensemble,
     InitialData,
+    IntegratorConfig,
     SortedMassIndex,
     default_grid_edges,
     density_estimate,
+    integrate,
     sample_ensemble,
     sup_norms,
 )
@@ -95,7 +98,7 @@ class TestField:
         idx = SortedMassIndex.from_ensemble(ens)
         lb = confinement_lower_bounds(m, b)
         assert idx.e_sup_exact() == lb.e_lower
-        assert sup_norms(ens, idx).rho_sup_certified == lb.rho_lower
+        assert sup_norms(idx).rho_sup_certified == lb.rho_lower
 
     def test_e_sup_exceeds_any_sampled_value(self):
         rng = np.random.default_rng(3)
@@ -142,6 +145,29 @@ class TestInteriorMass:
         weights = np.linspace(0.1, 0.5, len(radii))
         self._assert_matches_searchsorted(ensemble_at(radii, weights))
 
+    def test_one_tie_scan_per_index(self, monkeypatch):
+        scan = vpshell.field._tie_group_ends
+        build = SortedMassIndex.from_ensemble
+        scans, builds = [], []
+
+        def counting_scan(radii):
+            scans.append(radii.size)
+            return scan(radii)
+
+        def counting_build(ensemble):
+            builds.append(ensemble.time)
+            return build(ensemble)
+
+        monkeypatch.setattr(vpshell.field, "_tie_group_ends", counting_scan)
+        monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting_build))
+        data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
+        ens = sample_ensemble(data, 6, 6, 4)
+        cfg = IntegratorConfig(t_end=0.02, dt_max=1e-3, output_stride=3)
+        result = integrate(ens, cfg, mark_times=(0.005,))
+        assert result.steps > 3
+        assert len(builds) == result.steps + 1
+        assert len(scans) == len(builds)
+
     def test_sampled_ensemble_bitwise_equal_to_searchsorted_bounds(self):
         data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
         ens = sample_ensemble(data, 6, 5, 4)
@@ -162,8 +188,8 @@ class TestInteriorMass:
 
 class TestDensityGrid:
     def test_single_bin_ball_density(self):
-        ens = ensemble_at([0.7], [2.0])
-        grid = density_estimate(ens, np.array([0.0, 1.0]))
+        idx = SortedMassIndex.from_ensemble(ensemble_at([0.7], [2.0]))
+        grid = density_estimate(idx, np.array([0.0, 1.0]))
         assert grid.bin_values[0] == pytest.approx(3.0 * 2.0 / (4.0 * np.pi), rel=1e-14)
         assert grid.captured_mass == 2.0
 
@@ -171,17 +197,46 @@ class TestDensityGrid:
         rng = np.random.default_rng(11)
         ens = ensemble_at(rng.uniform(0.3, 2.0, 500), rng.uniform(0, 1e-3, 500))
         edges = default_grid_edges(float(np.min(ens.r)), float(np.max(ens.r)))
-        grid = density_estimate(ens, edges)
+        grid = density_estimate(SortedMassIndex.from_ensemble(ens), edges)
         assert grid.captured_mass == pytest.approx(ens.total_mass, rel=1e-12)
         recovered = float(np.sum(grid.bin_values * grid.bin_volumes))
         assert recovered == pytest.approx(grid.captured_mass, rel=1e-12)
 
     def test_edge_validation(self):
-        ens = ensemble_at([1.0], [1.0])
+        idx = SortedMassIndex.from_ensemble(ensemble_at([1.0], [1.0]))
         with pytest.raises(ValueError):
-            density_estimate(ens, np.array([1.0]))
+            density_estimate(idx, np.array([1.0]))
         with pytest.raises(ValueError):
-            density_estimate(ens, np.array([1.0, 1.0, 2.0]))
+            density_estimate(idx, np.array([1.0, 1.0, 2.0]))
+
+    def test_bitwise_equal_to_histogram(self):
+        data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
+        start = sample_ensemble(data, 12, 10, 8)
+        evolved = integrate(start, IntegratorConfig(t_end=0.02, dt_max=2e-3)).final
+        # at t = 0 every grid radius is shared by several shells
+        assert np.unique(start.r).size < len(start) < 65_536
+        assert np.unique(evolved.r).size > np.unique(start.r).size
+        for ens in (start, evolved):
+            idx = SortedMassIndex.from_ensemble(ens)
+            distinct = np.unique(ens.r)
+            for edges in (
+                default_grid_edges(idx.radii[0], idx.radii[-1]),
+                default_grid_edges(idx.radii[0], idx.radii[-1], n_bins=7),
+                # edges on shell radii: half-open bins, the last one closed
+                distinct,
+                distinct[::3],
+            ):
+                expected, _ = np.histogram(ens.r, bins=edges, weights=ens.weight)
+                got = density_estimate(idx, edges).bin_masses
+                assert got.tobytes() == expected.tobytes()
+
+    def test_captures_total_mass_at_large_n(self):
+        rng = np.random.default_rng(17)
+        n = 70_000
+        ens = ensemble_at(rng.uniform(0.5, 1.5, n), rng.uniform(0, 1e-3, n))
+        idx = SortedMassIndex.from_ensemble(ens)
+        grid = density_estimate(idx, default_grid_edges(idx.radii[0], idx.radii[-1]))
+        assert grid.captured_mass == pytest.approx(idx.total_mass, rel=1e-12)
 
     def test_default_edges_cover_all_shells(self):
         edges = default_grid_edges(0.5, 2.0, n_bins=64)
@@ -197,15 +252,14 @@ class TestDensityGrid:
 class TestSupNorms:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empty = Ensemble.from_shells([])
-            sup_norms(empty, SortedMassIndex.from_ensemble(empty))
+            sup_norms(SortedMassIndex.from_ensemble(Ensemble.from_shells([])))
 
     def test_certified_below_binned_for_spread_ensemble(self):
         # certified bound treats all mass as a ball of radius r_max, so it
         # cannot exceed the actual sup estimate by construction
         rng = np.random.default_rng(5)
         ens = ensemble_at(rng.uniform(0.5, 1.5, 400), rng.uniform(0, 1e-3, 400))
-        sn = sup_norms(ens, SortedMassIndex.from_ensemble(ens))
+        sn = sup_norms(SortedMassIndex.from_ensemble(ens))
         assert sn.rho_sup_certified <= sn.rho_sup_binned * (1 + 1e-12)
         assert sn.r_min == float(np.min(ens.r))
         assert sn.r_max == float(np.max(ens.r))
@@ -214,8 +268,8 @@ class TestSupNorms:
         rng = np.random.default_rng(21)
         ens = ensemble_at(rng.uniform(0.5, 1.5, 300), rng.uniform(0, 1e-3, 300))
         idx = SortedMassIndex.from_ensemble(ens)
-        coarse = sup_norms(ens, idx, n_bins=4)
-        fine = sup_norms(ens, idx, n_bins=256)
+        coarse = sup_norms(idx, n_bins=4)
+        fine = sup_norms(idx, n_bins=256)
         assert coarse.rho_sup_binned != fine.rho_sup_binned
         # binning cannot change the exact and certified values
         assert coarse.e_sup_exact == fine.e_sup_exact
@@ -225,5 +279,5 @@ class TestSupNorms:
         rng = np.random.default_rng(9)
         ens = ensemble_at(rng.uniform(0.5, 1.5, 100), rng.uniform(0, 1e-3, 100))
         edges = default_grid_edges(float(np.min(ens.r)), float(np.max(ens.r)))
-        grid = density_estimate(ens, edges)
+        grid = density_estimate(SortedMassIndex.from_ensemble(ens), edges)
         assert grid.captured_mass == pytest.approx(ens.total_mass, rel=1e-13)

@@ -63,7 +63,7 @@ class TestCertificateFiles:
         assert loaded.spec.target_mass == 1.0
 
     def test_optional_fields_absent_for_fixed_mass(self, tmp_path):
-        cert = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0)
+        cert = design_fixed_mass(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True)
         loaded = load_certificate(save_certificate(cert, tmp_path / "cert.ini"))
         assert loaded.rho0_sup_bound is None
         assert loaded.e0_sup_bound is None
