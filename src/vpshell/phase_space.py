@@ -105,7 +105,7 @@ class Ensemble:
     total_mass: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        for name in ("r", "w", "ell", "weight"):
+        for name in ("r", "w", "ell", "weight", "ids"):
             arr = getattr(self, name)
             if arr.ndim != 1 or arr.shape != self.r.shape:
                 raise ValueError(f"ensemble array {name!r} must be 1-D and congruent")

@@ -8,16 +8,23 @@ columns and the [certificate] and [class] keys are dataclass fields,
 SHELLS_COLUMNS and SNAPSHOT_COLUMNS map columns to attributes, and all
 tables share _write_table and _read_table.  Ids are written as integers,
 other values as repr(float(x)), which round-trips exactly, so a rerun
-reproduces output byte for byte.  The manifest deliberately omits
-wall-clock times and thread counts: results do not depend on them and
-reruns must compare equal.  load_run_data raises RecordError for a run
-directory whose tables disagree with the manifest or with each other.
+reproduces output byte for byte.  save_run formats each distinct column
+once per run (the snapshots and shells.csv share their id, ell and weight
+arrays, and shells.csv repeats the final r and w) and joins rows with
+str.join.  _read_table parses a table with one np.loadtxt call, which
+rounds as float() does; a table it cannot parse, a blank line and a
+non-ASCII line are refused with RecordError naming the file and, for a
+wrong field count, the line.  The manifest deliberately omits wall-clock
+times and thread counts: results do not depend on them and reruns must
+compare equal.  load_run_data raises RecordError for a run directory
+whose tables disagree with the manifest or with each other.
 """
 
 from __future__ import annotations
 
 import configparser
-import csv
+import itertools
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -189,52 +196,115 @@ def load_run_config(path) -> RunSetup:
 # ------------------------------------------------------------------ run output
 
 def _codec(name: str):
-    """(dtype, parse, format) of a table column: ids are integers, the rest floats."""
+    """(dtype, parse, format) of a table column: ids are integers, the rest
+    floats.  np.loadtxt parses a table; parse is the Python function whose
+    results it reproduces bitwise, used to find the cell a refusal names."""
     return (np.int64, int, str) if name == "id" else (np.float64, float, repr)
 
 
-def _write_table(path: Path, columns: dict) -> Path:
-    """Write a CSV table from a mapping of column name to 1-D column."""
-    cells = []
-    for name, column in columns.items():
-        dtype, _, fmt = _codec(name)
-        cells.append(list(map(fmt, np.asarray(column, dtype=dtype).tolist())))
+def _key(name: str, column) -> tuple:
+    return id(column), _codec(name)[2]
+
+
+class _Cells:
+    """Text cells of table columns, each distinct column object formatted once.
+
+    The tables of one run share columns: every snapshot holds the same id,
+    ell and weight arrays (Ensemble.advanced passes them on), and shells.csv
+    repeats the final snapshot's.  Given the tables to be written, the
+    cells of a column used more than once are cached by object identity
+    until its last use; the cache holds the column, so its id cannot be
+    reused meanwhile.
+    """
+
+    def __init__(self, tables=()):
+        self._uses = Counter(_key(name, column) for table in tables for name, column in table.items())
+        self._cache = {}  # key -> (column, cells)
+
+    def __call__(self, name: str, column) -> list:
+        key = _key(name, column)
+        _, cells = self._cache.pop(key, (None, None))
+        if cells is None:
+            dtype, _, fmt = _codec(name)
+            cells = list(map(fmt, np.asarray(column, dtype=dtype).tolist()))
+        self._uses[key] -= 1
+        if self._uses[key] > 0:
+            self._cache[key] = (column, cells)
+        return cells
+
+
+def _write_table(path: Path, columns: dict, cells: Optional[_Cells] = None) -> Path:
+    """Write a CSV table from a mapping of column name to 1-D column; cells
+    shares formatted columns between the tables of one run."""
+    cells = _Cells() if cells is None else cells
+    rows = zip(*(cells(name, column) for name, column in columns.items()))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in rows)
     return path
+
+
+def _data_lines(handle):
+    """The data lines of an open table, raising at a line np.loadtxt must not
+    see: it skips a blank line, and it misreads some non-ASCII characters
+    as digits or crashes on them (numpy 2.4).  A table is ASCII; other
+    bytes decode to U+FFFD, so they reach the non-ASCII check."""
+    for number, line in enumerate(handle, start=2):
+        if line == "\n":
+            raise ValueError(f"line {number} is blank")
+        if not line.isascii():
+            raise ValueError(f"line {number} is not ASCII")
+        yield line
 
 
 def _read_table(path: Path, names) -> dict:
     """Read a table written by _write_table; maps each name to its column."""
     names = tuple(names)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != names:
-            raise RecordError(f"{path}: columns {','.join(header)}, expected {','.join(names)}")
-        data = list(reader)
-    for line, row in enumerate(data, start=2):
-        if len(row) != len(names):
-            raise RecordError(f"{path}: line {line} has {len(row)} fields, expected {len(names)}")
-    table = {}
-    for name, column in zip(names, zip(*data) if data else [()] * len(names)):
-        dtype, parse, _ = _codec(name)
+    dtype = np.dtype([(name, _codec(name)[0]) for name in names])
+    with open(path, encoding="ascii", errors="replace") as handle:
+        header = handle.readline().rstrip("\n")
+        if tuple(header.split(",")) != names:
+            raise RecordError(f"{path}: columns {header}, expected {','.join(names)}")
+        lines = _data_lines(handle)
         try:
-            table[name] = np.fromiter(map(parse, column), dtype=dtype, count=len(column))
+            first = next(lines, None)  # np.loadtxt warns on a table with no rows
+            data = np.empty(0, dtype) if first is None else np.loadtxt(
+                itertools.chain((first,), lines),
+                dtype=dtype, delimiter=",", comments=None, ndmin=1,
+            )
         except ValueError as exc:
-            raise RecordError(f"{path}: column {name}: {exc}") from exc
-    return table
+            raise _refusal(path, names, exc) from exc
+    return {name: np.ascontiguousarray(data[name]) for name in names}
+
+
+def _refusal(path: Path, names: tuple, exc: ValueError) -> RecordError:
+    """The RecordError for a table _read_table could not parse: the first
+    line with a wrong field count, else the first cell, column by column,
+    that parse refuses, else exc, the reason _read_table stopped."""
+    with open(path, encoding="ascii", errors="replace") as handle:
+        handle.readline()
+        rows = [line.rstrip("\n") for line in handle]
+    rows = [line.split(",") if line else [] for line in rows]
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            return RecordError(f"{path}: line {number} has {len(row)} fields, expected {len(names)}")
+    for name, column in zip(names, zip(*rows)):
+        parse = _codec(name)[1]
+        try:
+            for cell in column:
+                parse(cell)
+        except ValueError as cell_exc:
+            return RecordError(f"{path}: column {name}: {cell_exc}")
+    return RecordError(f"{path}: {exc}")
 
 
 def _columns(record, attributes: dict) -> dict:
     return {name: attrgetter(attr)(record) for name, attr in attributes.items()}
 
 
-def save_snapshot(ens: Ensemble, path) -> Path:
+def save_snapshot(ens: Ensemble, path, *, cells: Optional[_Cells] = None) -> Path:
     """Write one ensemble state as a snapshot CSV."""
-    return _write_table(Path(path), _columns(ens, SNAPSHOT_COLUMNS))
+    return _write_table(Path(path), _columns(ens, SNAPSHOT_COLUMNS), cells)
 
 
 def save_run(
@@ -249,12 +319,14 @@ def save_run(
 
     rows = {name: [getattr(row, name) for row in result.rows] for name in ROWS_COLUMNS}
     _write_table(out / "rows.csv", rows)
-    _write_table(out / "shells.csv", _columns(result, SHELLS_COLUMNS))
+    shells = _columns(result, SHELLS_COLUMNS)
+    cells = _Cells([shells] + [_columns(ens, SNAPSHOT_COLUMNS) for _, ens in result.snapshots])
+    _write_table(out / "shells.csv", shells, cells)
 
     snapshot_files = []
     for k, (time, ens) in enumerate(result.snapshots):
         name = f"snapshot_{k:03d}.csv"
-        save_snapshot(ens, out / name)
+        save_snapshot(ens, out / name, cells=cells)
         snapshot_files.append((name, time))
 
     parser = _new_parser()

@@ -113,6 +113,13 @@ def test_ensemble_rejects_negative_weight_and_bad_shapes():
         )
 
 
+@pytest.mark.parametrize("ids", [np.arange(2), np.arange(4), np.zeros((3, 1), dtype=np.int64)],
+                         ids=["short", "long", "2-D"])
+def test_ensemble_rejects_ids_of_another_shape(ids):
+    with pytest.raises(ValueError, match="'ids'"):
+        Ensemble(r=np.ones(3), w=np.zeros(3), ell=np.ones(3), weight=np.ones(3), ids=ids)
+
+
 def test_mass_error_is_bitwise_zero():
     rng = np.random.default_rng(7)
     n = 1000

@@ -1,5 +1,9 @@
+import csv
 import dataclasses
 import filecmp
+import io
+import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from vpshell import (
     verify_focusing_run,
 )
 from vpshell.design import StageResult, VerificationReport
-from vpshell.dynamics import DiagnosticsRow
+from vpshell.dynamics import DiagnosticsRow, RunResult
+from vpshell.phase_space import Ensemble
 from vpshell.reporting import (
     SHELLS_COLUMNS,
+    SNAPSHOT_COLUMNS,
     RecordError,
     RunSetup,
     _read_table,
@@ -206,11 +212,178 @@ class TestTables:
         with pytest.raises(ValueError, match="t.csv: line 3"):
             _read_table(path, ("id", "r"))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2.0\n\n3,4.0\n", "line 3 has 0 fields, expected 2"),
+            ("1,2.0\n3,4.0\n\n", "line 4 has 0 fields, expected 2"),
+            ("1,2.0\n \n3,4.0\n", "line 3 has 1 fields, expected 2"),
+            ("1,2.0\n# a note\n3,4.0\n", "line 3 has 1 fields, expected 2"),
+            ("#1,2.0\n3,4.0\n", "column id: "),
+            ("1,2.0\n2\n", "line 3 has 1 fields, expected 2"),
+            ("1,2.0\n2,3.0,4.0\n", "line 3 has 3 fields, expected 2"),
+            ("1,2.0\n2,\n", "column r: "),
+            ("1,2.0\n2,abc\n", "column r: "),
+            ("1,2.0\n2.0,3.0\n", "column id: "),
+            ("1,2.0\n\U000108be,3.0\n", "column id: "),
+        ],
+        ids=["blank-line", "trailing-blank-line", "space-line", "comment-line",
+             "comment-row", "short-row", "long-row", "empty-cell", "non-numeric-cell",
+             "float-id", "non-ascii-id"],
+    )
+    def test_malformed_row_is_refused(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text("id,r\n" + body)
+        with pytest.raises(RecordError, match=re.escape(f"{path}: {message}")):
+            _read_table(path, ("id", "r"))
+
+    @pytest.mark.parametrize(
+        "cell", ["\u0663".encode(), b"\xff"], ids=["arabic-indic-digit", "invalid-utf-8"]
+    )
+    def test_non_ascii_cell_is_refused(self, tmp_path, cell):
+        """A table is ASCII: refused are an Arabic-Indic digit, which float()
+        reads as 3.0, and a byte that does not decode at all."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,r\n1,2.0\n2," + cell + b"\n")
+        with pytest.raises(RecordError, match=re.escape(f"{path}: column r: ")):
+            _read_table(path, ("id", "r"))
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [("id,w\n1,2.0\n", "id,w"), ("", ""), ("\n1,2.0\n", "")],
+        ids=["wrong-header", "empty-file", "blank-header"],
+    )
+    def test_bad_header_is_refused(self, tmp_path, text, found):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(RecordError, match=re.escape(f"{path}: columns {found}, expected id,r")):
+            _read_table(path, ("id", "r"))
+
+    @given(
+        cell=st.one_of(
+            st.text(st.characters(blacklist_characters="\",\r\n", blacklist_categories=("Cs",)),
+                    max_size=8),
+            st.floats().map(repr),
+            st.integers().map(str),
+        ),
+        column=st.sampled_from(["id", "r"]),
+    )
+    def test_cell_reads_as_python_parses_it(self, tmp_path_factory, cell, column):
+        """A table is refused, or its cell reads bitwise as int() or float() parses it."""
+        path = tmp_path_factory.mktemp("cells") / "t.csv"
+        path.write_text("id,r\n" + (f"{cell},1.0\n" if column == "id" else f"1,{cell}\n"))
+        try:
+            table = _read_table(path, ("id", "r"))
+        except RecordError:
+            return
+        if column == "id":
+            assert table["id"].tolist() == [int(cell)]
+        else:
+            assert table["r"].tobytes() == np.array([float(cell)]).tobytes()
+
+    def test_header_only_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,r\n")
+        table = _read_table(path, ("id", "r"))
+        assert table["id"].dtype == np.int64 and table["id"].size == 0
+        assert table["r"].dtype == np.float64 and table["r"].size == 0
+
     def test_reloaded_rows_hold_python_floats(self, tmp_path, small_run):
         cert, setup, result = small_run
         summary = load_run_data(save_run(result, cert, setup, tmp_path / "out"))
         for row in summary.rows:
             assert all(type(getattr(row, f.name)) is float for f in dataclasses.fields(row))
+
+
+def _csv_writer_table(columns) -> bytes:
+    """Reference bytes of a table: the csv-module writer the codec replaced."""
+    cells = []
+    for name, column in columns.items():
+        if name == "id":
+            cells.append(list(map(str, np.asarray(column, dtype=np.int64).tolist())))
+        else:
+            cells.append(list(map(repr, np.asarray(column, dtype=np.float64).tolist())))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    return buffer.getvalue().encode()
+
+
+def _assert_round_trip(read, written):
+    """read is bitwise equal to written, except that any nan reads as a nan."""
+    written = np.asarray(written, dtype=np.float64)
+    nan = np.isnan(written)
+    assert read.tobytes() == np.where(nan, read, written).tobytes()
+    assert np.isnan(read[nan]).all()
+
+
+# repr switches to exponent notation at 1e16 and below 1e-4; the smallest
+# subnormal and normal numbers, each with its neighbours; the special values
+_EDGES = [
+    x
+    for base in (1e16, 1e-5, 1e-4, 5e-324, 2.2250738585072014e-308)
+    for x in (np.nextafter(base, 0.0), base, np.nextafter(base, np.inf))
+] + [0.0, 1.7976931348623157e308, np.inf, np.nan]
+_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(_EDGES).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 12))
+    floats = st.lists(_FLOATS, min_size=n, max_size=n)
+    return {
+        "id": np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                       dtype=np.int64),
+        "a": np.array(draw(floats), dtype=np.float64),
+        "b": draw(floats),  # a list, as rows.csv's columns are
+    }
+
+
+class TestTableWriter:
+    @given(columns=_tables())
+    def test_bytes_match_csv_writer_and_round_trip(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("tables") / "t.csv"
+        _write_table(path, columns)
+        assert path.read_bytes() == _csv_writer_table(columns)
+        table = _read_table(path, columns)
+        assert table["id"].dtype == np.int64 and table["id"].tolist() == columns["id"].tolist()
+        for name in ("a", "b"):
+            assert table[name].dtype == np.float64
+            _assert_round_trip(table[name], columns[name])
+
+    def test_snapshots_with_distinct_columns(self, tmp_path):
+        """Snapshots that share no array, not even ell: each file holds its own values."""
+        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
+        setup = RunSetup(certificate_path="certificate.ini", n_r=1, n_w=1, n_ell=3)
+        snapshots = [
+            (t, Ensemble(r=np.array([1.0, 2.0, 3.0]) + t, w=np.array([-0.5, 0.0, 1e-5]) * (1 + t),
+                         ell=np.array([0.25, 1e16, 5e-324]) * (1 + t), weight=np.array([0.1, 0.2, 0.3]),
+                         ids=np.array([4, 9, 2]), time=t))
+            for t in (0.0, 0.5, 1.0)
+        ]
+        final = snapshots[-1][1]
+        result = RunResult(
+            rows=[DiagnosticsRow(t, 1.0, 2.0, 3.0, 0.5, 4.0, 0.0, 0.1) for t, _ in snapshots],
+            snapshots=snapshots,
+            final=final,
+            turning_time=np.array([0.3, np.inf, 0.7]),
+            r_min_shell=final.r - 0.5,
+            t_at_r_min=np.array([0.3, 1.0, 0.7]),
+            steps=2,
+        )
+        out = save_run(result, cert, setup, tmp_path / "out")
+        shells = {name: attrgetter(attr)(result) for name, attr in SHELLS_COLUMNS.items()}
+        assert (out / "shells.csv").read_bytes() == _csv_writer_table(shells)
+        for k, (_, ens) in enumerate(snapshots):
+            columns = {name: getattr(ens, attr) for name, attr in SNAPSHOT_COLUMNS.items()}
+            assert (out / f"snapshot_{k:03d}.csv").read_bytes() == _csv_writer_table(columns)
+        summary = load_run_data(out)
+        for (_, read), (_, written) in zip(summary.snapshots, snapshots):
+            assert read.ell.tobytes() == written.ell.tobytes()
 
 
 def _drop_last_lines(name, k=3):
