@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
-from collections import Counter
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -202,42 +202,38 @@ def _codec(name: str):
     return (np.int64, int, str) if name == "id" else (np.float64, float, repr)
 
 
-def _key(name: str, column) -> tuple:
-    return id(column), _codec(name)[2]
-
-
 class _Cells:
-    """Text cells of table columns, each distinct column object formatted once.
+    """Text cells of the columns of consecutive tables, each column object
+    formatted once while consecutive tables share it.
 
     The tables of one run share columns: every snapshot holds the same id,
-    ell and weight arrays (Ensemble.advanced passes them on), and shells.csv
-    repeats the final snapshot's.  Given the tables to be written, the
-    cells of a column used more than once are cached by object identity
-    until its last use; the cache holds the column, so its id cannot be
-    reused meanwhile.
+    ell and weight arrays (Ensemble.advanced passes them on), and shells.csv,
+    written after the snapshots, repeats the final one's.  The cells of the
+    previous table's columns are kept, keyed by object identity; the cache
+    holds each column, so its id cannot be reused meanwhile.
     """
 
-    def __init__(self, tables=()):
-        self._uses = Counter(_key(name, column) for table in tables for name, column in table.items())
-        self._cache = {}  # key -> (column, cells)
+    def __init__(self):
+        self._previous = {}  # key -> (column, cells)
 
-    def __call__(self, name: str, column) -> list:
-        key = _key(name, column)
-        _, cells = self._cache.pop(key, (None, None))
-        if cells is None:
-            dtype, _, fmt = _codec(name)
-            cells = list(map(fmt, np.asarray(column, dtype=dtype).tolist()))
-        self._uses[key] -= 1
-        if self._uses[key] > 0:
-            self._cache[key] = (column, cells)
-        return cells
+    def __call__(self, columns: dict) -> list:
+        """The cells of each column of a table, in order."""
+        keys = [(id(column), _codec(name)[2]) for name, column in columns.items()]
+        # drop the previous columns this table does not share before formatting
+        previous = self._previous
+        self._previous = current = {key: previous[key] for key in keys if key in previous}
+        for key, (name, column) in zip(keys, columns.items()):
+            if key not in current:
+                dtype, _, fmt = _codec(name)
+                current[key] = (column, list(map(fmt, np.asarray(column, dtype=dtype).tolist())))
+        return [current[key][1] for key in keys]
 
 
 def _write_table(path: Path, columns: dict, cells: Optional[_Cells] = None) -> Path:
     """Write a CSV table from a mapping of column name to 1-D column; cells
     shares formatted columns between the tables of one run."""
     cells = _Cells() if cells is None else cells
-    rows = zip(*(cells(name, column) for name, column in columns.items()))
+    rows = zip(*cells(columns))
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")
         handle.writelines(",".join(row) + "\n" for row in rows)
@@ -268,16 +264,20 @@ def _read_table(path: Path, names) -> dict:
         lines = _data_lines(handle)
         try:
             first = next(lines, None)  # np.loadtxt warns on a table with no rows
-            data = np.empty(0, dtype) if first is None else np.loadtxt(
-                itertools.chain((first,), lines),
-                dtype=dtype, delimiter=",", comments=None, ndmin=1,
-            )
-        except ValueError as exc:
+            with warnings.catch_warnings():
+                # older numpy reads an id such as 1.0 or 2.7 through a float and
+                # only warns; refuse it whatever the caller's warning filters
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                data = np.empty(0, dtype) if first is None else np.loadtxt(
+                    itertools.chain((first,), lines),
+                    dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                )
+        except (ValueError, DeprecationWarning) as exc:
             raise _refusal(path, names, exc) from exc
     return {name: np.ascontiguousarray(data[name]) for name in names}
 
 
-def _refusal(path: Path, names: tuple, exc: ValueError) -> RecordError:
+def _refusal(path: Path, names: tuple, exc: Exception) -> RecordError:
     """The RecordError for a table _read_table could not parse: the first
     line with a wrong field count, else the first cell, column by column,
     that parse refuses, else exc, the reason _read_table stopped."""
@@ -319,15 +319,13 @@ def save_run(
 
     rows = {name: [getattr(row, name) for row in result.rows] for name in ROWS_COLUMNS}
     _write_table(out / "rows.csv", rows)
-    shells = _columns(result, SHELLS_COLUMNS)
-    cells = _Cells([shells] + [_columns(ens, SNAPSHOT_COLUMNS) for _, ens in result.snapshots])
-    _write_table(out / "shells.csv", shells, cells)
-
+    cells = _Cells()
     snapshot_files = []
     for k, (time, ens) in enumerate(result.snapshots):
         name = f"snapshot_{k:03d}.csv"
         save_snapshot(ens, out / name, cells=cells)
         snapshot_files.append((name, time))
+    _write_table(out / "shells.csv", _columns(result, SHELLS_COLUMNS), cells)
 
     parser = _new_parser()
     parser["manifest"] = {"format": "1", "version": __version__}

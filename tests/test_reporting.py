@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import io
 import re
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -246,6 +247,31 @@ class TestTables:
         path = tmp_path / "t.csv"
         path.write_bytes(b"id,r\n1,2.0\n2," + cell + b"\n")
         with pytest.raises(RecordError, match=re.escape(f"{path}: column r: ")):
+            _read_table(path, ("id", "r"))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("cell", ["1.0", "2.7", "1e3"])
+    def test_float_id_is_refused_whatever_the_warning_filters(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"id,r\n1,2.0\n{cell},3.0\n")
+        with pytest.raises(RecordError, match=re.escape(f"{path}: column id: ")):
+            _read_table(path, ("id", "r"))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_float_id_is_refused_where_numpy_only_warns(self, tmp_path, monkeypatch):
+        """Older numpy reads an int64 cell such as 2.7 through a float and
+        only emits a DeprecationWarning; the table is still refused."""
+
+        def loadtxt(lines, dtype, **kwargs):
+            rows = [line.rstrip("\n").split(",") for line in lines]
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([(int(float(i)), float(r)) for i, r in rows], dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path = tmp_path / "t.csv"
+        path.write_text("id,r\n1,2.0\n2.7,3.0\n")
+        with pytest.raises(RecordError, match=re.escape(f"{path}: column id: ")):
             _read_table(path, ("id", "r"))
 
     @pytest.mark.parametrize(
