@@ -81,6 +81,14 @@ class BoundsCertificate:
     c0: Optional[float] = None
     eta: Optional[float] = None
 
+    def __post_init__(self):
+        # verify_focusing_run checks the time-zero bounds of every small-data
+        # certificate, so one read back without them must not get that far
+        if self.recipe not in ("small-data", "fixed-mass"):
+            raise ValueError(f"unknown recipe {self.recipe!r}")
+        if self.recipe == "small-data" and None in (self.rho0_sup_bound, self.e0_sup_bound):
+            raise ValueError("a small-data certificate needs rho0_sup_bound and e0_sup_bound")
+
 
 def _validate_targets(c1: float, c2: float):
     if not 0 < c1 < math.inf:

@@ -8,6 +8,16 @@ field is exact for the discrete measure (up to the tie convention at
 coincident radii).  The density is a histogram estimate read off the
 same index's prefix sums, and is reported alongside a certified lower
 bound that is independent of binning.
+
+The index order is the (radius, id) order of np.lexsort, whichever sort
+computes it, so it never depends on the thread count.  A near-sorted
+state (at most NEAR_SORTED_FRAC descents per shell in ensemble order, as
+before shells cross) is lexsorted, which is fastest there.  A scrambled
+state (after crossings) is argsorted by radius alone, which numpy runs
+as a SIMD sort where the CPU has one, 2-4x faster there.  When those
+argsorted radii are all distinct and none is NaN, the ascending order is
+unique, so it is lexsort's; otherwise the state is lexsorted after all,
+and its ids order the ties and the NaNs.
 """
 
 from __future__ import annotations
@@ -18,6 +28,11 @@ import numpy as np
 
 from .phase_space import Ensemble
 
+# Largest fraction of descents (r[k+1] < r[k]) in ensemble order at which
+# lexsort still beats argsort plus the tie check; above it the state
+# counts as scrambled.
+NEAR_SORTED_FRAC = 0.01
+
 
 @dataclass(frozen=True)
 class SortedMassIndex:
@@ -27,6 +42,10 @@ class SortedMassIndex:
     strictly below / at / above any radius reads off the bounds of its
     tie group.  Tie convention: mass *at* a radius counts half, and a shell
     never feels its own weight (see interior_mass).
+
+    The order is the same whichever sort built it (see the module
+    docstring): lexsort for near-sorted states and for tied or NaN radii,
+    argsort for scrambled states whose radii are distinct.
     """
 
     radii: np.ndarray      # ascending
@@ -38,9 +57,7 @@ class SortedMassIndex:
 
     @classmethod
     def from_ensemble(cls, ensemble: Ensemble) -> "SortedMassIndex":
-        # stable, thread-count-independent order: radius then id
-        order = np.lexsort((ensemble.ids, ensemble.r))
-        radii = ensemble.r[order]
+        order, radii, group_ends = _sort_by_radius_then_id(ensemble.r, ensemble.ids)
         weights = ensemble.weight[order]
         cum = np.concatenate(([0.0], np.cumsum(weights)))
         return cls(
@@ -48,7 +65,7 @@ class SortedMassIndex:
             weights=weights,
             order=order,
             cum=cum,
-            group_ends=_tie_group_ends(radii),
+            group_ends=group_ends,
             total_mass=ensemble.total_mass,
         )
 
@@ -82,14 +99,19 @@ class SortedMassIndex:
         each shell uses in its own equation of motion.
         """
         n = len(self)
-        # each shell's tie group spans sorted positions [lo, hi)
         ends = self.group_ends
-        sizes = np.diff(ends, prepend=0)
-        lo = np.repeat(ends - sizes, sizes)
-        hi = np.repeat(ends, sizes)
-        below = self.cum[lo]
-        group = self.cum[hi] - self.cum[lo]
-        interior_sorted = below + 0.5 * (group - self.weights)
+        if ends.size == n:
+            # no ties: shell k's group is [k, k + 1), the same arithmetic
+            # as below without the repeats and gathers
+            interior_sorted = self.cum[:-1] + 0.5 * (np.diff(self.cum) - self.weights)
+        else:
+            # each shell's tie group spans sorted positions [lo, hi)
+            sizes = np.diff(ends, prepend=0)
+            lo = np.repeat(ends - sizes, sizes)
+            hi = np.repeat(ends, sizes)
+            below = self.cum[lo]
+            group = self.cum[hi] - self.cum[lo]
+            interior_sorted = below + 0.5 * (group - self.weights)
         out = np.empty(n)
         out[self.order] = interior_sorted
         return out
@@ -104,10 +126,34 @@ class SortedMassIndex:
         if len(self) == 0:
             raise ValueError("empty ensemble has no field sup")
         ends = self.group_ends
-        r = self.radii[ends - 1]
+        if ends.size == len(self):
+            # no ties: every radius ends its own group
+            r, below_or_at = self.radii, self.cum[1:]
+        else:
+            r, below_or_at = self.radii[ends - 1], self.cum[ends]
         # explicit multiply keeps the squaring bit-identical to the
         # confinement bound without leaning on numpy's ** lowering
-        return float(np.max(self.cum[ends] / (r * r)))
+        return float(np.max(below_or_at / (r * r)))
+
+
+def _sort_by_radius_then_id(r: np.ndarray, ids: np.ndarray):
+    """(order, sorted radii, tie-group ends) of np.lexsort((ids, r)).
+
+    The radii are scanned for ties once, whichever sort serves.
+    """
+    ends = None
+    if np.count_nonzero(r[1:] < r[:-1]) > NEAR_SORTED_FRAC * r.size:
+        order = np.argsort(r)
+        radii = r[order]
+        ends = _tie_group_ends(radii)
+        if ends.size == r.size and not np.isnan(radii[-1]):
+            return order, radii, ends
+        # Both sorts put each class of equal radii (+-0.0 together) and
+        # the NaNs, which end the order, at the same positions, so the
+        # group ends carry over; only lexsort orders a tie by id.
+    order = np.lexsort((ids, r))
+    radii = r[order]
+    return order, radii, _tie_group_ends(radii) if ends is None else ends
 
 
 def _tie_group_ends(radii: np.ndarray) -> np.ndarray:

@@ -17,13 +17,18 @@ non-ASCII line are refused with RecordError naming the file and, for a
 wrong field count, the line.  The manifest deliberately omits wall-clock
 times and thread counts: results do not depend on them and reruns must
 compare equal.  load_run_data raises RecordError for a run directory
-whose tables disagree with the manifest or with each other.
+whose tables disagree with the manifest or with each other.  Every INI
+reader raises RecordError starting with the file's path for a file it
+cannot decode or parse, a missing section or key, and a value that is not
+a finite number, true or false where one is expected.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import itertools
+import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
@@ -68,8 +73,39 @@ def _new_parser() -> configparser.ConfigParser:
     return parser
 
 
+@contextlib.contextmanager
+def _reading_ini(path, not_found: str):
+    """Parse the INI file at path; a file that cannot be decoded or parsed,
+    and a missing or bad value read inside the block, raise RecordError
+    naming path."""
+    parser = _new_parser()
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise FileNotFoundError(not_found)
+        yield parser
+    except KeyError as exc:
+        raise RecordError(f"{path}: missing section or key {exc}") from exc
+    except (ValueError, ArithmeticError, configparser.Error) as exc:
+        message = " ".join(str(exc).split())  # configparser's span several lines
+        raise RecordError(f"{path}: {message}") from exc
+
+
+def _float(text: str) -> float:
+    """A float INI value; every one this package writes is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"{text!r} is neither true nor false")
+    return text == "true"
+
+
 def _write_ini(parser: configparser.ConfigParser, path: Path):
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         parser.write(handle)
 
 
@@ -88,9 +124,9 @@ def _to_section(record, skip: str = "") -> dict:
 def _from_section(cls, section, skip: str = "") -> dict:
     """Keyword arguments for cls read back from a _to_section section."""
     types = get_type_hints(cls)
-    parse = {bool: lambda text: text == "true", str: str}
+    parse = {bool: _bool, str: str}
     return {
-        f.name: parse.get(types[f.name], float)(section[f.name])
+        f.name: parse.get(types[f.name], _float)(section[f.name])
         for f in fields(cls)
         if f.init and f.name != skip and (f.name in section or f.default is MISSING)
     }
@@ -112,11 +148,9 @@ def save_certificate(cert: BoundsCertificate, path) -> Path:
 
 
 def load_certificate(path) -> BoundsCertificate:
-    parser = _new_parser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"certificate file not found: {path}")
-    values = _from_section(BoundsCertificate, parser["certificate"], skip="spec")
-    return BoundsCertificate(spec=_read_class(parser["class"]), **values)
+    with _reading_ini(path, f"certificate file not found: {path}") as parser:
+        values = _from_section(BoundsCertificate, parser["certificate"], skip="spec")
+        return BoundsCertificate(spec=_read_class(parser["class"]), **values)
 
 
 # ----------------------------------------------------------------- run configs
@@ -172,25 +206,34 @@ def save_run_config(setup: RunSetup, path) -> Path:
 
 
 def load_run_config(path) -> RunSetup:
-    parser = _new_parser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"run config not found: {path}")
-    integ = parser["integrator"] if "integrator" in parser else {}
-    diag = parser["diagnostics"] if "diagnostics" in parser else {}
-    marks_raw = diag.get("mark_times", "")
-    marks = tuple(float(s) for s in marks_raw.split(",") if s.strip())
-    return RunSetup(
-        certificate_path=parser["certificate"]["file"],
-        n_r=int(parser["sampling"]["n_r"]),
-        n_w=int(parser["sampling"]["n_w"]),
-        n_ell=int(parser["sampling"]["n_ell"]),
-        t_end=float(integ["t_end"]) if "t_end" in integ else None,
-        dt_max=float(integ["dt_max"]) if "dt_max" in integ else None,
-        cfl=float(integ.get("cfl", "0.2")),
-        output_stride=int(integ.get("output_stride", "1")),
-        n_bins=int(diag.get("n_bins", "256")),
-        mark_times=marks,
-    )
+    with _reading_ini(path, f"run config not found: {path}") as parser:
+        integ = parser["integrator"] if "integrator" in parser else {}
+        diag = parser["diagnostics"] if "diagnostics" in parser else {}
+        marks_raw = diag.get("mark_times", "")
+        marks = tuple(_float(s) for s in marks_raw.split(",") if s.strip())
+        setup = RunSetup(
+            certificate_path=parser["certificate"]["file"],
+            n_r=int(parser["sampling"]["n_r"]),
+            n_w=int(parser["sampling"]["n_w"]),
+            n_ell=int(parser["sampling"]["n_ell"]),
+            t_end=_float(integ["t_end"]) if "t_end" in integ else None,
+            dt_max=_float(integ["dt_max"]) if "dt_max" in integ else None,
+            cfl=_float(integ.get("cfl", "0.2")),
+            output_stride=int(integ.get("output_stride", "1")),
+            n_bins=int(diag.get("n_bins", "256")),
+            mark_times=marks,
+        )
+        # refuse here, naming this file, what the run would refuse later;
+        # the certificate fills an absent t_end or dt_max
+        if min(setup.n_r, setup.n_w, setup.n_ell) < 2 or setup.n_bins < 1:
+            raise ValueError("need n_r, n_w and n_ell >= 2 and n_bins >= 1")
+        IntegratorConfig(
+            t_end=0.0 if setup.t_end is None else setup.t_end,
+            dt_max=1.0 if setup.dt_max is None else setup.dt_max,
+            cfl=setup.cfl,
+            output_stride=setup.output_stride,
+        )
+        return setup
 
 
 # ------------------------------------------------------------------ run output
@@ -379,32 +422,36 @@ def load_run_data(out_dir) -> RunSummary:
     """Reload a run directory, refusing one that is incomplete or inconsistent.
 
     Raises RecordError unless the manifest lists [snapshots] count files
-    and times, every snapshot and shells.csv has [run] n_shells rows, and
-    the id, ell, weight, r_final and w_final columns of shells.csv are
-    bitwise equal to the final snapshot's.
+    and ascending times from the first to the last time of rows.csv,
+    every snapshot and shells.csv has [run] n_shells rows, and the id,
+    ell, weight, r_final and w_final columns of shells.csv are bitwise
+    equal to the final snapshot's.
     """
     out = Path(out_dir)
-    manifest = _new_parser()
-    if not manifest.read(out / "manifest.ini"):
-        raise FileNotFoundError(f"no manifest.ini under {out}")
-
     table = _read_table(out / "rows.csv", ROWS_COLUMNS)
     rows = [DiagnosticsRow(*values) for values in zip(*(c.tolist() for c in table.values()))]
 
-    snaps = manifest["snapshots"]
-    files = snaps["files"].split(",")
-    times = [float(s) for s in snaps["times"].split(",")]
-    if not len(files) == len(times) == int(snaps["count"]):
-        raise RecordError(
-            f"{out / 'manifest.ini'}: {len(files)} snapshot files and {len(times)} "
-            f"times listed, [snapshots] count is {snaps['count']}"
-        )
+    with _reading_ini(out / "manifest.ini", f"no manifest.ini under {out}") as manifest:
+        snaps = manifest["snapshots"]
+        files = snaps["files"].split(",")
+        times = [_float(s) for s in snaps["times"].split(",")]
+        count = int(snaps["count"])
+        if not len(files) == len(times) == count:
+            raise ValueError(
+                f"{len(files)} snapshot files and {len(times)} times listed, "
+                f"[snapshots] count is {count}"
+            )
+        span = (rows[0].t, rows[-1].t) if rows else None
+        if (times[0], times[-1]) != span or any(a >= b for a, b in zip(times, times[1:])):
+            raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")
+        n_shells = int(manifest["run"]["n_shells"])
+        # refused here, naming this file; require_manifest_matches reads it again
+        _read_class(manifest["class"])
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
     shells = _read_table(out / "shells.csv", SHELLS_COLUMNS)
 
-    n_shells = int(manifest["run"]["n_shells"])
     lengths = [("shells.csv", len(shells["id"]))]
     lengths += [(name, len(ens)) for name, (_, ens) in zip(files, snapshots)]
     for name, length in lengths:
@@ -491,23 +538,21 @@ def save_verification_report(report: VerificationReport, path) -> Path:
 
 
 def load_verification_report(path) -> VerificationReport:
-    parser = _new_parser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"verification report not found: {path}")
-    stages = []
-    for section in parser.sections():
-        if not section.startswith("stage:"):
-            continue
-        s = parser[section]
-        stages.append(
-            StageResult(
-                name=section[len("stage:"):],
-                status=s["status"],
-                detail=s["detail"],
-                witness_id=int(s["witness_shell"]) if "witness_shell" in s else None,
+    with _reading_ini(path, f"verification report not found: {path}") as parser:
+        stages = []
+        for section in parser.sections():
+            if not section.startswith("stage:"):
+                continue
+            s = parser[section]
+            stages.append(
+                StageResult(
+                    name=section[len("stage:"):],
+                    status=s["status"],
+                    detail=s["detail"],
+                    witness_id=int(s["witness_shell"]) if "witness_shell" in s else None,
+                )
             )
+        return VerificationReport(
+            stages=tuple(stages),
+            exploratory=_bool(parser["verification"]["exploratory"]),
         )
-    return VerificationReport(
-        stages=tuple(stages),
-        exploratory=parser["verification"]["exploratory"] == "true",
-    )

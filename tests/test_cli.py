@@ -1,10 +1,16 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpshell import cli, oracle_suite
 from vpshell.dynamics import OracleError, StiffnessError
@@ -268,3 +274,137 @@ def test_desk_run_files_match_recorded_digests(tmp_path):
     assert digests == recorded
     initial = hashlib.sha256((tmp_path / "init" / "initial.csv").read_bytes()).hexdigest()
     assert initial == recorded["snapshot_000.csv"]
+
+
+# ------------------------------------------------------- malformed INI files
+
+# the command that reads each INI file of a finished run
+INI_COMMANDS = {"cert.ini": "verify", "manifest.ini": "verify", "run.ini": "run"}
+INI_NAMES = st.sampled_from(sorted(INI_COMMANDS))
+
+
+def _finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# commas would split a list value into valid numbers again
+NOT_FINITE_NUMBERS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e999", "two", "", "0x10", "1.0.0", "%"]
+) | st.text(
+    st.characters(blacklist_characters="\r\n,", blacklist_categories=("Cs",)), max_size=6
+).filter(lambda text: not _finite_number(text))
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """design, run and verify on a 6x6x4 grid; the workspace is not changed after."""
+    ws = tmp_path_factory.mktemp("intact")
+    cert = str(ws / "cert.ini")
+    assert cli.main(["design", "--c1", "32", "--c2", "1e-7", "--eps", "0.2", "--out", cert]) == 0
+    save_run_config(RunSetup(certificate_path="cert.ini", n_r=6, n_w=6, n_ell=4), ws / "run.ini")
+    assert cli.main(["run", "--config", str(ws / "run.ini"), "--out", str(ws / "out")]) == 0
+    assert cli.main(["verify", str(ws / "out"), cert]) == 0
+    return ws
+
+
+def _ini_path(ws, name):
+    return ws / "out" / name if name == "manifest.ini" else ws / name
+
+
+def _run_with(intact, name, content: bytes):
+    """Exit code, stderr and written report of the command that reads the
+    INI file name, on a copy of the intact workspace where that file holds
+    content; also the file's path in the copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+        shutil.copytree(intact, ws, dirs_exist_ok=True)
+        path = _ini_path(ws, name)
+        path.write_bytes(content)
+        report = ws / "report.ini"
+        if INI_COMMANDS[name] == "run":
+            argv = ["run", "--config", str(path), "--out", str(ws / "rerun")]
+        else:
+            argv = ["verify", str(ws / "out"), str(ws / "cert.ini"), "--out", str(report)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return code, err.getvalue(), report.read_bytes() if report.exists() else None, path
+
+
+def _assert_names_file(name, err, path):
+    assert err.startswith(f"{INI_COMMANDS[name]} error: {path}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _assert_refused_or_unchanged(intact, name, content):
+    """The command exits 2 with one line naming the file, or, for a change
+    the command does not read, runs as on the intact file: verify writes
+    the intact report.  A change to a run.ini value may run a different
+    but valid config, so run only has to succeed quietly."""
+    code, err, report, path = _run_with(intact, name, content)
+    if code == 2:
+        _assert_names_file(name, err, path)
+    elif INI_COMMANDS[name] == "verify":
+        assert code == 0 and report == (intact / "out" / "verification.ini").read_bytes()
+    else:
+        assert code == 0 and err == ""
+
+
+class TestMalformedIniFiles:
+    @settings(max_examples=40, deadline=None)
+    @given(name=INI_NAMES, data=st.data())
+    def test_missing_section_or_key(self, intact, name, data):
+        lines = _ini_path(intact, name).read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        _assert_refused_or_unchanged(intact, name, b"".join(lines[:i] + lines[i + 1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=INI_NAMES, value=NOT_FINITE_NUMBERS, data=st.data())
+    def test_value_not_a_finite_number(self, intact, name, value, data):
+        lines = _ini_path(intact, name).read_bytes().splitlines(keepends=True)
+        numeric = [
+            i for i, line in enumerate(lines)
+            if b" = " in line and _finite_number(line.split(b" = ", 1)[1].decode())
+        ]
+        i = data.draw(st.sampled_from(numeric))
+        lines[i] = lines[i].split(b" = ", 1)[0] + f" = {value}\n".encode()
+        _assert_refused_or_unchanged(intact, name, b"".join(lines))
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=INI_NAMES, byte=st.integers(0x80, 0xFF), data=st.data())
+    def test_undecodable_byte(self, intact, name, byte, data):
+        text = _ini_path(intact, name).read_bytes()
+        at = data.draw(st.integers(0, len(text)))
+        code, err, _, path = _run_with(intact, name, text[:at] + bytes([byte]) + text[at:])
+        assert code == 2
+        _assert_names_file(name, err, path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=INI_NAMES, data=st.data())
+    def test_truncated(self, intact, name, data):
+        text = _ini_path(intact, name).read_bytes()
+        _assert_refused_or_unchanged(intact, name, text[: data.draw(st.integers(0, len(text) - 1))])
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("manifest.ini", "count = 2", "count = two"),
+            ("manifest.ini", "[snapshots]", "[snaps]"),
+            ("manifest.ini", "times = 0.0,0.008", "times = 0.0,0.0"),
+            ("run.ini", "n_r = 6", "n_r = six"),
+            ("run.ini", "cfl = 0.2", "cfl = 0."),
+            ("cert.ini", "e0_sup_bound = 32.0\n", ""),
+            ("cert.ini", "sup_r_bound = 4.000000000000001", "sup_r_bound = inf"),
+            ("cert.ini", "exploratory = false", "exploratory = no"),
+            ("cert.ini", "eps = 0.2", "eps = 1e300"),
+        ],
+    )
+    def test_refusals_name_the_file(self, intact, name, old, new):
+        text = _ini_path(intact, name).read_text()
+        assert old in text
+        code, err, _, path = _run_with(intact, name, text.replace(old, new).encode())
+        assert code == 2
+        _assert_names_file(name, err, path)

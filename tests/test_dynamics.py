@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vpshell.dynamics
+from vpshell.field import NEAR_SORTED_FRAC
 from vpshell import (
     Ensemble,
     IntegratorConfig,
@@ -16,7 +17,7 @@ from vpshell import (
     infall_envelope,
     sample_ensemble,
 )
-from vpshell import ClassSpec, InitialData
+from vpshell import ClassSpec, InitialData, design_small_data
 
 
 def single_shell(r=1.0, w=-1.0, ell=1.0, weight=1e-3):
@@ -142,6 +143,28 @@ class TestStep:
         assert result.steps > 3
         assert len(calls) == result.steps + 1
         assert len(set(calls)) == len(calls)
+
+    def test_index_order_is_lexsort_through_pericenter(self, monkeypatch):
+        # shell crossings scramble the radial order, so the run's states
+        # fall on both sides of NEAR_SORTED_FRAC and use both sorts
+        build = SortedMassIndex.from_ensemble
+        descent_fracs = []
+
+        def checked(ensemble):
+            index = build(ensemble)
+            r = ensemble.r
+            descent_fracs.append(np.count_nonzero(r[1:] < r[:-1]) / r.size)
+            expected = np.lexsort((ensemble.ids, r))
+            assert index.order.tobytes() == expected.tobytes()
+            return index
+
+        monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(checked))
+        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
+        ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
+        t_end = 3.0 * cert.t_horizon
+        result = integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
+        assert len(descent_fracs) == result.steps + 1
+        assert min(descent_fracs) <= NEAR_SORTED_FRAC < max(descent_fracs)
 
 
 class TestIntegrateSingleShell:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import vpshell.field
+from vpshell.field import NEAR_SORTED_FRAC
 from vpshell import (
     ClassSpec,
     Ensemble,
@@ -31,6 +32,19 @@ def ensemble_at(radii, weights, ids=None):
         weight=weights,
         ids=np.asarray(ids, dtype=np.int64),
     )
+
+
+def near_sorted(ascending, swaps):
+    """ascending with `swaps` disjoint adjacent pairs exchanged."""
+    r = np.array(ascending, dtype=float)
+    for k in range(swaps):
+        i = 3 * k * (r.size // (3 * swaps))
+        r[i], r[i + 1] = r[i + 1], r[i]
+    return r
+
+
+def descent_frac(r):
+    return np.count_nonzero(r[1:] < r[:-1]) / r.size
 
 
 class TestEnclosedMass:
@@ -139,6 +153,14 @@ class TestInteriorMass:
             pytest.param([2.0, 1.0, 3.0, 1.0, 3.0], id="ties-first-and-last"),
             pytest.param([1.5], id="single-shell"),
             pytest.param([0.7] * 5, id="all-equal"),
+            # distinct radii take the tie-free path under both sorts
+            pytest.param([0.5, 1.0, 2.0, 3.0], id="sorted-distinct"),
+            pytest.param([2.0, 0.5, 3.0, 1.0, 2.5], id="scrambled-distinct"),
+            pytest.param(
+                np.random.default_rng(2).permutation(np.geomspace(0.01, 5.0, 3000)),
+                id="scrambled-distinct-3000",
+            ),
+            pytest.param(near_sorted(np.geomspace(0.01, 5.0, 3000), 20), id="near-sorted-3000"),
         ],
     )
     def test_bitwise_equal_to_searchsorted_bounds(self, radii):
@@ -184,6 +206,87 @@ class TestInteriorMass:
         expected = np.empty(len(idx))
         expected[idx.order] = idx.cum[lo] + 0.5 * ((idx.cum[hi] - idx.cum[lo]) - idx.weights)
         assert idx.interior_mass().tobytes() == expected.tobytes()
+        e_sup = np.max(idx.cum[hi] / (idx.radii * idx.radii))
+        assert idx.e_sup_exact() == e_sup
+
+
+def assert_lexsort_order(ens):
+    idx = SortedMassIndex.from_ensemble(ens)
+    order = np.lexsort((ens.ids, ens.r))
+    radii = ens.r[order]
+    assert idx.order.tobytes() == order.tobytes()
+    assert idx.radii.tobytes() == radii.tobytes()
+    assert idx.group_ends.tolist() == vpshell.field._tie_group_ends(radii).tolist()
+
+
+def ids_for(data, n):
+    """n distinct ids in an order drawn by hypothesis, not ascending."""
+    ids = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n, unique=True))
+    return np.asarray(ids, dtype=np.int64)
+
+
+class TestIndexOrder:
+    """Whichever sort builds the index, its order is lexsort's."""
+
+    @given(
+        radii=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=200, unique=True),
+        data=st.data(),
+    )
+    def test_scrambled_distinct_radii(self, radii, data):
+        r = np.asarray(data.draw(st.permutations(radii)))
+        assume(descent_frac(r) > NEAR_SORTED_FRAC)
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids_for(data, r.size)))
+
+    @given(n=st.integers(100, 1000), swaps=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    def test_near_sorted_distinct_radii(self, n, swaps, seed):
+        rng = np.random.default_rng(seed)
+        ascending = np.unique(rng.uniform(0.01, 10.0, n))
+        r = near_sorted(ascending, min(swaps, ascending.size // 100))
+        assert descent_frac(r) <= NEAR_SORTED_FRAC
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), rng.permutation(r.size)))
+
+    @given(
+        radii=st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan])
+            | st.floats(allow_nan=True, allow_infinity=True),
+            max_size=60,
+        ),
+        data=st.data(),
+    )
+    def test_ties_signed_zeros_inf_and_nan(self, radii, data):
+        r = np.asarray(radii, dtype=float)
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids_for(data, r.size)))
+
+    @pytest.mark.parametrize(
+        "radii, ids",
+        [
+            ([], []),
+            ([1.0], [7]),
+            ([2.0, 1.0], [5, 3]),
+            ([1.0, 2.0], [5, 3]),
+            ([1.0, 1.0], [5, 3]),
+            ([0.0, -0.0], [5, 3]),
+            ([np.nan, np.nan], [5, 3]),
+            ([np.nan, 1.0], [5, 3]),
+            ([np.inf, np.inf], [5, 3]),
+        ],
+    )
+    def test_up_to_two_shells(self, radii, ids):
+        assert_lexsort_order(ensemble_at(radii, np.ones(len(radii)), ids))
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            pytest.param([3.0, 1.0, 2.0, 1.0, 0.0, -0.0, 3.0, np.nan, 2.0, np.nan], id="ties"),
+            # NaN != NaN, so these radii hold no tie, yet only ids order the NaNs
+            pytest.param([np.nan, 2.0, 1.0, np.nan], id="nans"),
+        ],
+    )
+    def test_scrambled_ties_and_nans_fall_back_to_lexsort(self, radii):
+        # descents above the threshold, so argsort runs first
+        r = np.array(radii)
+        assert descent_frac(r) > NEAR_SORTED_FRAC
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids=np.arange(r.size)[::-1]))
 
 
 class TestDensityGrid:
