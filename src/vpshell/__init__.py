@@ -51,14 +51,11 @@ from .field import (
 )
 from .initial_data import (
     ClassSpec,
-    CutoffPhi,
     EmptyEnsembleError,
     InitialData,
-    ProfileH,
     bump_profile,
     check_membership,
     derived_bounds,
-    rescale_profile,
     sample_ensemble,
     smooth_cutoff,
 )

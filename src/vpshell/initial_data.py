@@ -10,15 +10,18 @@ velocity scale a1 < 0 and thinness parameter eps:
 * the fixed-mass family: same support geometry, but normalized to a
   prescribed total mass instead of the density bound.
 
-The concrete data are built from a compactly supported velocity profile
-H and a radial cutoff phi as f0 = H_eps(|a1 x - a0 v|^2) phi(|x|), which
-in reduced coordinates reads H_eps((a1 r - a0 w)^2 + a0^2 l / r^2) phi(r).
+Both families use one construction, f0 = H_eps(|a1 x - a0 v|^2) phi(|x|),
+which in reduced coordinates reads
+H_eps((a1 r - a0 w)^2 + a0^2 l / r^2) phi(r).  The velocity profile
+H_eps (bump_profile) and the radial cutoff phi (smooth_cutoff) are fixed
+functions of the spec's eps, a0 and delta_r, so a ClassSpec and a scale
+are the whole description of the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -91,57 +94,31 @@ class ClassSpec:
         return self.target_mass is not None
 
 
-@dataclass(frozen=True)
-class ProfileH:
-    """Velocity profile H: [0, inf) -> [0, inf).
-
-    Vanishes for s > support_bound and integrates to 3/(4 pi) over
-    3-space as H(|u|^2).
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    support_bound: float = 1.0
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise ValueError("profile argument must be nonnegative")
-        out = self.evaluator(s)
-        return float(out) if out.ndim == 0 else out
-
-
-def bump_profile() -> ProfileH:
-    """The default profile: a smooth bump c exp(-1/(1-s)) on [0, 1).
-
-    c is fixed by BUMP_INTEGRAL so the 3-space normalization holds.
-    """
+def _bump(s: np.ndarray, eps: float) -> np.ndarray:
+    # H_eps(s) = H(s/eps^2)/eps^3 on a float array, unchecked.
     c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
-
-    def evaluator(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = c * np.exp(-1.0 / (1.0 - s[inside]))
-        return out
-
-    return ProfileH(evaluator=evaluator, support_bound=1.0)
+    t = s * (1.0 / (eps * eps))
+    out = np.zeros_like(t)
+    inside = t < 1.0
+    out[inside] = c * np.exp(-1.0 / (1.0 - t[inside]))
+    out *= 1.0 / (eps * eps * eps)
+    return out
 
 
-def rescale_profile(profile: ProfileH, eps: float) -> ProfileH:
-    """Squeeze a profile to velocity scale eps: s -> profile(s/eps^2)/eps^3.
+def bump_profile(s, eps: float = 1.0):
+    """Velocity profile H_eps(s) = H(s/eps^2)/eps^3 of the smooth bump
+    H(s) = c exp(-1/(1-s)) on [0, 1), zero for s >= 1.
 
-    The 3-space normalization is invariant under this rescaling; the
-    support bound shrinks by eps^2.
+    c is fixed by BUMP_INTEGRAL so H_eps(|u|^2) integrates to 3/(4 pi)
+    over 3-space for every eps; H_eps vanishes for s >= eps^2.
     """
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("profile argument must be nonnegative")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    inv_eps2 = 1.0 / (eps * eps)
-    inv_eps3 = 1.0 / (eps * eps * eps)
-
-    def evaluator(s: np.ndarray) -> np.ndarray:
-        return inv_eps3 * profile.evaluator(np.asarray(s, dtype=float) * inv_eps2)
-
-    return ProfileH(evaluator=evaluator, support_bound=profile.support_bound * eps * eps)
+    out = _bump(s, eps)
+    return float(out) if out.ndim == 0 else out
 
 
 def _smooth_rise(t: np.ndarray) -> np.ndarray:
@@ -156,90 +133,65 @@ def _smooth_rise(t: np.ndarray) -> np.ndarray:
     return g_up / (g_up + g_dn)
 
 
-@dataclass(frozen=True)
-class CutoffPhi:
-    """Smooth radial cutoff: 0 outside [a0 - delta_r, a0 + delta_r],
-    1 on the inner half-width plateau, values in [0, 1]."""
-
-    a0: float
-    delta_r: float
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.evaluator(r)
-        return float(out) if out.ndim == 0 else out
+def _cutoff(r: np.ndarray, a0: float, delta_r: float) -> np.ndarray:
+    # smooth_cutoff on a float array, unchecked.
+    half = 0.5 * delta_r
+    left = _smooth_rise((r - (a0 - delta_r)) / half)
+    right = _smooth_rise(((a0 + delta_r) - r) / half)
+    return np.where(r < a0, left, right)
 
 
-def smooth_cutoff(a0: float, delta_r: float) -> CutoffPhi:
-    """Build the canonical cutoff from the smooth step.
+def smooth_cutoff(r, a0: float, delta_r: float):
+    """Radial cutoff phi(r) built from the smooth step.
 
-    Rises from 0 at a0 - delta_r to 1 at a0 - delta_r/2, mirrored on the
-    right; exactly 1 on the closed plateau [a0 - delta_r/2, a0 + delta_r/2].
+    0 outside (a0 - delta_r, a0 + delta_r), rising to 1 at
+    a0 - delta_r/2 and mirrored on the right; exactly 1 on the closed
+    plateau [a0 - delta_r/2, a0 + delta_r/2], values in [0, 1].
     """
     if not (a0 > 0 and delta_r > 0):
         raise ValueError("a0 and delta_r must be positive")
-    half = 0.5 * delta_r
-
-    def evaluator(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        left = _smooth_rise((r - (a0 - delta_r)) / half)
-        right = _smooth_rise(((a0 + delta_r) - r) / half)
-        return np.where(r < a0, left, right)
-
-    return CutoffPhi(a0=a0, delta_r=delta_r, evaluator=evaluator)
+    out = _cutoff(np.asarray(r, dtype=float), a0, delta_r)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class DerivedBounds:
-    """Quantities implied by the support conditions.
+    """Total-mass bracket implied by the support conditions.
 
-    ell_max(r) = (r/a0)^2 eps^2 bounds the squared angular momentum at
-    radius r.  For the small-density family the mass sandwich
-    [3 eps^3/a0, 8 eps^3/a0] brackets the total mass; for the fixed-mass
-    family both ends equal the prescribed mass.
+    For the small-density family the mass sandwich [3 eps^3/a0,
+    8 eps^3/a0] brackets the total mass; for the fixed-mass family both
+    ends equal the prescribed mass.
     """
 
-    delta_w: float
-    ell_coefficient: float
     mass_lower: float
     mass_upper: float
 
-    def ell_max(self, r):
-        return self.ell_coefficient * np.square(r)
-
 
 def derived_bounds(spec: ClassSpec) -> DerivedBounds:
-    coeff = (spec.eps / spec.a0) ** 2
     if spec.is_fixed_mass:
-        lo = hi = spec.target_mass
-    else:
-        lo = 3.0 * spec.eps**3 / spec.a0
-        hi = 8.0 * spec.eps**3 / spec.a0
+        return DerivedBounds(mass_lower=spec.target_mass, mass_upper=spec.target_mass)
     return DerivedBounds(
-        delta_w=spec.delta_w, ell_coefficient=coeff, mass_lower=lo, mass_upper=hi
+        mass_lower=3.0 * spec.eps**3 / spec.a0, mass_upper=8.0 * spec.eps**3 / spec.a0
     )
 
 
 @dataclass(frozen=True)
 class InitialData:
-    """A concrete initial distribution: spec + rescaled profile + cutoff.
+    """The density f0 = scale * H_eps(s) * phi(r) of a spec, where H_eps is
+    bump_profile at the spec's eps and phi is smooth_cutoff at its a0 and
+    delta_r.
 
     scale is 1 for the small-density family and target_mass/||f0||_1 for
     the fixed-mass family, so evaluate() returns the final density.
     """
 
     spec: ClassSpec
-    profile: ProfileH  # already rescaled to velocity width eps
-    cutoff: CutoffPhi
     scale: float = 1.0
 
     @classmethod
     def from_spec(cls, spec: ClassSpec) -> "InitialData":
-        """Bump profile and smooth cutoff of the spec."""
-        profile = rescale_profile(bump_profile(), spec.eps)
-        cutoff = smooth_cutoff(spec.a0, spec.delta_r)
-        data = cls(spec=spec, profile=profile, cutoff=cutoff, scale=1.0)
+        """The data of the spec, normalized to its target mass if it has one."""
+        data = cls(spec=spec)
         if spec.is_fixed_mass:
             data = replace(data, scale=spec.target_mass / data.l1_norm())
         return data
@@ -255,7 +207,7 @@ class InitialData:
             raise ValueError("squared angular momentum must be nonnegative")
         spec = self.spec
         s = (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2
-        out = self.scale * self.profile.evaluator(s) * self.cutoff.evaluator(r)
+        out = self.scale * _bump(s, spec.eps) * _cutoff(r, spec.a0, spec.delta_r)
         return float(out) if out.ndim == 0 else out
 
     def evaluate(self, x, v) -> float:
@@ -270,14 +222,14 @@ class InitialData:
 
         The w interval (a1 - delta_w, a1 + delta_w) is the exact hull of
         the support over the radial shell; the ell bound is the maximum
-        of ell_max(r) over the shell.
+        of the support's ell bound (r/a0)^2 eps^2 over the shell.
         """
         spec = self.spec
         r_lo = spec.a0 - spec.delta_r
         r_hi = spec.a0 + spec.delta_r
         w_lo = spec.a1 - spec.delta_w
         w_hi = spec.a1 + spec.delta_w
-        ell_hi = (r_hi / spec.a0) ** 2 * self.profile.support_bound
+        ell_hi = (r_hi / spec.a0) ** 2 * (spec.eps * spec.eps)
         return r_lo, r_hi, w_lo, w_hi, ell_hi
 
     def rho0(self, r):
@@ -288,12 +240,12 @@ class InitialData:
         if not np.all(radii > 0):
             raise ValueError("radius must be positive (NaN refused)")
         spec = self.spec
-        s_max = self.profile.support_bound
+        s_max = spec.eps * spec.eps  # H_eps vanishes for s >= eps^2
         e = np.sqrt(s_max)
         nodes, wts = leggauss(N_QUAD)
         vals = np.zeros_like(radii)
         for i, ri in enumerate(radii):
-            phi_r = float(self.cutoff(ri))
+            phi_r = float(_cutoff(ri, spec.a0, spec.delta_r))
             if phi_r == 0.0:
                 continue
             # f0 > 0 needs (a1 r - a0 w)^2 < s_max, an interval in w
@@ -307,13 +259,13 @@ class InitialData:
             ell_nodes = 0.5 * ell_top[:, None] * (nodes[None, :] + 1.0)
             ell_weights = 0.5 * ell_top[:, None] * wts[None, :]
             s_grid = s1[:, None] + spec.a0**2 * ell_nodes / ri**2
-            f_grid = self.scale * self.profile.evaluator(s_grid) * phi_r
+            f_grid = self.scale * _bump(s_grid, spec.eps) * phi_r
             inner = np.sum(f_grid * ell_weights, axis=1)
             vals[i] = np.pi / ri**2 * np.sum(inner * w_weights)
         return float(vals[0]) if scalar else vals
 
     def l1_norm(self) -> float:
-        """Total mass of the current evaluator: 4 pi * int rho0(r) r^2 dr.
+        """Total mass of the data: 4 pi * int rho0(r) r^2 dr.
 
         Integrates piecewise between the cutoff breakpoints (support
         edges and plateau edges) where the integrand is smooth.

@@ -151,14 +151,3 @@ class Ensemble:
         """
         return float(np.sum(self.weight)) - self.total_mass
 
-
-def reduced_mass_quadrature(f_values: np.ndarray, cell_volume: float) -> float:
-    """Mass of a sampled density: 4 pi^2 * sum(f) * cell volume in (r, w, ell).
-
-    The generic form of the identity behind shell weights; agrees with
-    Ensemble.total_mass when the ensemble was built by the sampler.
-    """
-    f_values = np.asarray(f_values, dtype=float)
-    if np.any(f_values < 0):
-        raise ValueError("density samples must be nonnegative")
-    return REDUCED_MEASURE * float(np.sum(f_values)) * cell_volume

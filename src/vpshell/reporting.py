@@ -173,13 +173,15 @@ class RunSetup:
     def resolve(self, cert: BoundsCertificate):
         """Fill defaults from the certificate; returns (config, marks)."""
         t_end = self.t_end if self.t_end is not None else cert.t_horizon
-        dt_max = self.dt_max if self.dt_max is not None else t_end / 50.0
         marks = self.mark_times if self.mark_times else (cert.t_horizon,)
         marks = tuple(m for m in marks if m <= t_end)
-        config = IntegratorConfig(
+        return self._config(t_end), marks
+
+    def _config(self, t_end: float) -> IntegratorConfig:
+        dt_max = self.dt_max if self.dt_max is not None else t_end / 50.0
+        return IntegratorConfig(
             t_end=t_end, dt_max=dt_max, cfl=self.cfl, output_stride=self.output_stride
         )
-        return config, marks
 
 
 def save_run_config(setup: RunSetup, path) -> Path:
@@ -224,15 +226,13 @@ def load_run_config(path) -> RunSetup:
             mark_times=marks,
         )
         # refuse here, naming this file, what the run would refuse later;
-        # the certificate fills an absent t_end or dt_max
+        # the certificate's horizon fills an absent t_end, so 1.0 stands in
         if min(setup.n_r, setup.n_w, setup.n_ell) < 2 or setup.n_bins < 1:
             raise ValueError("need n_r, n_w and n_ell >= 2 and n_bins >= 1")
-        IntegratorConfig(
-            t_end=0.0 if setup.t_end is None else setup.t_end,
-            dt_max=1.0 if setup.dt_max is None else setup.dt_max,
-            cfl=setup.cfl,
-            output_stride=setup.output_stride,
-        )
+        for m in marks:
+            if not m > 0.0:
+                raise ValueError(f"mark time {m!r} is not after the start t = 0")
+        setup._config(1.0 if setup.t_end is None else setup.t_end)
         return setup
 
 
@@ -411,7 +411,8 @@ class RunSummary(SnapshotLookup):
     turning_time: np.ndarray
     r_min_shell: np.ndarray
     t_at_r_min: np.ndarray
-    manifest: configparser.ConfigParser
+    spec: ClassSpec  # the manifest's [class]
+    manifest_path: Path
 
     @property
     def final(self) -> Ensemble:
@@ -445,8 +446,7 @@ def load_run_data(out_dir) -> RunSummary:
         if (times[0], times[-1]) != span or any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")
         n_shells = int(manifest["run"]["n_shells"])
-        # refused here, naming this file; require_manifest_matches reads it again
-        _read_class(manifest["class"])
+        spec = _read_class(manifest["class"])
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
@@ -461,7 +461,8 @@ def load_run_data(out_dir) -> RunSummary:
     summary = RunSummary(
         rows=rows,
         snapshots=snapshots,
-        manifest=manifest,
+        spec=spec,
+        manifest_path=out / "manifest.ini",
         **{attr: shells[name] for name, attr in SHELLS_COLUMNS.items() if "." not in attr},
     )
     for name, column in _columns(summary, SHELLS_COLUMNS).items():
@@ -474,10 +475,9 @@ def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate):
     """Refuse to verify a run against a certificate it was not produced
     from (the class parameters recorded in the manifest must agree), or a
     run that holds no snapshot at the certificate's horizon T."""
-    recorded = _read_class(summary.manifest["class"])
-    if recorded != cert.spec:
+    if summary.spec != cert.spec:
         raise RefusalError(
-            f"run manifest class parameters {recorded} do not match "
+            f"{summary.manifest_path}: class parameters {summary.spec} do not match "
             f"certificate {cert.spec}"
         )
     try:

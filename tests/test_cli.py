@@ -396,6 +396,8 @@ class TestMalformedIniFiles:
             ("manifest.ini", "times = 0.0,0.008", "times = 0.0,0.0"),
             ("run.ini", "n_r = 6", "n_r = six"),
             ("run.ini", "cfl = 0.2", "cfl = 0."),
+            ("run.ini", "mark_times =", "mark_times = -0.001"),
+            ("run.ini", "cfl = 0.2", "cfl = 0.2\nt_end = 0.0"),
             ("cert.ini", "e0_sup_bound = 32.0\n", ""),
             ("cert.ini", "sup_r_bound = 4.000000000000001", "sup_r_bound = inf"),
             ("cert.ini", "exploratory = false", "exploratory = no"),
@@ -408,3 +410,12 @@ class TestMalformedIniFiles:
         code, err, _, path = _run_with(intact, name, text.replace(old, new).encode())
         assert code == 2
         _assert_names_file(name, err, path)
+
+    def test_class_mismatch_refusal_names_the_manifest(self, intact):
+        text = _ini_path(intact, "manifest.ini").read_text()
+        assert "a0 = 1.0\n" in text
+        edited = text.replace("a0 = 1.0\n", "a0 = 1.5\n").encode()
+        code, err, _, path = _run_with(intact, "manifest.ini", edited)
+        assert code == 2
+        assert err.startswith(f"refused: {path}: class parameters ClassSpec(a0=1.5"), err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from vpshell import (
     ClassSpec,
     EmptyEnsembleError,
     InitialData,
-    ProfileH,
     bump_profile,
     check_membership,
     derived_bounds,
-    rescale_profile,
     sample_ensemble,
     smooth_cutoff,
 )
@@ -28,10 +27,9 @@ def canonical_data(a0=1.0, eps=0.2, a1=None, target_mass=None):
     return InitialData.from_spec(spec)
 
 
-def space_integral(profile):
-    """4 pi * integral of H(u^2) u^2 du over the profile's support."""
-    u_max = np.sqrt(profile.support_bound)
-    val, _ = quad(lambda u: profile(u * u) * u * u, 0.0, u_max, limit=200)
+def space_integral(eps=1.0):
+    """4 pi * integral of H_eps(u^2) u^2 du over the profile's support u < eps."""
+    val, _ = quad(lambda u: bump_profile(u * u, eps) * u * u, 0.0, eps, limit=200)
     return 4.0 * np.pi * val
 
 
@@ -47,37 +45,34 @@ class TestProfile:
         assert gauss == pytest.approx(BUMP_INTEGRAL, rel=1e-14, abs=0.0)
 
     def test_space_integral_normalization(self):
-        h = bump_profile()
-        assert space_integral(h) == pytest.approx(PROFILE_NORMALIZATION, rel=1e-10)
+        assert space_integral() == pytest.approx(PROFILE_NORMALIZATION, rel=1e-10)
 
     def test_rescaling_preserves_normalization(self):
-        base = bump_profile()
         for eps in (1.0, 0.5, 0.2, 0.05):
-            h = rescale_profile(base, eps)
-            assert space_integral(h) == pytest.approx(
+            assert space_integral(eps) == pytest.approx(
                 PROFILE_NORMALIZATION, rel=1e-10
             )
 
     def test_rescaled_support_shrinks(self):
-        h = rescale_profile(bump_profile(), 0.5)
-        assert h.support_bound == 0.25
-        assert h(0.3) == 0.0
-        assert h(0.2) > 0.0
+        # support shrinks to s < eps^2 = 0.25
+        assert bump_profile(0.25, 0.5) == 0.0
+        assert bump_profile(0.3, 0.5) == 0.0
+        assert bump_profile(0.2, 0.5) > 0.0
         # peak value scales like eps^-3
-        assert h(0.0) == pytest.approx(8.0 * bump_profile()(0.0), rel=1e-12)
+        assert bump_profile(0.0, 0.5) == pytest.approx(8.0 * bump_profile(0.0), rel=1e-12)
 
     def test_rescale_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            rescale_profile(bump_profile(), 0.0)
+        for eps in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                bump_profile(0.1, eps)
 
     def test_profile_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            bump_profile()(-0.1)
+            bump_profile(-0.1)
 
     def test_vector_evaluation(self):
-        h = bump_profile()
         s = np.array([0.0, 0.5, 0.99, 1.0, 2.0])
-        v = h(s)
+        v = bump_profile(s)
         assert v.shape == s.shape
         assert v[3] == 0.0 and v[4] == 0.0
         assert np.all(v[:3] > 0.0)
@@ -86,25 +81,23 @@ class TestProfile:
 class TestCutoff:
     def test_plateau_and_support(self):
         a0, dr = 1.0, 0.008
-        phi = smooth_cutoff(a0, dr)
         # exactly 1 on the closed inner plateau, exactly 0 outside
         for r in (a0 - dr / 2, a0, a0 + dr / 2):
-            assert phi(r) == 1.0
+            assert smooth_cutoff(r, a0, dr) == 1.0
         for r in (a0 - dr, a0 - 2 * dr, a0 + dr, a0 + 2 * dr):
-            assert phi(r) == 0.0
+            assert smooth_cutoff(r, a0, dr) == 0.0
 
     def test_values_in_unit_interval_and_monotone_rise(self):
-        phi = smooth_cutoff(1.0, 0.008)
         r = np.linspace(1.0 - 0.008, 1.0 - 0.004, 50)
-        v = phi(r)
+        v = smooth_cutoff(r, 1.0, 0.008)
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert np.all(np.diff(v) >= 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            smooth_cutoff(-1.0, 0.1)
+            smooth_cutoff(1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
-            smooth_cutoff(1.0, 0.0)
+            smooth_cutoff(1.0, 1.0, 0.0)
 
 
 class TestClassSpec:
@@ -139,7 +132,6 @@ class TestClassSpec:
         db = derived_bounds(spec)
         assert db.mass_lower == 3.0 * spec.eps**3 / spec.a0
         assert db.mass_upper == 8.0 * spec.eps**3 / spec.a0
-        assert db.ell_max(2.0) == db.ell_coefficient * 4.0
 
         fixed = ClassSpec(a0=1.0, a1=-25.0, eps=0.2, target_mass=32.0)
         dbf = derived_bounds(fixed)
@@ -160,7 +152,15 @@ class TestInitialData:
         f_cart = data.evaluate([a0, 0.0, 0.0], [a1, 0.0, 0.0])
         f_red = data.evaluate_reduced(a0, a1, 0.0)
         assert f_cart == f_red
-        assert f_cart == data.scale * data.profile(0.0)
+        assert f_cart == data.scale * bump_profile(0.0, data.spec.eps)
+
+    def test_data_is_its_spec_and_scale(self):
+        spec = ClassSpec(a0=1.0, a1=-25.0, eps=0.2, target_mass=1.0)
+        data = InitialData.from_spec(spec)
+        assert [f.name for f in dataclasses.fields(data)] == ["spec", "scale"]
+        # nothing but the spec and scale, so equal specs give equal data
+        assert data == InitialData.from_spec(spec)
+        assert data == InitialData(spec=spec, scale=data.scale)
 
     def test_evaluate_reduced_validation(self):
         data = canonical_data()
@@ -223,9 +223,7 @@ class TestSampling:
             sample_ensemble(canonical_data(), 1, 8, 6)
 
     def test_empty_support_raises(self):
-        zero = ProfileH(evaluator=lambda s: np.zeros_like(np.asarray(s, float)))
-        data = canonical_data()
-        dead = dataclasses.replace(data, profile=zero)
+        dead = dataclasses.replace(canonical_data(), scale=0.0)
         with pytest.raises(EmptyEnsembleError):
             sample_ensemble(dead, 8, 8, 6)
 
@@ -233,6 +231,20 @@ class TestSampling:
         data = canonical_data(eps=0.2, target_mass=1.0)
         ens = sample_ensemble(data, 12, 12, 8)
         assert abs(ens.total_mass / 1.0 - 1.0) <= 1e-14
+
+    def test_fixed_mass_sample_bytes_are_pinned(self):
+        # SHA-256 of (r, w, ell, weight, ids) and the scale's exact value,
+        # recorded before the profile and cutoff became plain functions
+        data = canonical_data(a1=-25.0, target_mass=1.0)
+        ens = sample_ensemble(data, 8, 8, 6)
+        digest = hashlib.sha256()
+        for column in (ens.r, ens.w, ens.ell, ens.weight, ens.ids):
+            digest.update(column.tobytes())
+        assert len(ens) == 128
+        assert digest.hexdigest() == (
+            "c8d6f67d6e6c76322b93c2ad9418d500eb5513dd5c73cd57e126b2b2bb598ee1"
+        )
+        assert data.scale == float.fromhex("0x1.bc705d0b95916p+4")
 
     def test_refinement_converges_to_l1_norm(self):
         data = canonical_data()

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vpshell import Ensemble, RadialCoordinates, Shell, from_radial, to_radial
-from vpshell.phase_space import reduced_mass_quadrature
 
 
 def test_to_radial_orthogonal_unit_vectors():
@@ -70,28 +69,6 @@ def test_coordinate_validation():
 def test_reduced_mass_empty_and_single():
     assert Ensemble.from_shells([]).total_mass == 0.0
     assert Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=0.5).total_mass == 0.5
-
-
-def test_reduced_mass_quadrature_matches_weight_construction():
-    # weights are 4 pi^2 f dV cell masses, so the generic quadrature and
-    # the ensemble weight sum agree by construction
-    f_vals = np.array([0.1, 0.2, 0.3])
-    cell = 1e-3
-    total = reduced_mass_quadrature(f_vals, cell)
-    weights = 4.0 * np.pi**2 * f_vals * cell
-    ens = Ensemble(
-        r=np.array([1.0, 1.1, 1.2]),
-        w=np.zeros(3),
-        ell=np.ones(3),
-        weight=weights,
-        ids=np.arange(3),
-    )
-    assert ens.total_mass == pytest.approx(total, rel=1e-15)
-
-
-def test_reduced_mass_quadrature_rejects_negative():
-    with pytest.raises(ValueError):
-        reduced_mass_quadrature(np.array([0.1, -0.2]), 1.0)
 
 
 def test_ensemble_rejects_negative_weight_and_bad_shapes():
