@@ -106,16 +106,22 @@ def _cmd_design(args) -> int:
 
 
 def _load_setup(config_path: str):
+    """The run config at config_path, its certificate, and the
+    (IntegratorConfig, marks) the two resolve to."""
     setup = load_run_config(config_path)
     cert_path = Path(setup.certificate_path)
     if not cert_path.is_absolute():
         cert_path = Path(config_path).parent / cert_path
     cert = load_certificate(cert_path)
-    return setup, cert
+    try:
+        resolved = setup.resolve(cert)
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from exc
+    return setup, cert, resolved
 
 
 def _cmd_init(args) -> int:
-    setup, cert = _load_setup(args.config)
+    setup, cert, _ = _load_setup(args.config)
     data = InitialData.from_spec(cert.spec)
     ensemble = sample_ensemble(data, setup.n_r, setup.n_w, setup.n_ell)
     report = check_membership(data, ensemble)
@@ -129,10 +135,9 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    setup, cert = _load_setup(args.config)
+    setup, cert, (config, marks) = _load_setup(args.config)
     data = InitialData.from_spec(cert.spec)
     ensemble = sample_ensemble(data, setup.n_r, setup.n_w, setup.n_ell)
-    config, marks = setup.resolve(cert)
     result = integrate(ensemble, config, mark_times=marks, n_bins=setup.n_bins)
     out = save_run(result, cert, setup, args.out)
     last = result.rows[-1]
@@ -150,7 +155,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     cert = load_certificate(args.certificate)
     summary = load_run_data(args.run_dir)
-    require_manifest_matches(summary, cert)
+    require_manifest_matches(summary, cert, args.certificate)
     report = verify_focusing_run(summary, cert)
     out = args.out if args.out is not None else Path(args.run_dir) / "verification.ini"
     save_verification_report(report, out)

@@ -12,6 +12,17 @@ succeeds eventually; a purely radial shell (ell = 0) can still fall
 toward the center, and a StiffnessError stops the run once the adaptive
 step or a halved step falls below IntegratorConfig.dt_min.
 
+The step allocates no array of one value per shell.  A run allocates
+its work arrays once (the enclosed masses, the force, the force's
+radius terms ell/r^3 and r^2, and two masks), every elementwise pass
+writes into them, and each index build reuses the previous index's
+arrays.  The radius terms computed for a step's closing kick are those
+of the next state, so the next step's opening force recomputes only
+m/r^2.  Positions and velocities rotate through two pairs of arrays: a
+state gives its r and w to the state after next, unless it is a
+snapshot or the final state, whose arrays, like the caller's ensemble,
+are never written again; a fresh pair replaces one kept that way.
+
 integrate_oracle solves the single-trajectory equation
 y'' = ell/y^3 + profile(t) * P / y^2 exactly: under a piecewise-constant
 profile each segment is free motion or a repulsive Kepler orbit, whose
@@ -83,28 +94,55 @@ class IntegratorConfig:
         return 1e-12 * self.dt_max
 
 
+def _radius_terms(r, ell, ell_r3, r2):
+    """The force's terms that depend on the radius alone: ell / r**3 into
+    ell_r3 and r**2 into r2, for _force to combine with any enclosed mass."""
+    np.power(r, 3, out=ell_r3)
+    np.divide(ell, ell_r3, out=ell_r3)
+    np.square(r, out=r2)
+
+
+def _force(ell_r3, m_enc, r2, out):
+    """The radial force ell/r^3 + m_enc/r^2 from _radius_terms, into out."""
+    np.divide(m_enc, r2, out=out)
+    return np.add(ell_r3, out, out=out)
+
+
+def _require_positive(r):
+    if not np.all(r > 0):
+        raise ValueError("acceleration undefined for r <= 0 or NaN")
+
+
 def accel(r, ell, m_enc):
     """Radial acceleration ell/r^3 + m_enc/r^2 (always outward)."""
     r = np.asarray(r, dtype=float)
-    if not np.all(r > 0):
-        raise ValueError("acceleration undefined for r <= 0 or NaN")
-    out = ell / r**3 + m_enc / r**2
+    _require_positive(r)
+    shape = np.broadcast_shapes(r.shape, np.shape(ell), np.shape(m_enc))
+    ell_r3, r2 = np.empty(shape), np.empty(shape)
+    _radius_terms(r, ell, ell_r3, r2)
+    out = _force(ell_r3, m_enc, r2, out=r2)
     return float(out) if out.ndim == 0 else out
 
 
-def _kdk_attempt(r, w, ell, m_frozen, a_start, dt):
+def _kdk_attempt(r, w, ell, m_frozen, a, dt, r_new, w_new, ell_r3, r2) -> bool:
     """One kick-drift-kick trial with frozen enclosed masses.
 
-    Returns None when any shell would drift to r <= 0 (or to NaN),
-    signalling the caller to halve dt.
+    a holds the force at (r, w).  The trial writes r_new and w_new; it
+    returns False, leaving a, ell_r3 and r2 as they were, when any shell
+    would drift to r <= 0 (or to NaN), signalling the caller to halve dt.
+    On success ell_r3 and r2 hold r_new's radius terms and a is spent.
     """
-    w_half = w + 0.5 * dt * a_start
-    r_new = r + dt * w_half
-    if not np.all(r_new > 0.0):
-        return None
-    a_end = accel(r_new, ell, m_frozen)
-    w_new = w_half + 0.5 * dt * a_end
-    return r_new, w_new
+    np.multiply(0.5 * dt, a, out=w_new)
+    w_half = np.add(w, w_new, out=w_new)
+    np.multiply(dt, w_half, out=r_new)
+    np.add(r, r_new, out=r_new)
+    if not r_new.min() > 0.0:  # a NaN minimum fails too
+        return False
+    _radius_terms(r_new, ell, ell_r3, r2)
+    a_end = _force(ell_r3, m_frozen, r2, out=a)
+    np.multiply(0.5 * dt, a_end, out=a_end)
+    np.add(w_half, a_end, out=w_new)
+    return True
 
 
 def _stiffness(ensemble: Ensemble, dt: float) -> StiffnessError:
@@ -152,11 +190,22 @@ class RunResult(SnapshotLookup):
     traces: dict = field(default_factory=dict)  # shell id -> (t, r, w) arrays
 
 
-def _adaptive_dt(r, w, a, cfl, dt_max):
-    scale = np.abs(w) + np.sqrt(a * r)
+def _adaptive_dt(r, w, a, cfl, dt_max, scale, per_shell):
+    """cfl * min_i r_i / (|w_i| + sqrt(a_i r_i)), where a zero or NaN
+    denominator sets no limit, capped at dt_max; scale and per_shell are
+    scratch arrays."""
+    np.multiply(a, r, out=scale)
+    np.sqrt(scale, out=scale)
+    np.abs(w, out=per_shell)
+    np.add(per_shell, scale, out=scale)
     with np.errstate(divide="ignore"):
-        per_shell = np.where(scale > 0.0, r / scale, np.inf)
-    dt = cfl * float(np.min(per_shell))
+        np.divide(r, scale, out=per_shell)
+    lowest = float(np.min(per_shell))
+    if np.isnan(lowest):
+        # a NaN scale sets no limit, but r / NaN is NaN
+        per_shell[~(scale > 0.0)] = np.inf
+        lowest = float(np.min(per_shell))
+    dt = cfl * lowest
     return min(dt, dt_max)
 
 
@@ -178,7 +227,9 @@ def integrate(
     change is the only one).  Each state is sorted once: its
     SortedMassIndex gives the state's row (sup norms and a density binned
     on n_bins geometric bins spanning its radii, see sup_norms) and the
-    next step's enclosed masses.
+    next step's enclosed masses.  The step writes into work arrays the
+    run allocates once (see the module docstring); the caller's ensemble
+    and every snapshot keep arrays that are never written.
     """
     if len(ensemble) == 0:
         raise ValueError("cannot integrate an empty ensemble")
@@ -190,8 +241,7 @@ def integrate(
 
     ens = ensemble
     n = len(ens)
-    turned = np.zeros(n, dtype=bool)
-    turning_time = np.full(n, np.inf)
+    turning_time = np.full(n, np.inf)  # +inf until the shell turns
     r_min_shell = ens.r.copy()
     t_at_r_min = np.full(n, ens.time)
 
@@ -226,6 +276,12 @@ def integrate(
     snapshots = [(ens.time, ens)]
     record_trace(ens)
 
+    m_frozen, a = np.empty(n), np.empty(n)
+    ell_r3, r2 = np.empty(n), np.empty(n)  # radius terms of ens
+    crossing, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    spare = None  # r and w of the state before ens, when free to overwrite
+    kept = True  # ens's arrays are the caller's or a snapshot's
+
     steps = 0
     stop_idx = 0
     while stop_idx < len(stops):
@@ -235,10 +291,15 @@ def integrate(
             continue
         if steps >= max_steps:
             raise RuntimeError(f"exceeded {max_steps} steps before t_end")
+        if steps == 0:
+            # later states have passed _kdk_attempt's positivity test
+            _require_positive(ens.r)
+            _radius_terms(ens.r, ens.ell, ell_r3, r2)
 
-        m_frozen = index.interior_mass()
-        a_start = accel(ens.r, ens.ell, m_frozen)
-        dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max)
+        index.interior_mass(out=m_frozen)
+        a_start = _force(ell_r3, m_frozen, r2, out=a)
+        r_new, w_new = spare if spare is not None else (np.empty(n), np.empty(n))
+        dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max, r_new, w_new)
         # checked before landing clips dt, so a short gap to a mark is no stop
         if dt < config.dt_min:
             raise _stiffness(ens, dt)
@@ -247,19 +308,19 @@ def integrate(
             dt = target - ens.time
 
         dt_try = dt
-        while True:
-            result = _kdk_attempt(ens.r, ens.w, ens.ell, m_frozen, a_start, dt_try)
-            if result is not None:
-                break
+        while not _kdk_attempt(
+            ens.r, ens.w, ens.ell, m_frozen, a_start, dt_try, r_new, w_new, ell_r3, r2
+        ):
             dt_try *= 0.5
             landing = False
             if dt_try < config.dt_min or dt_try == 0.0:
                 raise _stiffness(ens, dt_try)
-        r_new, w_new = result
         t_new = target if landing else ens.time + dt_try
 
         # turning point: w crossed from negative to nonnegative this step.
-        crossing = (~turned) & (ens.w < 0.0) & (w_new >= 0.0)
+        np.equal(turning_time, np.inf, out=crossing)
+        np.logical_and(crossing, np.less(ens.w, 0.0, out=mask), out=crossing)
+        np.logical_and(crossing, np.greater_equal(w_new, 0.0, out=mask), out=crossing)
         if np.any(crossing):
             w_old = ens.w[crossing]
             dw = w_new[crossing] - w_old
@@ -268,19 +329,20 @@ def integrate(
             # radius along the step parabola at the interpolated instant
             r_star = ens.r[crossing] + w_old * tau + 0.5 * (dw / dt_try) * tau**2
             turning_time[crossing] = t_star
-            turned |= crossing
             lower = r_star < r_min_shell[crossing]
             idx = np.flatnonzero(crossing)[lower]
             r_min_shell[idx] = r_star[lower]
             t_at_r_min[idx] = t_star[lower]
 
+        # the state after next reuses ens's arrays unless something keeps them
+        spare = None if kept else (ens.r, ens.w)
         ens = ens.advanced(r_new, w_new, t_new)
-        index = SortedMassIndex.from_ensemble(ens)
+        index = SortedMassIndex.from_ensemble(ens, out=index)
         steps += 1
 
-        lower = ens.r < r_min_shell
-        r_min_shell[lower] = ens.r[lower]
-        t_at_r_min[lower] = ens.time
+        lower = np.less(ens.r, r_min_shell, out=mask)
+        np.copyto(r_min_shell, ens.r, where=lower)
+        np.copyto(t_at_r_min, ens.time, where=lower)
         record_trace(ens)
 
         landed = ens.time >= target
@@ -290,6 +352,7 @@ def integrate(
         if landed:
             snapshots.append((ens.time, ens))
             stop_idx += 1
+        kept = landed
 
     return RunResult(
         rows=rows,

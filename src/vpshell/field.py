@@ -22,7 +22,7 @@ and its ids order the ties and the NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class SortedMassIndex:
     The order is the same whichever sort built it (see the module
     docstring): lexsort for near-sorted states and for tied or NaN radii,
     argsort for scrambled states whose radii are distinct.
+
+    work is scratch space of one float per shell: the build's comparison
+    masks, interior_mass's sorted values and e_sup_exact's quotients pass
+    through it, so none of them allocates an n-sized temporary.
     """
 
     radii: np.ndarray      # ascending
@@ -54,12 +58,30 @@ class SortedMassIndex:
     cum: np.ndarray        # length n + 1, cum[0] = 0
     group_ends: np.ndarray  # one past the last position of each tie group
     total_mass: float
+    work: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_ensemble(cls, ensemble: Ensemble) -> "SortedMassIndex":
-        order, radii, group_ends = _sort_by_radius_then_id(ensemble.r, ensemble.ids)
-        weights = ensemble.weight[order]
-        cum = np.concatenate(([0.0], np.cumsum(weights)))
+    def from_ensemble(cls, ensemble: Ensemble, out: "SortedMassIndex" = None) -> "SortedMassIndex":
+        """Index of ensemble's state.
+
+        An index out of the same length lends the new one its arrays and
+        is invalid afterwards: radii, weights, cum and work are overwritten,
+        and a tie-free state shares out's tie-free group ends.
+        """
+        n = len(ensemble)
+        if out is None:
+            radii, weights, cum, work = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n)
+            tie_free = None
+        else:
+            radii, weights, cum, work = out.radii, out.weights, out.cum, out.work
+            tie_free = out.group_ends if out.group_ends.size == n else None
+        order, group_ends = _sort_by_radius_then_id(
+            ensemble.r, ensemble.ids, radii, work.view(np.bool_)[:n], tie_free
+        )
+        # unbuffered gather, as in _sort_by_radius_then_id
+        np.take(ensemble.weight, order, out=weights, mode="wrap")
+        cum[0] = 0.0
+        np.cumsum(weights, out=cum[1:])
         return cls(
             radii=radii,
             weights=weights,
@@ -67,6 +89,7 @@ class SortedMassIndex:
             cum=cum,
             group_ends=group_ends,
             total_mass=ensemble.total_mass,
+            work=work,
         )
 
     def __len__(self) -> int:
@@ -91,19 +114,24 @@ class SortedMassIndex:
         out = self.enclosed_mass(r) / np.square(r)
         return float(out) if np.ndim(out) == 0 else out
 
-    def interior_mass(self) -> np.ndarray:
+    def interior_mass(self, out: np.ndarray = None) -> np.ndarray:
         """Per-shell mass felt by each shell, in ensemble order.
 
         Strictly interior shells count in full, coincident shells at half
         weight, the shell itself never.  This is the enclosed-mass value
-        each shell uses in its own equation of motion.
+        each shell uses in its own equation of motion.  Written into out
+        when given.
         """
         n = len(self)
         ends = self.group_ends
         if ends.size == n:
             # no ties: shell k's group is [k, k + 1), the same arithmetic
             # as below without the repeats and gathers
-            interior_sorted = self.cum[:-1] + 0.5 * (np.diff(self.cum) - self.weights)
+            cum = self.cum
+            interior_sorted = np.subtract(cum[1:], cum[:-1], out=self.work)
+            np.subtract(interior_sorted, self.weights, out=interior_sorted)
+            np.multiply(interior_sorted, 0.5, out=interior_sorted)
+            np.add(cum[:-1], interior_sorted, out=interior_sorted)
         else:
             # each shell's tie group spans sorted positions [lo, hi)
             sizes = np.diff(ends, prepend=0)
@@ -112,7 +140,8 @@ class SortedMassIndex:
             below = self.cum[lo]
             group = self.cum[hi] - self.cum[lo]
             interior_sorted = below + 0.5 * (group - self.weights)
-        out = np.empty(n)
+        if out is None:
+            out = np.empty(n)
         out[self.order] = interior_sorted
         return out
 
@@ -133,33 +162,48 @@ class SortedMassIndex:
             r, below_or_at = self.radii[ends - 1], self.cum[ends]
         # explicit multiply keeps the squaring bit-identical to the
         # confinement bound without leaning on numpy's ** lowering
-        return float(np.max(below_or_at / (r * r)))
+        quotient = np.multiply(r, r, out=self.work[: r.size])
+        return float(np.max(np.divide(below_or_at, quotient, out=quotient)))
 
 
-def _sort_by_radius_then_id(r: np.ndarray, ids: np.ndarray):
-    """(order, sorted radii, tie-group ends) of np.lexsort((ids, r)).
+def _sort_by_radius_then_id(r, ids, radii, mask, tie_free):
+    """(order, tie-group ends) of np.lexsort((ids, r)); the sorted radii
+    go into radii.
 
-    The radii are scanned for ties once, whichever sort serves.
+    mask is a boolean scratch of r.size entries.  The radii are scanned
+    for ties once, whichever sort serves; tie_free, when given, is
+    returned as the ends of a state without ties.  An order is a
+    permutation, so the gathers by it take mode="wrap", which writes into
+    their out directly where the default mode="raise" buffers.
     """
     ends = None
-    if np.count_nonzero(r[1:] < r[:-1]) > NEAR_SORTED_FRAC * r.size:
+    descents = np.less(r[1:], r[:-1], out=mask[:-1])
+    if np.count_nonzero(descents) > NEAR_SORTED_FRAC * r.size:
         order = np.argsort(r)
-        radii = r[order]
-        ends = _tie_group_ends(radii)
+        np.take(r, order, out=radii, mode="wrap")
+        ends = _tie_group_ends(radii, mask, tie_free)
         if ends.size == r.size and not np.isnan(radii[-1]):
-            return order, radii, ends
+            return order, ends
         # Both sorts put each class of equal radii (+-0.0 together) and
         # the NaNs, which end the order, at the same positions, so the
         # group ends carry over; only lexsort orders a tie by id.
     order = np.lexsort((ids, r))
-    radii = r[order]
-    return order, radii, _tie_group_ends(radii) if ends is None else ends
+    np.take(r, order, out=radii, mode="wrap")
+    return order, _tie_group_ends(radii, mask, tie_free) if ends is None else ends
 
 
-def _tie_group_ends(radii: np.ndarray) -> np.ndarray:
-    """One past the last position of each run of equal ascending radii."""
-    last = np.ones(radii.size, dtype=bool)
-    last[:-1] = radii[1:] != radii[:-1]
+def _tie_group_ends(radii: np.ndarray, last=None, tie_free=None) -> np.ndarray:
+    """One past the last position of each run of equal ascending radii.
+
+    last, when given, is the boolean scratch the scan writes; tie_free,
+    when given, is returned if no two radii are equal.
+    """
+    if last is None:
+        last = np.empty(radii.size, dtype=bool)
+    np.not_equal(radii[1:], radii[:-1], out=last[:-1])
+    last[-1:] = True
+    if tie_free is not None and last.all():
+        return tie_free
     return np.flatnonzero(last) + 1
 
 

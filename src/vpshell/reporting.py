@@ -171,10 +171,16 @@ class RunSetup:
     mark_times: tuple = ()  # default: (certificate t_horizon,)
 
     def resolve(self, cert: BoundsCertificate):
-        """Fill defaults from the certificate; returns (config, marks)."""
+        """Fill defaults from the certificate; returns (config, marks).
+
+        The default mark, the certificate's horizon, is left out of a run
+        that ends before it; an explicit mark after t_end is refused.
+        """
         t_end = self.t_end if self.t_end is not None else cert.t_horizon
-        marks = self.mark_times if self.mark_times else (cert.t_horizon,)
-        marks = tuple(m for m in marks if m <= t_end)
+        for m in self.mark_times:
+            if m > t_end:
+                raise ValueError(f"mark time {m!r} is after t_end = {t_end!r}")
+        marks = self.mark_times or tuple(m for m in (cert.t_horizon,) if m <= t_end)
         return self._config(t_end), marks
 
     def _config(self, t_end: float) -> IntegratorConfig:
@@ -471,20 +477,22 @@ def load_run_data(out_dir) -> RunSummary:
     return summary
 
 
-def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate):
+def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate, cert_path):
     """Refuse to verify a run against a certificate it was not produced
     from (the class parameters recorded in the manifest must agree), or a
-    run that holds no snapshot at the certificate's horizon T."""
+    run that holds no snapshot at the certificate's horizon T.  cert_path
+    names the certificate's file in the refusal."""
     if summary.spec != cert.spec:
         raise RefusalError(
             f"{summary.manifest_path}: class parameters {summary.spec} do not match "
-            f"certificate {cert.spec}"
+            f"certificate {cert_path}: {cert.spec}"
         )
     try:
         summary.snapshot_at(cert.t_horizon)
     except KeyError:
         raise RefusalError(
-            f"run has no snapshot at T = {cert.t_horizon!r}; it ends at t = {summary.final.time!r}"
+            f"{summary.manifest_path}: run has no snapshot at certificate {cert_path}'s "
+            f"T = {cert.t_horizon!r}; it ends at t = {summary.final.time!r}"
         ) from None
 
 

@@ -397,6 +397,16 @@ class TestMalformedIniFiles:
             ("run.ini", "n_r = 6", "n_r = six"),
             ("run.ini", "cfl = 0.2", "cfl = 0."),
             ("run.ini", "mark_times =", "mark_times = -0.001"),
+            # a mark after t_end: the certificate's horizon, then an explicit one
+            pytest.param(
+                "run.ini", "mark_times =", "mark_times = 0.002,0.5", id="run.ini-mark_times after T"
+            ),
+            pytest.param(
+                "run.ini",
+                "output_stride = 1\n\n[diagnostics]\nn_bins = 256\nmark_times =",
+                "output_stride = 1\nt_end = 0.004\n\n[diagnostics]\nn_bins = 256\nmark_times = 0.002,0.5",
+                id="run.ini-mark_times after t_end = 0.004",
+            ),
             ("run.ini", "cfl = 0.2", "cfl = 0.2\nt_end = 0.0"),
             ("cert.ini", "e0_sup_bound = 32.0\n", ""),
             ("cert.ini", "sup_r_bound = 4.000000000000001", "sup_r_bound = inf"),
@@ -418,4 +428,19 @@ class TestMalformedIniFiles:
         code, err, _, path = _run_with(intact, "manifest.ini", edited)
         assert code == 2
         assert err.startswith(f"refused: {path}: class parameters ClassSpec(a0=1.5"), err
+        assert f"certificate {path.parents[1] / 'cert.ini'}: ClassSpec(a0=1.0" in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_run_ending_before_the_horizon_is_refused_naming_both_files(self, intact, tmp_path):
+        shutil.copytree(intact, tmp_path, dirs_exist_ok=True)
+        run_ini = tmp_path / "run.ini"
+        run_ini.write_text(run_ini.read_text().replace("cfl = 0.2", "cfl = 0.2\nt_end = 0.004"))
+        short, cert = tmp_path / "short", tmp_path / "cert.ini"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["run", "--config", str(run_ini), "--out", str(short)]) == 0
+            assert cli.main(["verify", str(short), str(cert)]) == 2
+        assert err.getvalue() == (
+            f"refused: {short / 'manifest.ini'}: run has no snapshot at certificate "
+            f"{cert}'s T = 0.008; it ends at t = 0.004\n"
+        )

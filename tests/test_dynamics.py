@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,14 +104,16 @@ class TestStep:
 
     def test_halving_keeps_radius_positive(self, monkeypatch):
         # at cfl = 1 the first trial step lands the shell exactly on r = 0,
-        # so every step of this run needs the halving branch
+        # so every step of this run needs the halving branch; every radius
+        # the force is evaluated at passes through _radius_terms
         radii = []
+        radius_terms = vpshell.dynamics._radius_terms
 
-        def recording_accel(r, ell, m_enc):
+        def recording_terms(r, ell, ell_r3, r2):
             radii.append(np.array(r, dtype=float))
-            return accel(r, ell, m_enc)
+            return radius_terms(r, ell, ell_r3, r2)
 
-        monkeypatch.setattr(vpshell.dynamics, "accel", recording_accel)
+        monkeypatch.setattr(vpshell.dynamics, "_radius_terms", recording_terms)
         cfg = IntegratorConfig(t_end=1.0, dt_max=1.0, cfl=1.0)
         with pytest.raises(StiffnessError) as exc:
             integrate(radial_shell(), cfg)
@@ -132,9 +137,9 @@ class TestStep:
         build = SortedMassIndex.from_ensemble
         calls = []
 
-        def counting(ensemble):
+        def counting(ensemble, **kwargs):
             calls.append(ensemble.time)
-            return build(ensemble)
+            return build(ensemble, **kwargs)
 
         monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting))
         ens = sample_ensemble(canonical_data(), 6, 6, 4)
@@ -150,8 +155,8 @@ class TestStep:
         build = SortedMassIndex.from_ensemble
         descent_fracs = []
 
-        def checked(ensemble):
-            index = build(ensemble)
+        def checked(ensemble, **kwargs):
+            index = build(ensemble, **kwargs)
             r = ensemble.r
             descent_fracs.append(np.count_nonzero(r[1:] < r[:-1]) / r.size)
             expected = np.lexsort((ensemble.ids, r))
@@ -159,12 +164,61 @@ class TestStep:
             return index
 
         monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(checked))
-        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
-        ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
-        t_end = 3.0 * cert.t_horizon
-        result = integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
+        result = pericenter_run()
         assert len(descent_fracs) == result.steps + 1
         assert min(descent_fracs) <= NEAR_SORTED_FRAC < max(descent_fracs)
+
+
+def pericenter_run():
+    """The 8x8x6 run at eps = 0.05 to 3T: it crosses pericenter and uses
+    both sorts (see test_index_order_is_lexsort_through_pericenter)."""
+    cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
+    ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
+    t_end = 3.0 * cert.t_horizon
+    return integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
+
+
+class TestWorkArrays:
+    """The step's reused arrays change no output byte and never alias the
+    caller's ensemble or a snapshot."""
+
+    # SHA-256 of the rows, final r and w, and turning data of pericenter_run
+    PERICENTER_RUN_SHA256 = "703543e34e5b7baf573dcb64e95ca34055fb408a6da73b5ec7ab3219d7c70ba5"
+
+    def test_pericenter_run_bytes_are_pinned(self):
+        result = pericenter_run()
+        digest = hashlib.sha256(
+            np.array([dataclasses.astuple(row) for row in result.rows]).tobytes()
+        )
+        for array in (
+            result.final.r,
+            result.final.w,
+            result.turning_time,
+            result.r_min_shell,
+            result.t_at_r_min,
+        ):
+            digest.update(array.tobytes())
+        assert result.steps == 270
+        assert digest.hexdigest() == self.PERICENTER_RUN_SHA256
+
+    def test_work_arrays_never_alias_what_the_caller_sees(self):
+        ens = sample_ensemble(canonical_data(), 6, 6, 4)
+        names = ("r", "w", "ell", "weight", "ids")
+        before = [getattr(ens, name).tobytes() for name in names]
+        t1 = 0.005
+        result = integrate(ens, IntegratorConfig(t_end=0.02, dt_max=1e-3), mark_times=(t1,))
+        assert result.steps > 15
+        assert [getattr(ens, name).tobytes() for name in names] == before
+        assert result.snapshots[-1][1] is result.final
+        arrays = [a for _, state in result.snapshots for a in (state.r, state.w)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # later steps wrote nothing into the snapshot at t1
+        stopped = integrate(ens, IntegratorConfig(t_end=t1, dt_max=1e-3)).final
+        mark = result.snapshot_at(t1)
+        assert mark.r.tobytes() == stopped.r.tobytes()
+        assert mark.w.tobytes() == stopped.w.tobytes()
 
 
 class TestIntegrateSingleShell:

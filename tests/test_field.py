@@ -172,13 +172,13 @@ class TestInteriorMass:
         build = SortedMassIndex.from_ensemble
         scans, builds = [], []
 
-        def counting_scan(radii):
+        def counting_scan(radii, *args):
             scans.append(radii.size)
-            return scan(radii)
+            return scan(radii, *args)
 
-        def counting_build(ensemble):
+        def counting_build(ensemble, **kwargs):
             builds.append(ensemble.time)
-            return build(ensemble)
+            return build(ensemble, **kwargs)
 
         monkeypatch.setattr(vpshell.field, "_tie_group_ends", counting_scan)
         monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting_build))

@@ -111,6 +111,14 @@ class TestRunConfigFiles:
         _, marks = setup.resolve(cert)
         assert marks == ()
 
+    def test_resolve_refuses_explicit_marks_after_t_end(self):
+        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
+        setup = RunSetup(certificate_path="x", t_end=0.004, mark_times=(0.002, 0.5))
+        with pytest.raises(ValueError, match=r"mark time 0\.5 is after t_end = 0\.004"):
+            setup.resolve(cert)
+        setup = RunSetup(certificate_path="x", t_end=0.004, mark_times=(0.002, 0.004))
+        assert setup.resolve(cert)[1] == (0.002, 0.004)
+
 
 class TestRunRecord:
     def test_round_trip(self, tmp_path, small_run):
@@ -137,7 +145,7 @@ class TestRunRecord:
         cert, setup, result = small_run
         out = save_run(result, cert, setup, tmp_path / "out")
         summary = load_run_data(out)
-        require_manifest_matches(summary, cert)
+        require_manifest_matches(summary, cert, "cert.ini")
         a = verify_focusing_run(result, cert)
         b = verify_focusing_run(summary, cert)
         assert [s.status for s in a.stages] == [s.status for s in b.stages]
@@ -149,7 +157,7 @@ class TestRunRecord:
         summary = load_run_data(out)
         other = design_small_data(c1=32.0, c2=1e-7, eps=0.1)
         with pytest.raises(RefusalError):
-            require_manifest_matches(summary, other)
+            require_manifest_matches(summary, other, "other.ini")
 
     def test_rerun_is_byte_identical(self, tmp_path, small_run):
         cert, setup, result = small_run
