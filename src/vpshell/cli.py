@@ -4,7 +4,8 @@ Subcommands:
   design  emit a certificate from target constants (--t selects the
           fixed-mass recipe, otherwise small-data)
   init    sample the initial ensemble for a run config and validate it
-  run     integrate a run config and write CSV/manifest output
+  run     integrate a run config and write CSV/manifest output; data
+          outside a non-exploratory certificate's class is not run
   verify  check a completed run directory against a certificate
   oracle  run the randomized bound-vs-reference property suite
 
@@ -138,6 +139,13 @@ def _cmd_run(args) -> int:
     setup, cert, (config, marks) = _load_setup(args.config)
     data = InitialData.from_spec(cert.spec)
     ensemble = sample_ensemble(data, setup.n_r, setup.n_w, setup.n_ell)
+    # exempt exploratory certificates, whose initial-data stages verify skips
+    if not cert.exploratory:
+        report = check_membership(data, ensemble)
+        if not report.passed:
+            print(report)
+            print("run not started: the sampled data misses the class", file=sys.stderr)
+            return CHECK_FAILED
     result = integrate(ensemble, config, mark_times=marks, n_bins=setup.n_bins)
     out = save_run(result, cert, setup, args.out)
     last = result.rows[-1]

@@ -306,22 +306,26 @@ def sample_ensemble(
     r_mid = r_lo + dr * (np.arange(n_r) + 0.5)
     w_mid = w_lo + dw * (np.arange(n_w) + 0.5)
     ell_mid = dl * (np.arange(n_ell) + 0.5)  # strictly positive: no ell = 0 shell
-    rr, ww, ll = np.meshgrid(r_mid, w_mid, ell_mid, indexing="ij")
-    f_vals = data.evaluate_reduced(rr.ravel(), ww.ravel(), ll.ravel())
-    keep = f_vals > 0.0
-    if not np.any(keep):
+    # on broadcast axes the cutoff runs once per radius, the profile once per cell
+    f_vals = data.evaluate_reduced(
+        r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :]
+    )
+    ids = np.flatnonzero(f_vals > 0.0)
+    if ids.size == 0:
         raise EmptyEnsembleError(
             "no shell fell inside the support; refine the sampling grid"
         )
-    weight = REDUCED_MEASURE * f_vals[keep] * dr * dw * dl
+    i_r, rest = np.divmod(ids, n_w * n_ell)
+    i_w, i_ell = np.divmod(rest, n_ell)
+    weight = REDUCED_MEASURE * f_vals.ravel()[ids] * dr * dw * dl
     if data.spec.is_fixed_mass:
         weight = weight * (data.spec.target_mass / float(np.sum(weight)))
     return Ensemble(
-        r=rr.ravel()[keep],
-        w=ww.ravel()[keep],
-        ell=ll.ravel()[keep],
+        r=r_mid[i_r],
+        w=w_mid[i_w],
+        ell=ell_mid[i_ell],
         weight=weight,
-        ids=np.flatnonzero(keep).astype(np.int64),
+        ids=ids.astype(np.int64),
         time=0.0,
     )
 
@@ -360,14 +364,15 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-def _worst_shell(ensemble: Ensemble, margin: np.ndarray):
+def _shell_check(name: str, margin: np.ndarray, detail: str, ensemble: Ensemble):
+    """The hard per-shell condition margin > 0, its detail formatted with the
+    least margin; a miss names the worst shell (id, r, w, ell) as witness."""
     i = int(np.argmin(margin))
-    return (
-        int(ensemble.ids[i]),
-        float(ensemble.r[i]),
-        float(ensemble.w[i]),
-        float(ensemble.ell[i]),
+    ok = bool(np.all(margin > 0))
+    witness = None if ok else (
+        int(ensemble.ids[i]), float(ensemble.r[i]), float(ensemble.w[i]), float(ensemble.ell[i])
     )
+    return MembershipCheck(name, ok, True, detail.format(float(np.min(margin))), witness)
 
 
 def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
@@ -388,56 +393,19 @@ def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
     # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2
     lhs = (r + spec.a0 / abs(spec.a1) * w) ** 2 + ell / r**2 * (spec.a0 / spec.a1) ** 2
     rhs = spec.eps**2 / spec.a1**2
-    margin = rhs - lhs
-    ok = bool(np.all(margin > 0))
-    checks.append(
-        MembershipCheck(
-            name="support-ellipse",
-            passed=ok,
-            hard=True,
-            detail=f"min margin {float(np.min(margin)):.3e} (must be > 0)",
-            witness=None if ok else _worst_shell(ensemble, margin),
-        )
-    )
-
+    detail = "min margin {:.3e} (must be > 0)"
+    checks.append(_shell_check("support-ellipse", rhs - lhs, detail, ensemble))
     # radial shell: a0 - delta_r < r < a0 + delta_r
     margin = np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r)
-    ok = bool(np.all(margin > 0))
-    checks.append(
-        MembershipCheck(
-            name="radial-shell",
-            passed=ok,
-            hard=True,
-            detail=f"min distance to shell edge {float(np.min(margin)):.3e}",
-            witness=None if ok else _worst_shell(ensemble, margin),
-        )
-    )
-
+    detail = "min distance to shell edge {:.3e}"
+    checks.append(_shell_check("radial-shell", margin, detail, ensemble))
     # velocity window: w in (a1 - delta_w, a1 + delta_w)
     margin = np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w)
-    ok = bool(np.all(margin > 0))
-    checks.append(
-        MembershipCheck(
-            name="velocity-window",
-            passed=ok,
-            hard=True,
-            detail=f"min distance to window edge {float(np.min(margin)):.3e}",
-            witness=None if ok else _worst_shell(ensemble, margin),
-        )
-    )
-
+    detail = "min distance to window edge {:.3e}"
+    checks.append(_shell_check("velocity-window", margin, detail, ensemble))
     # angular momentum bound: ell < (r/a0)^2 eps^2
     margin = (r / spec.a0) ** 2 * spec.eps**2 - ell
-    ok = bool(np.all(margin > 0))
-    checks.append(
-        MembershipCheck(
-            name="ell-bound",
-            passed=ok,
-            hard=True,
-            detail=f"min margin {float(np.min(margin)):.3e}",
-            witness=None if ok else _worst_shell(ensemble, margin),
-        )
-    )
+    checks.append(_shell_check("ell-bound", margin, "min margin {:.3e}", ensemble))
 
     rho_cap = 3.0 / (4.0 * np.pi * spec.a0**3)
     if not spec.is_fixed_mass:

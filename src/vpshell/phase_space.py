@@ -105,16 +105,19 @@ class Ensemble:
     total_mass: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        self._check_shapes_and_time()
+        if np.any(self.weight < 0):
+            raise ValueError("shell weights must be nonnegative")
+        if self.total_mass is None:
+            object.__setattr__(self, "total_mass", float(np.sum(self.weight)))
+
+    def _check_shapes_and_time(self):
         for name in ("r", "w", "ell", "weight", "ids"):
             arr = getattr(self, name)
             if arr.ndim != 1 or arr.shape != self.r.shape:
                 raise ValueError(f"ensemble array {name!r} must be 1-D and congruent")
-        if np.any(self.weight < 0):
-            raise ValueError("shell weights must be nonnegative")
         if self.time < 0:
             raise ValueError("ensemble time must be nonnegative")
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", float(np.sum(self.weight)))
 
     def __len__(self) -> int:
         return self.r.size
@@ -137,11 +140,12 @@ class Ensemble:
 
     def advanced(self, r: np.ndarray, w: np.ndarray, time: float) -> "Ensemble":
         """New ensemble with updated positions/velocities and the same
-        weights, ids, ell, and cached total mass."""
-        return Ensemble(
-            r=r, w=w, ell=self.ell, weight=self.weight, ids=self.ids,
-            time=time, total_mass=self.total_mass,
-        )
+        weights, ids, ell, and cached total mass; the weights, checked when
+        the first ensemble was made, are not scanned again."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, r=r, w=w, time=time)
+        new._check_shapes_and_time()
+        return new
 
     def mass_error(self) -> float:
         """Recomputed weight sum minus the cached total mass.

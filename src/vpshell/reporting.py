@@ -8,10 +8,11 @@ columns and the [certificate] and [class] keys are dataclass fields,
 SHELLS_COLUMNS and SNAPSHOT_COLUMNS map columns to attributes, and all
 tables share _write_table and _read_table.  Ids are written as integers,
 other values as repr(float(x)), which round-trips exactly, so a rerun
-reproduces output byte for byte.  save_run formats each distinct column
-once per run (the snapshots and shells.csv share their id, ell and weight
-arrays, and shells.csv repeats the final r and w) and joins rows with
-str.join.  _read_table parses a table with one np.loadtxt call, which
+reproduces output byte for byte.  save_run calls repr once per distinct
+float bit pattern of the run's tables (the initial snapshot holds a few
+grid values, the snapshots share ell and weight, and shells.csv repeats
+the final r and w), gathers each column's cells from that one text table
+and joins rows with str.join.  _read_table parses a table with one np.loadtxt call, which
 rounds as float() does; a table it cannot parse, a blank line and a
 non-ASCII line are refused with RecordError naming the file and, for a
 wrong field count, the line.  The manifest deliberately omits wall-clock
@@ -245,47 +246,49 @@ def load_run_config(path) -> RunSetup:
 # ------------------------------------------------------------------ run output
 
 def _codec(name: str):
-    """(dtype, parse, format) of a table column: ids are integers, the rest
-    floats.  np.loadtxt parses a table; parse is the Python function whose
-    results it reproduces bitwise, used to find the cell a refusal names."""
-    return (np.int64, int, str) if name == "id" else (np.float64, float, repr)
+    """(dtype, parse) of a table column: ids are integers, the rest floats.
+    np.loadtxt parses a table; parse is the Python function whose results it
+    reproduces bitwise, used to find the cell a refusal names."""
+    return (np.int64, int) if name == "id" else (np.float64, float)
 
 
-class _Cells:
-    """Text cells of the columns of consecutive tables, each column object
-    formatted once while consecutive tables share it.
+def _float_bits(column) -> np.ndarray:
+    return np.asarray(column, dtype=np.float64).view(np.int64)
 
-    The tables of one run share columns: every snapshot holds the same id,
-    ell and weight arrays (Ensemble.advanced passes them on), and shells.csv,
-    written after the snapshots, repeats the final one's.  The cells of the
-    previous table's columns are kept, keyed by object identity; the cache
-    holds each column, so its id cannot be reused meanwhile.
+
+class _FloatText:
+    """repr of each distinct float of some tables, formatted once.
+
+    A run's tables repeat most values: the initial r, w and ell are a few
+    grid values, the snapshots share ell and weight, and shells.csv repeats
+    the final r and w.  Keys are bit patterns, so -0.0 and each NaN payload
+    keep their own text.  Only columns of the tables can be looked up.
     """
 
-    def __init__(self):
-        self._previous = {}  # key -> (column, cells)
+    def __init__(self, *tables):
+        columns = {id(c): c for table in tables for name, c in table.items() if name != "id"}
+        # a sort, not np.unique, which hashes int64 keys about 15x slower
+        keys = np.sort(np.concatenate([_float_bits(c) for c in columns.values()]))
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self._keys = keys[first]
+        self._text = np.array(list(map(repr, self._keys.view(np.float64).tolist())), dtype=object)
 
-    def __call__(self, columns: dict) -> list:
-        """The cells of each column of a table, in order."""
-        keys = [(id(column), _codec(name)[2]) for name, column in columns.items()]
-        # drop the previous columns this table does not share before formatting
-        previous = self._previous
-        self._previous = current = {key: previous[key] for key in keys if key in previous}
-        for key, (name, column) in zip(keys, columns.items()):
-            if key not in current:
-                dtype, _, fmt = _codec(name)
-                current[key] = (column, list(map(fmt, np.asarray(column, dtype=dtype).tolist())))
-        return [current[key][1] for key in keys]
+    def __call__(self, column) -> list:
+        return self._text[np.searchsorted(self._keys, _float_bits(column))].tolist()
 
 
-def _write_table(path: Path, columns: dict, cells: Optional[_Cells] = None) -> Path:
-    """Write a CSV table from a mapping of column name to 1-D column; cells
-    shares formatted columns between the tables of one run."""
-    cells = _Cells() if cells is None else cells
-    rows = zip(*cells(columns))
+def _write_table(path: Path, columns: dict, text: Optional[_FloatText] = None) -> Path:
+    """Write a CSV table from a mapping of column name to 1-D column; text
+    formats the float columns, by default built from this table alone."""
+    text = _FloatText(columns) if text is None else text
+    cells = [
+        text(column) if name != "id" else list(map(str, np.asarray(column, np.int64).tolist()))
+        for name, column in columns.items()
+    ]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in rows)
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
 
 
@@ -351,9 +354,9 @@ def _columns(record, attributes: dict) -> dict:
     return {name: attrgetter(attr)(record) for name, attr in attributes.items()}
 
 
-def save_snapshot(ens: Ensemble, path, *, cells: Optional[_Cells] = None) -> Path:
+def save_snapshot(ens: Ensemble, path, *, text: Optional[_FloatText] = None) -> Path:
     """Write one ensemble state as a snapshot CSV."""
-    return _write_table(Path(path), _columns(ens, SNAPSHOT_COLUMNS), cells)
+    return _write_table(Path(path), _columns(ens, SNAPSHOT_COLUMNS), text)
 
 
 def save_run(
@@ -367,14 +370,16 @@ def save_run(
     out.mkdir(parents=True, exist_ok=True)
 
     rows = {name: [getattr(row, name) for row in result.rows] for name in ROWS_COLUMNS}
-    _write_table(out / "rows.csv", rows)
-    cells = _Cells()
+    shells = _columns(result, SHELLS_COLUMNS)
+    snapshots = [_columns(ens, SNAPSHOT_COLUMNS) for _, ens in result.snapshots]
+    text = _FloatText(rows, shells, *snapshots)
+    _write_table(out / "rows.csv", rows, text)
     snapshot_files = []
     for k, (time, ens) in enumerate(result.snapshots):
         name = f"snapshot_{k:03d}.csv"
-        save_snapshot(ens, out / name, cells=cells)
+        save_snapshot(ens, out / name, text=text)
         snapshot_files.append((name, time))
-    _write_table(out / "shells.csv", _columns(result, SHELLS_COLUMNS), cells)
+    _write_table(out / "shells.csv", shells, text)
 
     parser = _new_parser()
     parser["manifest"] = {"format": "1", "version": __version__}

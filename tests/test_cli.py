@@ -104,6 +104,24 @@ class TestPipeline:
         )
         assert rc == 0
 
+    def test_run_refuses_data_outside_the_class(self, tmp_path, capsys):
+        """--c2 1e-3 misses density-plateau at 16x16x8: init and run exit 1
+        and run writes nothing; the certificate marked exploratory runs."""
+        cert = tmp_path / "cert.ini"
+        assert cli.main(["design", "--c1", "32", "--c2", "1e-3", "--out", str(cert)]) == 0
+        config = save_run_config(
+            RunSetup(certificate_path="cert.ini", n_r=16, n_w=16, n_ell=8), tmp_path / "run.ini"
+        )
+        assert cli.main(["init", "--config", str(config), "--out", str(tmp_path / "init")]) == 1
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert "[miss] density-plateau" in out
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        cert.write_text(cert.read_text().replace("exploratory = false", "exploratory = true"))
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
     def test_verify_refuses_foreign_certificate(self, workspace, tmp_path, capsys):
         ws, cert_path, config_path = workspace
         out_dir = ws / "out_refuse"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from vpshell import (
     bump_profile,
     check_membership,
     derived_bounds,
+    design_fixed_mass,
+    design_small_data,
     sample_ensemble,
     smooth_cutoff,
 )
 from vpshell.initial_data import BUMP_INTEGRAL, PROFILE_NORMALIZATION
+from vpshell.phase_space import REDUCED_MEASURE
 
 
 def canonical_data(a0=1.0, eps=0.2, a1=None, target_mass=None):
@@ -246,12 +250,88 @@ class TestSampling:
         )
         assert data.scale == float.fromhex("0x1.bc705d0b95916p+4")
 
+    # SHA-256 of (r, w, ell, weight, ids), recorded while the sampler still
+    # evaluated f0 on a meshgrid of every cell: the desk and focus grids,
+    # the fixed-mass recipe's exploratory certificate, and the benchmark's
+    # desk grid jittered at seed 1
+    @pytest.mark.parametrize("cert, grid, n_shells, expected", [
+        (dict(c1=32.0, c2=1e-7, eps=0.2), (40, 44, 28), 16132,
+         "ddc58d2b1543b2a3d387a891467fe5117e13b26a0ada222f6529efae1c502f38"),
+        (dict(c1=32.0, c2=1e-7, eps=0.05), (48, 48, 32), 24624,
+         "7183cd9568cca08222e3459fae1d47ca7b915598031ed2a5cb9589886b2bc438"),
+        (dict(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True), (16, 16, 12), 1024,
+         "b2f8af023904d1deafb66567a1b996d3bc65930b74d1485befafd977a459f4be"),
+        (dict(c1=32.0, c2=1e-7, eps=0.2), (39, 45, 28), 16082,
+         "b2ad66403fe4d84612a13cec032222ed17e10955c17c6df79faab12d36f0528d"),
+    ], ids=["desk", "focus", "fixed-mass", "desk-jittered"])
+    def test_sample_bytes_are_pinned(self, cert, grid, n_shells, expected):
+        design = design_fixed_mass if "t_horizon" in cert else design_small_data
+        ens = sample_ensemble(InitialData.from_spec(design(**cert).spec), *grid)
+        digest = hashlib.sha256()
+        for column in (ens.r, ens.w, ens.ell, ens.weight, ens.ids):
+            digest.update(column.tobytes())
+        assert len(ens) == n_shells
+        assert digest.hexdigest() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(2, 12)),
+        a0=st.floats(0.6, 1.8),
+        eps=st.floats(0.08, 0.35),
+        k=st.floats(0.5, 2.0),
+        target_mass=st.none() | st.floats(1e-3, 1e3),
+    )
+    def test_matches_meshgrid_reference_bitwise(self, grid, a0, eps, k, target_mass):
+        data = canonical_data(a0=a0, eps=eps, a1=-k / eps**2, target_mass=target_mass)
+        expected = _meshgrid_sample(data, *grid)
+        if expected is None:
+            with pytest.raises(EmptyEnsembleError):
+                sample_ensemble(data, *grid)
+            return
+        ens = sample_ensemble(data, *grid)
+        for column, reference in zip((ens.r, ens.w, ens.ell, ens.weight, ens.ids), expected):
+            assert column.dtype == reference.dtype
+            assert column.tobytes() == reference.tobytes()
+
+    def test_sampling_peak_memory_is_below_half_the_meshgrid_peak(self):
+        # the meshgrid sampler peaked at 33.8 MiB on this grid (tracemalloc)
+        data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec)
+        tracemalloc.start()
+        try:
+            sample_ensemble(data, 80, 88, 56)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 33.8 * 2**20
+
     def test_refinement_converges_to_l1_norm(self):
         data = canonical_data()
         exact = data.l1_norm()
         coarse = abs(sample_ensemble(data, 8, 8, 6).total_mass - exact)
         fine = abs(sample_ensemble(data, 32, 32, 22).total_mass - exact)
         assert fine < coarse
+
+
+def _meshgrid_sample(data, n_r, n_w, n_ell):
+    """Reference sampler: f0 at every cell of a meshgrid of the midpoint
+    axes, kept where positive.  Returns (r, w, ell, weight, ids), or None
+    when no cell is kept."""
+    r_lo, r_hi, w_lo, w_hi, ell_hi = data.support_box()
+    dr, dw, dl = (r_hi - r_lo) / n_r, (w_hi - w_lo) / n_w, ell_hi / n_ell
+    rr, ww, ll = (axis.ravel() for axis in np.meshgrid(
+        r_lo + dr * (np.arange(n_r) + 0.5),
+        w_lo + dw * (np.arange(n_w) + 0.5),
+        dl * (np.arange(n_ell) + 0.5),
+        indexing="ij",
+    ))
+    f_vals = data.evaluate_reduced(rr, ww, ll)
+    keep = f_vals > 0.0
+    if not np.any(keep):
+        return None
+    weight = REDUCED_MEASURE * f_vals[keep] * dr * dw * dl
+    if data.spec.is_fixed_mass:
+        weight = weight * (data.spec.target_mass / float(np.sum(weight)))
+    return rr[keep], ww[keep], ll[keep], weight, np.flatnonzero(keep).astype(np.int64)
 
 
 class TestMembership:

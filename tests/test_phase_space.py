@@ -111,3 +111,31 @@ def test_mass_error_is_bitwise_zero():
     moved = ens.advanced(ens.r * 1.5, ens.w, time=1.0)
     assert moved.total_mass == ens.total_mass
     assert moved.mass_error() == 0.0
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts its `<` comparisons."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        type(self).comparisons += 1
+        return super().__lt__(other)
+
+
+def test_advanced_checks_shapes_and_time_but_does_not_rescan_weights():
+    weight = np.full(4, 0.25).view(_CountingArray)
+    ens = Ensemble(r=np.ones(4), w=np.zeros(4), ell=np.ones(4), weight=weight, ids=np.arange(4))
+    assert _CountingArray.comparisons == 1
+    moved = ens
+    for step in range(3):
+        moved = moved.advanced(moved.r * 0.5, moved.w - 1.0, time=step + 1.0)
+    assert _CountingArray.comparisons == 1
+    assert moved.weight is ens.weight and moved.ell is ens.ell and moved.ids is ens.ids
+    assert moved.total_mass == ens.total_mass == 1.0 and moved.time == 3.0
+    with pytest.raises(ValueError, match="congruent"):
+        ens.advanced(np.ones(3), np.zeros(3), time=1.0)
+    with pytest.raises(ValueError, match="'w'"):
+        ens.advanced(np.ones(4), np.zeros((4, 1)), time=1.0)
+    with pytest.raises(ValueError, match="time"):
+        ens.advanced(np.ones(4), np.zeros(4), time=-1.0)

@@ -8,7 +8,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vpshell import (
     InitialData,
@@ -418,6 +418,65 @@ class TestTableWriter:
         summary = load_run_data(out)
         for (_, read), (_, written) in zip(summary.snapshots, snapshots):
             assert read.ell.tobytes() == written.ell.tobytes()
+
+
+@st.composite
+def _shared_runs(draw):
+    """A RunResult whose tables share values, as a run's do: every float is
+    drawn from one small pool holding each value's upward neighbour too, the
+    snapshots may share their ell and weight arrays, and r_min may equal the
+    final r without being the same array."""
+    n = draw(st.integers(0, 8))
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=5))
+    with np.errstate(over="ignore"):  # the largest float's neighbour is inf
+        pool += [float(np.nextafter(x, np.inf)) for x in pool]
+    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(np.array)
+    weights = column.map(np.abs)  # Ensemble refuses a negative weight
+    ell, weight = draw(column), draw(weights)
+    shared = draw(st.booleans())
+    with np.errstate(over="ignore"):  # total_mass may overflow to inf
+        snapshots = [
+            (float(k), Ensemble(r=draw(column), w=draw(column),
+                                ell=ell if shared else draw(column),
+                                weight=weight if shared else draw(weights),
+                                ids=np.arange(n) * 3 - 5, time=float(k)))
+            for k in range(draw(st.integers(1, 3)))
+        ]
+    final = snapshots[-1][1]
+    n_fields = len(dataclasses.fields(DiagnosticsRow))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n_fields, max_size=n_fields),
+                         min_size=1, max_size=4))
+    return RunResult(
+        rows=[DiagnosticsRow(*row) for row in rows],
+        snapshots=snapshots,
+        final=final,
+        turning_time=draw(column),
+        r_min_shell=final.r.copy() if draw(st.booleans()) else draw(column),
+        t_at_r_min=draw(column),
+        steps=len(snapshots),
+    )
+
+
+class TestRunWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(result=_shared_runs())
+    def test_every_table_matches_csv_writer(self, tmp_path_factory, result):
+        """Tables that share values, among them -0.0, infinities, nan,
+        subnormals, neighbouring floats and repr's exponent switch points."""
+        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
+        setup = RunSetup(certificate_path="certificate.ini", n_r=1, n_w=1, n_ell=1)
+        out = save_run(result, cert, setup, tmp_path_factory.mktemp("run"))
+        tables = {
+            "rows.csv": {f.name: [getattr(row, f.name) for row in result.rows]
+                         for f in dataclasses.fields(DiagnosticsRow)},
+            "shells.csv": {name: attrgetter(attr)(result) for name, attr in SHELLS_COLUMNS.items()},
+        }
+        for k, (_, ens) in enumerate(result.snapshots):
+            tables[f"snapshot_{k:03d}.csv"] = {
+                name: getattr(ens, attr) for name, attr in SNAPSHOT_COLUMNS.items()
+            }
+        for name, columns in tables.items():
+            assert (out / name).read_bytes() == _csv_writer_table(columns), name
 
 
 def _drop_last_lines(name, k=3):
