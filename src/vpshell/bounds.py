@@ -15,6 +15,10 @@ Three facts about any y(t) with y(0) = y0 > 0, y'(0) = y1 < 0 and
 
 These are implemented as total formulas with hypothesis checks at the
 boundary so they can serve both as predictions and as test oracles.
+The first two take scalars or broadcast arrays.  They square their
+parameters with np.float_power(x, 2.0), libm's pow as Python's x**2 of
+a float is, so an array entry's bound equals the bound of that entry
+alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,19 +45,30 @@ class SupNormBound:
     b_used: float
 
 
-def _check_hypotheses(L: float, P: float, y0: float, y1: float):
-    if not L > 0:
-        raise ValueError(f"need L > 0 (shells without angular momentum are excluded), got {L}")
-    if P < 0:
-        raise ValueError(f"need P >= 0, got {P}")
-    if not y0 > 0:
-        raise ValueError(f"need y0 > 0, got {y0}")
-    if not y1 < 0:
-        raise ValueError(f"need y1 < 0 (inward start), got {y1}")
+def _first_breaking(value, holds):
+    # value itself when scalar, else its first entry where the rule fails
+    holds = np.asarray(holds)
+    return value if holds.ndim == 0 else np.asarray(value)[~holds][0]
 
 
-def turning_point_bound(L: float, P: float, y0: float, y1: float) -> TurningBound:
-    """Minimum-radius bound y_star and turning-time lower bound.
+def _check_hypotheses(L, P, y0, y1):
+    for value, holds, need in (
+        (L, np.greater(L, 0), "L > 0 (shells without angular momentum are excluded)"),
+        (P, ~np.less(P, 0), "P >= 0"),
+        (y0, np.greater(y0, 0), "y0 > 0"),
+        (y1, np.less(y1, 0), "y1 < 0 (inward start)"),
+    ):
+        if not np.all(holds):
+            raise ValueError(f"need {need}, got {_first_breaking(value, holds)}")
+
+
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def turning_point_bound(L, P, y0, y1) -> TurningBound:
+    """Minimum-radius bound y_star and turning-time lower bound,
+    elementwise over broadcast arrays (floats for scalar arguments).
 
     y_star < y0 always, and y_star -> 0 as y1 -> -infinity: a faster
     inward start penetrates deeper before the centrifugal and field
@@ -61,18 +76,21 @@ def turning_point_bound(L: float, P: float, y0: float, y1: float) -> TurningBoun
     """
     _check_hypotheses(L, P, y0, y1)
     q = L + P * y0
-    y_star = y0 * np.sqrt(q / (y0**2 * y1**2 + q))
-    return TurningBound(y_star=float(y_star), t0_lower=float((y0 - y_star) / abs(y1)))
+    y_star = y0 * np.sqrt(q / (np.float_power(y0, 2.0) * np.float_power(y1, 2.0) + q))
+    return TurningBound(
+        y_star=_scalar_or_array(y_star), t0_lower=_scalar_or_array((y0 - y_star) / np.abs(y1))
+    )
 
 
-def infall_envelope(L: float, P: float, y0: float, y1: float, t):
-    """Parabolic upper bound on y(t)^2, valid up to the turning time."""
+def infall_envelope(L, P, y0, y1, t):
+    """Parabolic upper bound on y(t)^2, valid up to the turning time;
+    elementwise over broadcast arrays."""
     _check_hypotheses(L, P, y0, y1)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("envelope times must be nonnegative")
-    out = (y0 + y1 * t) ** 2 + (L / y0**2 + P / y0) * t**2
-    return float(out) if out.ndim == 0 else out
+    out = (y0 + y1 * t) ** 2 + (L / np.float_power(y0, 2.0) + P / y0) * t**2
+    return _scalar_or_array(out)
 
 
 def envelope_minimum(L: float, P: float, y0: float, y1: float):

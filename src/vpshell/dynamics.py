@@ -23,12 +23,16 @@ state gives its r and w to the state after next, unless it is a
 snapshot or the final state, whose arrays, like the caller's ensemble,
 are never written again; a fresh pair replaces one kept that way.
 
-integrate_oracle solves the single-trajectory equation
-y'' = ell/y^3 + profile(t) * P / y^2 exactly: under a piecewise-constant
-profile each segment is free motion or a repulsive Kepler orbit, whose
-time equation a Newton solve of at most ORACLE_NEWTON_MAX_ITER steps
-inverts, and the turning point is that orbit's pericenter.  It serves
-as the reference the bound formulas are tested against.
+integrate_oracle_batch solves the single-trajectory equation
+y'' = ell/y^3 + profile(t) * P / y^2 exactly, for many cases at once:
+under a piecewise-constant profile each segment is free motion or a
+repulsive Kepler orbit, whose time equation a Newton solve of at most
+ORACLE_NEWTON_MAX_ITER steps inverts, and the turning point is that
+orbit's pericenter.  Round j advances segment j of every case in one
+elementwise pass of _free_segment and _kepler_segment over arrays, and
+a converged Newton sample keeps its iterate, so a case comes out bit for
+bit the same in any batch.  integrate_oracle is its one-case call.  The
+oracle is the reference the bound formulas are tested against.
 """
 
 from __future__ import annotations
@@ -61,7 +65,12 @@ class StiffnessError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The closed-form reference did not converge or overflowed."""
+    """The closed-form reference did not converge or overflowed; `case`
+    is the index, within its batch, of the case it failed on, if known."""
+
+    def __init__(self, message: str, case: Optional[int] = None):
+        self.case = case
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -370,10 +379,12 @@ def free_motion_radius_squared(r0: float, w0: float, ell: float, t):
     """Closed-form y(t)^2 = (r0 + w0 t)^2 + ell t^2 / r0^2 for zero mass.
 
     This is planar free motion expressed in the radius; the oracle and
-    the envelope bound both reduce to it when P = 0.
+    the envelope bound both reduce to it when P = 0.  r0^2 is libm's pow,
+    as a float's r0**2 is, so an array r0 gives each entry its scalar
+    value.
     """
     t = np.asarray(t, dtype=float)
-    out = (r0 + w0 * t) ** 2 + ell * t**2 / r0**2
+    out = (r0 + w0 * t) ** 2 + ell * t**2 / np.float_power(r0, 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -411,6 +422,23 @@ class OracleTrajectory:
     y_turn: Optional[float]
 
 
+@dataclass(frozen=True)
+class OracleBatch:
+    """Trajectories of several cases, stored flat.
+
+    Sample s belongs to case `case[s]`; a case's samples are contiguous
+    and ascend in time.  turning_time and y_turn hold one value per case,
+    NaN for a case that does not turn before its t_end.
+    """
+
+    times: np.ndarray
+    y: np.ndarray
+    ydot: np.ndarray
+    case: np.ndarray
+    turning_time: np.ndarray
+    y_turn: np.ndarray
+
+
 def integrate_oracle(
     r0: float,
     w0: float,
@@ -422,83 +450,156 @@ def integrate_oracle(
 ) -> OracleTrajectory:
     """Exact solution of y'' = ell/y^3 + profile(t) * P / y^2.
 
-    A float profile is the constant profile of that value.  The profile
-    splits [0, t_end] at its breakpoints; on each segment the charge
-    k = profile * P is constant and the trajectory is advanced in closed
-    form (_free_segment, _kepler_segment), its end state starting the
-    next segment.  A sample time on a breakpoint belongs to the earlier
-    segment.  The first turning point (ydot = 0 crossing upward) is the
-    pericenter of the first segment that starts inbound and reaches it.
+    A float profile is the constant profile of that value.  This is
+    integrate_oracle_batch for one case, sampled at the sorted t_eval
+    (201 even times on [0, t_end] by default).
     """
-    if not (r0 > 0 and ell > 0):
-        raise ValueError("oracle requires r0 > 0 and ell > 0")
-    if P < 0:
-        raise ValueError("P must be nonnegative")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-
-    if not isinstance(profile, PiecewiseConstantProfile):
-        profile = PiecewiseConstantProfile(edges=(), values=(float(profile),))
-
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < 0) or np.any(t_eval > t_end):
-        raise ValueError("t_eval must lie inside [0, t_end]")
-    t_eval = np.sort(t_eval)
-
-    edges = profile.edges
-    cuts = np.concatenate(([0.0], edges[(edges > 0) & (edges < t_end)], [t_end]))
-    segment = np.maximum(np.searchsorted(cuts, t_eval, side="left") - 1, 0)
-
-    ys = np.empty_like(t_eval)
-    yds = np.empty_like(t_eval)
-    y, yd = float(r0), float(w0)
-    turning_time = None
-    y_turn = None
-
-    for j, (ta, tb) in enumerate(zip(cuts[:-1], cuts[1:])):
-        # evaluate forcing strictly inside the segment so breakpoints
-        # never alias to the wrong side
-        k = float(profile(0.5 * (ta + tb))) * P
-        mask = segment == j
-        # the segment's own end time rides along as the last entry
-        dt = np.append(t_eval[mask] - ta, tb - ta)
-        if k == 0.0:
-            y_at, yd_at, turn = _free_segment(y, yd, ell, dt)
-        else:
-            y_at, yd_at, turn = _kepler_segment(y, yd, ell, k, dt)
-        if not (np.all(np.isfinite(y_at)) and np.all(np.isfinite(yd_at))):
-            raise OracleError(f"closed form is not finite on [{ta}, {tb}]")
-        ys[mask] = y_at[:-1]
-        yds[mask] = yd_at[:-1]
-        if turning_time is None and turn is not None and turn[0] <= tb - ta:
-            turning_time = float(ta + turn[0])
-            y_turn = float(turn[1])
-        y, yd = float(y_at[-1]), float(yd_at[-1])
-
+    t_eval = np.sort(np.asarray(t_eval, dtype=float))
+    batch = integrate_oracle_batch(
+        [r0], [w0], [ell], [P], [profile], [t_end], t_eval, np.zeros(t_eval.size, dtype=np.intp)
+    )
+    turned = not np.isnan(batch.turning_time[0])
     return OracleTrajectory(
-        times=t_eval, y=ys, ydot=yds, turning_time=turning_time, y_turn=y_turn
+        times=t_eval,
+        y=batch.y,
+        ydot=batch.ydot,
+        turning_time=float(batch.turning_time[0]) if turned else None,
+        y_turn=float(batch.y_turn[0]) if turned else None,
     )
 
 
-def _free_segment(y0: float, w0: float, ell: float, t: np.ndarray):
-    """Force-free motion from (y0, w0) at the times t after the segment start.
+def integrate_oracle_batch(
+    r0, w0, ell, P, profiles: Sequence, t_end, times, case
+) -> OracleBatch:
+    """Exact solutions of y'' = ell/y^3 + profile(t) * P / y^2 for many cases.
 
-    Returns (y, ydot, turn), where turn is (time, radius) of the
-    pericenter when it lies ahead (w0 < 0), else None.
+    Case i starts at y = r0[i], ydot = w0[i] under ell[i], P[i] and
+    profiles[i] (a float is the constant profile of that value), and is
+    sampled at the entries of `times` whose `case` is i, which must
+    ascend.  Its profile splits [0, t_end[i]] at the breakpoints; on each
+    segment the charge k = profile * P is constant and the trajectory is
+    advanced in closed form (_free_segment, _kepler_segment), its end
+    state starting the next segment.  A sample time on a breakpoint
+    belongs to the earlier segment.  The first turning point (ydot = 0
+    crossing upward) is the pericenter of the first segment that starts
+    inbound and reaches it.
+
+    Round j advances segment j of every case that has one in a single
+    elementwise pass, so each case comes out bit for bit as when solved
+    alone.  An OracleError carries as `case` the lowest index it failed
+    on.
     """
+    r0, w0, ell, P, t_end = (np.asarray(v, dtype=float) for v in (r0, w0, ell, P, t_end))
+    times = np.asarray(times, dtype=float)
+    case = np.asarray(case, dtype=np.intp)
+    if not np.all((r0 > 0) & (ell > 0)):
+        raise ValueError("oracle requires r0 > 0 and ell > 0")
+    if np.any(P < 0):
+        raise ValueError("P must be nonnegative")
+    if not np.all(t_end > 0):
+        raise ValueError("t_end must be positive")
+    if np.any(times < 0) or np.any(times > t_end[case]):
+        raise ValueError("t_eval must lie inside [0, t_end]")
+    profiles = [
+        p if isinstance(p, PiecewiseConstantProfile)
+        else PiecewiseConstantProfile(edges=(), values=(float(p),))
+        for p in profiles
+    ]
+
+    # breakpoints padded with inf, so each row's cuts inside (0, t_end) lead
+    n = r0.size
+    width = max(p.edges.size for p in profiles)
+    edges = np.full((n, width), np.inf)
+    values = np.zeros((n, width + 1))
+    for i, p in enumerate(profiles):
+        edges[i, : p.edges.size] = p.edges
+        values[i, : p.values.size] = p.values
+    interior = np.where(edges < t_end[:, None], edges, np.inf)
+    n_segments = 1 + np.count_nonzero(interior < np.inf, axis=1)
+    cuts = np.column_stack((np.zeros(n), interior, np.full(n, np.inf)))
+    rows = np.arange(n)
+    cuts[rows, n_segments] = t_end
+    segment = np.count_nonzero(interior[case] < times[:, None], axis=1)
+
+    y = np.empty_like(times)
+    ydot = np.empty_like(times)
+    turning_time = np.full(n, np.nan)
+    y_turn = np.full(n, np.nan)
+    y_now, w_now = r0.copy(), w0.copy()
+    k = np.zeros(n)
+    for j in range(int(n_segments.max())):
+        live = rows[n_segments > j]
+        ta, tb = cuts[:, j], cuts[:, j + 1]
+        # evaluate forcing strictly inside the segment so breakpoints
+        # never alias to the wrong side
+        mid = 0.5 * (ta[live] + tb[live])
+        k[live] = values[live, np.count_nonzero(edges[live] <= mid[:, None], axis=1)] * P[live]
+        samples = np.flatnonzero(segment == j)
+        # each live case's segment end rides along after the samples
+        owner = np.concatenate((case[samples], live))
+        dt = np.concatenate((times[samples], tb[live])) - ta[owner]
+        y_at, yd_at, t_turn, y_min = (np.empty_like(dt) for _ in range(4))
+        free = k[owner] == 0.0
+        at = np.flatnonzero(free)
+        o = owner[at]
+        y_at[at], yd_at[at], t_turn[at], y_min[at] = _free_segment(
+            y_now[o], w_now[o], ell[o], dt[at]
+        )
+        at = np.flatnonzero(~free)
+        o = owner[at]
+        y_at[at], yd_at[at], t_turn[at], y_min[at], stuck = _kepler_segment(
+            y_now[o], w_now[o], ell[o], k[o], dt[at]
+        )
+        if np.any(stuck):
+            i = int(np.min(o[stuck]))
+            raise OracleError(
+                f"Newton solve of the Kepler time equation did not converge in "
+                f"{ORACLE_NEWTON_MAX_ITER} steps at {np.count_nonzero(o[stuck] == i)} samples",
+                case=i,
+            )
+        broken = ~(np.isfinite(y_at) & np.isfinite(yd_at))
+        if np.any(broken):
+            i = int(np.min(owner[broken]))
+            raise OracleError(f"closed form is not finite on [{ta[i]}, {tb[i]}]", case=i)
+
+        m = samples.size
+        y[samples], ydot[samples] = y_at[:m], yd_at[:m]
+        y_now[live], w_now[live] = y_at[m:], yd_at[m:]
+        first = np.isnan(turning_time[live]) & (t_turn[m:] <= dt[m:])
+        turning_time[live[first]] = ta[live[first]] + t_turn[m:][first]
+        y_turn[live[first]] = y_min[m:][first]
+
+    return OracleBatch(
+        times=times, y=y, ydot=ydot, case=case, turning_time=turning_time, y_turn=y_turn
+    )
+
+
+# The segment formulas square a per-segment constant x with
+# np.float_power(x, 2.0), which is libm's pow as Python's x**2 of a float
+# is; x * x and an array's x**2 differ from it in the last bit for some x.
+# So a segment solved from arrays matches one solved from Python floats.
+
+
+def _free_segment(y0, w0, ell, t):
+    """Force-free motion from (y0, w0) at the times t after the segment
+    start, elementwise over broadcast arrays.
+
+    Returns (y, ydot, t_turn, y_turn): the pericenter's time and radius,
+    t_turn NaN where it does not lie ahead (w0 >= 0).
+    """
+    y0_sq = np.float_power(y0, 2.0)
     y = np.sqrt(free_motion_radius_squared(y0, w0, ell, t))
-    ydot = ((y0 + w0 * t) * w0 + ell * t / y0**2) / y
-    turn = None
-    if w0 < 0.0:
-        t_turn = -y0 * w0 / (w0**2 + ell / y0**2)
-        turn = (t_turn, np.sqrt(free_motion_radius_squared(y0, w0, ell, t_turn)))
-    return y, ydot, turn
+    ydot = ((y0 + w0 * t) * w0 + ell * t / y0_sq) / y
+    t_turn = -y0 * w0 / (np.float_power(w0, 2.0) + ell / y0_sq)
+    y_turn = np.sqrt(np.float_power(y0 + w0 * t_turn, 2.0) + ell * (t_turn * t_turn) / y0_sq)
+    return y, ydot, np.where(w0 < 0.0, t_turn, np.nan), y_turn
 
 
-def _kepler_segment(y0: float, w0: float, ell: float, k: float, t: np.ndarray):
-    """Repulsive Kepler motion under the constant charge k > 0.
+def _kepler_segment(y0, w0, ell, k, t):
+    """Repulsive Kepler motion under the constant charge k > 0,
+    elementwise over broadcast arrays.
 
     With E = w0^2/2 + ell/(2 y0^2) + k/y0, a = k/(2E),
     e = sqrt(1 + 2 E ell/k^2) and n = sqrt(a^3/k), the orbit is
@@ -507,18 +608,20 @@ def _kepler_segment(y0: float, w0: float, ell: float, k: float, t: np.ndarray):
     and c = n/a = 1/sqrt(2E), which stay finite as k -> 0 where e does
     not: y = b cosh F + a, tau = c(b sinh F + a F).
 
-    tau(F) = tau(F0) + t is solved for every t at once by Newton from
-    asinh(target/(b c)), which lies on the outer side of the root of a
-    function that is convex for F > 0 and concave for F < 0, so every
-    iterate moves monotonically toward the root.  A sample counts as
-    converged once its Newton step stops pointing that way or no longer
-    changes it; OracleError is raised if any sample still moves after
-    ORACLE_NEWTON_MAX_ITER steps.  Returns (y, ydot, turn) as
-    _free_segment does.
+    tau(F) = tau(F0) + t is solved for every sample at once by Newton
+    from asinh(target/(b c)), which lies on the outer side of the root
+    of a function that is convex for F > 0 and concave for F < 0, so
+    every iterate moves monotonically toward the root.  A sample counts
+    as converged once its Newton step stops pointing that way or no
+    longer changes it, and keeps that iterate from then on, so its
+    iterates do not depend on the other samples.  Returns (y, ydot,
+    t_turn, y_turn, stuck) with t_turn and y_turn as _free_segment
+    returns them; stuck marks the samples that still moved after
+    ORACLE_NEWTON_MAX_ITER steps.
     """
-    energy = 0.5 * w0**2 + ell / (2.0 * y0**2) + k / y0
+    energy = 0.5 * np.float_power(w0, 2.0) + ell / (2.0 * np.float_power(y0, 2.0)) + k / y0
     a = k / (2.0 * energy)
-    b = np.sqrt(a**2 + ell / (2.0 * energy))
+    b = np.sqrt(np.float_power(a, 2.0) + ell / (2.0 * energy))
     c = 1.0 / np.sqrt(2.0 * energy)
     f0 = np.arcsinh(c * w0 * y0 / b)
     tau0 = c * (b * np.sinh(f0) + a * f0)
@@ -534,13 +637,7 @@ def _kepler_segment(y0: float, w0: float, ell: float, k: float, t: np.ndarray):
         if not np.any(moving):
             break
         f = np.where(moving, f_next, f)
-    else:
-        raise OracleError(
-            f"Newton solve of the Kepler time equation did not converge in "
-            f"{ORACLE_NEWTON_MAX_ITER} steps at {int(np.sum(moving))} samples"
-        )
 
     y = b * np.cosh(f) + a
     ydot = b * np.sinh(f) / (c * y)
-    turn = (-tau0, a + b) if f0 < 0.0 else None
-    return y, ydot, turn
+    return y, ydot, np.where(f0 < 0.0, -tau0, np.nan), a + b, moving

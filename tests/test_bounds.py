@@ -55,6 +55,34 @@ class TestTurningBound:
             turning_point_bound(L=1.0, P=0.0, y0=1.0, y1=0.0)
 
 
+class TestArrays:
+    """The bounds over arrays equal the bounds of each entry alone, bit
+    for bit, so a batch of cases gets the bounds each would get alone."""
+
+    @given(st.lists(st.tuples(positive, st.floats(0.0, 1e2), positive, positive),
+                    min_size=1, max_size=12))
+    def test_entries_equal_scalar_calls(self, params):
+        L, P, y0, speed = (np.array(column) for column in zip(*params))
+        bound = turning_point_bound(L, P, y0, -speed)
+        t = np.linspace(0.0, 3.0, 7)
+        env = infall_envelope(L[:, None], P[:, None], y0[:, None], -speed[:, None], t)
+        for i, (l, p, y, v) in enumerate(params):
+            one = turning_point_bound(l, p, y, -v)
+            assert (float(bound.y_star[i]), float(bound.t0_lower[i])) == (one.y_star, one.t0_lower)
+            assert env[i].tobytes() == infall_envelope(l, p, y, -v, t).tobytes()
+
+    def test_scalars_give_floats(self):
+        bound = turning_point_bound(1.0, 0.5, 1.0, -1.0)
+        assert type(bound.y_star) is float and type(bound.t0_lower) is float
+        assert type(infall_envelope(1.0, 0.5, 1.0, -1.0, 0.25)) is float
+
+    def test_refusal_names_the_first_breaking_entry(self):
+        with pytest.raises(ValueError, match=r"need y1 < 0 \(inward start\), got 0.5"):
+            turning_point_bound(np.ones(3), np.zeros(3), np.ones(3), np.array([-1.0, 0.5, 2.0]))
+        with pytest.raises(ValueError, match="need P >= 0, got -2.0"):
+            infall_envelope(1.0, np.array([0.0, -2.0]), 1.0, -1.0, 0.5)
+
+
 class TestEnvelope:
     def test_initial_value(self):
         assert infall_envelope(L=1.0, P=1.0, y0=2.0, y1=-1.0, t=0.0) == 4.0

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpshell import cli, oracle_suite
+from vpshell import cli, dynamics, oracle_suite
 from vpshell.dynamics import OracleError, StiffnessError
 from vpshell.reporting import (
     RunSetup,
@@ -265,10 +265,21 @@ def test_oracle_error_is_a_failed_run(monkeypatch, capsys):
     def unconverged(*args, **kwargs):
         raise OracleError("Newton solve did not converge")
 
-    monkeypatch.setattr(oracle_suite, "integrate_oracle", unconverged)
+    monkeypatch.setattr(oracle_suite, "integrate_oracle_batch", unconverged)
     assert cli.main(["oracle", "--cases", "3"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "oracle aborted" in err and "Traceback" not in err
+
+
+def test_oracle_newton_failure_names_the_case(monkeypatch, capsys):
+    """A real Newton failure, not a stub: too few steps allowed.  Case 0
+    of the default draws is force-free and needs no Newton solve, so the
+    first case named is case 1."""
+    monkeypatch.setattr(dynamics, "ORACLE_NEWTON_MAX_ITER", 1)
+    assert cli.main(["oracle", "--cases", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("oracle aborted: profile-one: Newton solve")
 
 
 def test_desk_run_files_match_recorded_digests(tmp_path):
@@ -292,6 +303,9 @@ def test_desk_run_files_match_recorded_digests(tmp_path):
     assert digests == recorded
     initial = hashlib.sha256((tmp_path / "init" / "initial.csv").read_bytes()).hexdigest()
     assert initial == recorded["snapshot_000.csv"]
+    # recorded with the density quadrature that looped over single radii
+    membership = hashlib.sha256((tmp_path / "init" / "membership.ini").read_bytes()).hexdigest()
+    assert membership == "df6e10545ae853bdec7a1a2902b450ca5986ec3af5282c2d3b0fd32e4eaeaf45"
 
 
 # ------------------------------------------------------- malformed INI files

@@ -20,7 +20,7 @@ from vpshell import (
     sample_ensemble,
     smooth_cutoff,
 )
-from vpshell.initial_data import BUMP_INTEGRAL, PROFILE_NORMALIZATION
+from vpshell.initial_data import BUMP_INTEGRAL, N_QUAD, PROFILE_NORMALIZATION, RHO_BLOCK
 from vpshell.phase_space import REDUCED_MEASURE
 
 
@@ -332,6 +332,55 @@ def _meshgrid_sample(data, n_r, n_w, n_ell):
     if data.spec.is_fixed_mass:
         weight = weight * (data.spec.target_mass / float(np.sum(weight)))
     return rr[keep], ww[keep], ll[keep], weight, np.flatnonzero(keep).astype(np.int64)
+
+
+def _loop_rho0(data, radii):
+    """rho0 by the quadrature loop over single radii that the array form
+    replaced; the reference its bytes are checked against."""
+    spec = data.spec
+    s_max = spec.eps * spec.eps
+    nodes, wts = leggauss(N_QUAD)
+    vals = np.zeros_like(radii)
+    for i, ri in enumerate(radii):
+        phi_r = float(smooth_cutoff(ri, spec.a0, spec.delta_r))
+        if phi_r == 0.0:
+            continue
+        w_half = np.sqrt(s_max) / spec.a0
+        w_nodes = spec.a1 * ri / spec.a0 + w_half * nodes
+        s1 = (spec.a1 * ri - spec.a0 * w_nodes) ** 2
+        ell_top = ri**2 * np.clip(s_max - s1, 0.0, None) / spec.a0**2
+        ell_nodes = 0.5 * ell_top[:, None] * (nodes[None, :] + 1.0)
+        ell_weights = 0.5 * ell_top[:, None] * wts[None, :]
+        s_grid = s1[:, None] + spec.a0**2 * ell_nodes / ri**2
+        f_grid = data.scale * bump_profile(s_grid, spec.eps) * phi_r
+        inner = np.sum(f_grid * ell_weights, axis=1)
+        vals[i] = np.pi / ri**2 * np.sum(inner * (w_half * wts))
+    return vals
+
+
+class TestDensityQuadrature:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a0=st.floats(0.6, 1.8),
+        eps=st.floats(0.08, 0.35),
+        k=st.floats(0.5, 2.0),
+        fixed_mass=st.booleans(),
+        n=st.integers(1, 3 * RHO_BLOCK + 1),
+    )
+    def test_matches_loop_over_single_radii_bitwise(self, a0, eps, k, fixed_mass, n):
+        data = canonical_data(a0=a0, eps=eps, a1=-k / eps**2,
+                              target_mass=1.0 if fixed_mass else None)
+        spec = data.spec
+        # across the shell and just outside it, edges included
+        radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, n)
+        # and radii whose r**2 (libm pow) differs from r * r in the last bit
+        inside = np.random.default_rng(n).uniform(radii[0], radii[-1], 20_000)
+        split = inside[np.float_power(inside, 2.0) != inside * inside][:4]
+        radii = np.concatenate((radii, [spec.a0 - spec.delta_r, spec.a0 + 0.5 * spec.delta_r], split))
+        vals = data.rho0(radii)
+        assert vals.tobytes() == _loop_rho0(data, radii).tobytes()
+        # a radius's value does not depend on the radii it shares a block with
+        assert [data.rho0(r) for r in radii] == vals.tolist()
 
 
 class TestMembership:
