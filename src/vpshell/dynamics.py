@@ -401,11 +401,13 @@ class PiecewiseConstantProfile:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
-        if edges.size and (np.any(np.diff(edges) <= 0) or edges[0] <= 0):
+        # a handful of entries: Python comparisons beat array passes
+        e = edges.tolist()
+        if e and (e[0] <= 0 or any(hi <= lo for lo, hi in zip(e, e[1:]))):
             raise ValueError("breakpoints must be positive and ascending")
         if values.size != edges.size + 1:
             raise ValueError("need exactly one value per segment")
-        if np.any(values < 0) or np.any(values > 1):
+        if any(v < 0 or v > 1 for v in values.tolist()):
             raise ValueError("profile values must lie in [0, 1]")
 
     def __call__(self, t):

@@ -13,11 +13,17 @@ The index order is the (radius, id) order of np.lexsort, whichever sort
 computes it, so it never depends on the thread count.  A near-sorted
 state (at most NEAR_SORTED_FRAC descents per shell in ensemble order, as
 before shells cross) is lexsorted, which is fastest there.  A scrambled
-state (after crossings) is argsorted by radius alone, which numpy runs
-as a SIMD sort where the CPU has one, 2-4x faster there.  When those
-argsorted radii are all distinct and none is NaN, the ascending order is
-unique, so it is lexsort's; otherwise the state is lexsorted after all,
-and its ids order the ties and the NaNs.
+state (after crossings) of positive radii is sorted as one array of
+int64 keys: each key is a radius's bit pattern with its low
+b = (n-1).bit_length() bits replaced by the shell's position.  Bit
+patterns of positive floats ascend with their values, so keys whose high
+bits differ are in radius order, and the sorted keys' low bits are the
+order.  When no two keys share their high bits the radii are distinct,
+so the order is lexsort's and needs no tie scan.  Keys that do share
+them (exact ties, inf, or radii a few ulps apart) are reordered by
+(radius, id) with one lexsort over their members only.  A state with a
+zero, negative or NaN radius, or with radii not stored as native
+doubles, is lexsorted.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import numpy as np
 from .phase_space import Ensemble
 
 # Largest fraction of descents (r[k+1] < r[k]) in ensemble order at which
-# lexsort still beats argsort plus the tie check; above it the state
-# counts as scrambled.
+# lexsort still beats the packed-key sort; above it the state counts as
+# scrambled.
 NEAR_SORTED_FRAC = 0.01
 
 
@@ -43,12 +49,13 @@ class SortedMassIndex:
     tie group.  Tie convention: mass *at* a radius counts half, and a shell
     never feels its own weight (see interior_mass).
 
-    The order is the same whichever sort built it (see the module
-    docstring): lexsort for near-sorted states and for tied or NaN radii,
-    argsort for scrambled states whose radii are distinct.
+    The order is lexsort's whichever sort built it (see the module
+    docstring): lexsort for near-sorted states and for states with a
+    zero, negative or NaN radius, a sort of packed (radius, position)
+    keys for other scrambled states.
 
-    work is scratch space of one float per shell: the build's comparison
-    masks, interior_mass's sorted values and e_sup_exact's quotients pass
+    work is scratch space of one float per shell: the packed keys,
+    interior_mass's sorted values and e_sup_exact's quotients pass
     through it, so none of them allocates an n-sized temporary.
     """
 
@@ -65,18 +72,22 @@ class SortedMassIndex:
         """Index of ensemble's state.
 
         An index out of the same length lends the new one its arrays and
-        is invalid afterwards: radii, weights, cum and work are overwritten,
-        and a tie-free state shares out's tie-free group ends.
+        is invalid afterwards: radii, weights, cum, work and order are
+        overwritten, and a tie-free state shares out's tie-free group ends.
         """
         n = len(ensemble)
         if out is None:
             radii, weights, cum, work = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n)
-            tie_free = None
+            order, tie_free = None, None
         else:
             radii, weights, cum, work = out.radii, out.weights, out.cum, out.work
+            order = out.order
             tie_free = out.group_ends if out.group_ends.size == n else None
+        # weights is filled last, so until then its bytes are the sort's
+        # boolean scratch
         order, group_ends = _sort_by_radius_then_id(
-            ensemble.r, ensemble.ids, radii, work.view(np.bool_)[:n], tie_free
+            ensemble.r, ensemble.ids, radii, order, work.view(np.int64),
+            weights.view(np.bool_)[:n], tie_free,
         )
         # unbuffered gather, as in _sort_by_radius_then_id
         np.take(ensemble.weight, order, out=weights, mode="wrap")
@@ -166,30 +177,52 @@ class SortedMassIndex:
         return float(np.max(np.divide(below_or_at, quotient, out=quotient)))
 
 
-def _sort_by_radius_then_id(r, ids, radii, mask, tie_free):
+def _sort_by_radius_then_id(r, ids, radii, order, keys, flags, tie_free):
     """(order, tie-group ends) of np.lexsort((ids, r)); the sorted radii
     go into radii.
 
-    mask is a boolean scratch of r.size entries.  The radii are scanned
-    for ties once, whichever sort serves; tie_free, when given, is
-    returned as the ends of a state without ties.  An order is a
-    permutation, so the gathers by it take mode="wrap", which writes into
-    their out directly where the default mode="raise" buffers.
+    A scrambled state of positive radii is sorted by packed keys (see the
+    module docstring) built in keys, r.size int64; its order is written
+    into order when that is given.  flags is a boolean scratch of r.size
+    entries.  tie_free, when given, is returned as the ends of a state
+    without ties.  An order is a permutation, so the gathers by it take
+    mode="wrap", which writes into their out directly where the default
+    mode="raise" buffers.
     """
-    ends = None
-    descents = np.less(r[1:], r[:-1], out=mask[:-1])
-    if np.count_nonzero(descents) > NEAR_SORTED_FRAC * r.size:
-        order = np.argsort(r)
+    n = r.size
+    descents = np.less(r[1:], r[:-1], out=flags[:-1])
+    if (
+        np.count_nonzero(descents) <= NEAR_SORTED_FRAC * n
+        # only positive native doubles have bit patterns that ascend with them
+        or r.dtype != np.float64
+        or not np.min(r) > 0
+    ):
+        order = np.lexsort((ids, r))
         np.take(r, order, out=radii, mode="wrap")
-        ends = _tie_group_ends(radii, mask, tie_free)
-        if ends.size == r.size and not np.isnan(radii[-1]):
-            return order, ends
-        # Both sorts put each class of equal radii (+-0.0 together) and
-        # the NaNs, which end the order, at the same positions, so the
-        # group ends carry over; only lexsort orders a tie by id.
-    order = np.lexsort((ids, r))
+        return order, _tie_group_ends(radii, flags, tie_free)
+    if order is None:
+        order = np.empty(n, dtype=np.intp)
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    np.bitwise_and(r.view(np.int64), ~low, out=keys)
+    np.bitwise_or(keys, np.arange(n), out=keys)
+    keys.sort()
+    np.bitwise_and(keys, low, out=order)
+    high = np.right_shift(keys, b, out=keys)
+    shared = np.equal(high[1:], high[:-1], out=flags[:-1])
+    if not shared.any():
+        np.take(r, order, out=radii, mode="wrap")
+        return order, np.arange(1, n + 1) if tie_free is None else tie_free
+    # A run of keys sharing their high bits is in position order.  Runs
+    # are in radius order among themselves, so one lexsort over all run
+    # members, written back to their slots, orders each run by (r, id).
+    flags[-1] = False
+    np.logical_or(flags[1:], flags[:-1], out=flags[1:])
+    slots = np.flatnonzero(flags)
+    shells = order[slots]
+    order[slots] = shells[np.lexsort((ids[shells], r[shells]))]
     np.take(r, order, out=radii, mode="wrap")
-    return order, _tie_group_ends(radii, mask, tie_free) if ends is None else ends
+    return order, _tie_group_ends(radii, flags, tie_free)
 
 
 def _tie_group_ends(radii: np.ndarray, last=None, tie_free=None) -> np.ndarray:

@@ -319,6 +319,8 @@ def sample_ensemble(
     zero density are dropped; ids follow the (r, w, ell) grid order.  For
     the fixed-mass family the weights are rescaled so the sum equals the
     target exactly (same-quadrature normalization, no mass drift).
+    A grid whose radial midpoints are not all distinct in double
+    precision is refused.
     """
     if min(n_r, n_w, n_ell) < 2:
         raise ValueError("need at least 2 grid points per axis")
@@ -327,6 +329,12 @@ def sample_ensemble(
     dw = (w_hi - w_lo) / n_w
     dl = ell_hi / n_ell
     r_mid = r_lo + dr * (np.arange(n_r) + 0.5)
+    distinct = 1 + np.count_nonzero(r_mid[1:] != r_mid[:-1])  # r_mid ascends
+    if distinct < n_r:
+        raise ValueError(
+            f"radial grid collapses: n_r = {n_r} cells give only {distinct} distinct "
+            f"radii at a0 = {data.spec.a0!r} in double precision"
+        )
     w_mid = w_lo + dw * (np.arange(n_w) + 0.5)
     ell_mid = dl * (np.arange(n_ell) + 0.5)  # strictly positive: no ell = 0 shell
     # on broadcast axes the cutoff runs once per radius, the profile once per cell

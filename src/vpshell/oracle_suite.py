@@ -102,8 +102,14 @@ class SuiteResult:
         )
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+# (log lo, log hi) of the log-uniform draws: radii, L and P scales.
+LOG_RANGE_Y = (np.log(0.3), np.log(3.0))
+LOG_RANGE_L = (np.log(1e-4), np.log(1.0))
+LOG_RANGE_P = (np.log(1e-3), np.log(3.0))
+
+
+def _log_uniform(rng: np.random.Generator, log_range: tuple) -> float:
+    return float(np.exp(rng.uniform(*log_range)))
 
 
 def _random_profile(rng: np.random.Generator, horizon: float) -> PiecewiseConstantProfile:
@@ -122,12 +128,12 @@ def draw_cases(n_cases: int, seed: int = 1234) -> list:
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n_cases):
-        y0 = _log_uniform(rng, 0.3, 3.0)
-        y1 = -_log_uniform(rng, 0.3, 3.0)
+        y0 = _log_uniform(rng, LOG_RANGE_Y)
+        y1 = -_log_uniform(rng, LOG_RANGE_Y)
         # scale L and P against the kinetic term y0^2 y1^2 so pericenter
         # depths range from grazing to ~100x below the start radius
-        L = _log_uniform(rng, 1e-4, 1.0) * y0**2 * y1**2
-        P = 0.0 if rng.uniform() < 0.1 else _log_uniform(rng, 1e-3, 3.0) * y0 * y1**2
+        L = _log_uniform(rng, LOG_RANGE_L) * y0**2 * y1**2
+        P = 0.0 if rng.uniform() < 0.1 else _log_uniform(rng, LOG_RANGE_P) * y0 * y1**2
         horizon = 3.0 * y0 / abs(y1)
         if i == 0:
             profile: Union[float, PiecewiseConstantProfile] = 0.0

@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -211,6 +214,20 @@ def _init_unresolved_shell(design_argv, a0, eps):
     return argv
 
 
+def _collapsed_radial_grid(command):
+    """A certificate design accepts, on 40 radial cells that double
+    precision cannot hold apart at its a0."""
+    def argv(ws):
+        cert = ws / "thin_grid.ini"
+        assert cli.main(["design", "--c1", "1", "--c2", "1e-3", "--out", str(cert)]) == 0
+        config = save_run_config(
+            RunSetup(certificate_path="thin_grid.ini", n_r=40, n_w=4, n_ell=4),
+            ws / "thin_grid_run.ini",
+        )
+        return [command, "--config", str(config), "--out", str(ws / command)]
+    return argv
+
+
 def _run_t_end_nan(ws):
     config = save_run_config(
         RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, t_end=float("nan"),
@@ -239,6 +256,8 @@ USAGE_ERRORS = {
     "init-fixed-mass-unresolved-shell": _init_unresolved_shell(FIXED_MASS_THIN, 97870568.64380415, 1.0108202744905371e-4),
     "init-small-data-unresolved-shell": _init_unresolved_shell(SMALL_DATA_THIN, 1.0, 6.25e-11),
     "run-t_end-nan": _run_t_end_nan,
+    "init-collapsed-radial-grid": _collapsed_radial_grid("init"),
+    "run-collapsed-radial-grid": _collapsed_radial_grid("run"),
 }
 
 
@@ -269,6 +288,16 @@ def test_oracle_error_is_a_failed_run(monkeypatch, capsys):
     assert cli.main(["oracle", "--cases", "3"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "oracle aborted" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime is numpy alone; scipy is a test dependency only."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = "import sys, vpshell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_newton_failure_names_the_case(monkeypatch, capsys):

@@ -151,7 +151,7 @@ class TestStep:
 
     def test_index_order_is_lexsort_through_pericenter(self, monkeypatch):
         # shell crossings scramble the radial order, so the run's states
-        # fall on both sides of NEAR_SORTED_FRAC and use both sorts
+        # fall on both sides of NEAR_SORTED_FRAC: lexsorted and packed
         build = SortedMassIndex.from_ensemble
         descent_fracs = []
 
@@ -170,8 +170,9 @@ class TestStep:
 
 
 def pericenter_run():
-    """The 8x8x6 run at eps = 0.05 to 3T: it crosses pericenter and uses
-    both sorts (see test_index_order_is_lexsort_through_pericenter)."""
+    """The 8x8x6 run at eps = 0.05 to 3T: it crosses pericenter, so both
+    lexsort and the packed sort build its indexes (see
+    test_index_order_is_lexsort_through_pericenter)."""
     cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
     ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
     t_end = 3.0 * cert.t_horizon

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +14,7 @@ from vpshell import (
     SortedMassIndex,
     default_grid_edges,
     density_estimate,
+    design_small_data,
     integrate,
     sample_ensemble,
     sup_norms,
@@ -168,27 +171,37 @@ class TestInteriorMass:
         self._assert_matches_searchsorted(ensemble_at(radii, weights))
 
     def test_one_tie_scan_per_index(self, monkeypatch):
+        """A lexsorted build and a packed build whose keys collide scan the
+        sorted radii for ties once; a collision-free packed build, whose
+        radii are proven distinct, never does."""
         scan = vpshell.field._tie_group_ends
         build = SortedMassIndex.from_ensemble
-        scans, builds = [], []
+        scans, expected = [], []
 
         def counting_scan(radii, *args):
             scans.append(radii.size)
             return scan(radii, *args)
 
         def counting_build(ensemble, **kwargs):
-            builds.append(ensemble.time)
+            r = ensemble.r
+            packed = descent_frac(r) > NEAR_SORTED_FRAC and np.min(r) > 0
+            expected.append(0 if packed and not packed_keys_collide(r) else 1)
             return build(ensemble, **kwargs)
 
         monkeypatch.setattr(vpshell.field, "_tie_group_ends", counting_scan)
         monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting_build))
-        data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
-        ens = sample_ensemble(data, 6, 6, 4)
-        cfg = IntegratorConfig(t_end=0.02, dt_max=1e-3, output_stride=3)
-        result = integrate(ens, cfg, mark_times=(0.005,))
-        assert result.steps > 3
-        assert len(builds) == result.steps + 1
-        assert len(scans) == len(builds)
+        cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
+        ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
+        t_end = 3.0 * cert.t_horizon
+        result = integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
+        assert len(expected) == result.steps + 1
+        # crossings scramble the order: the run has lexsorted and packed builds
+        assert 0 < sum(expected) < len(expected)
+        # plus states whose packed keys collide
+        for r in (adjacent_float_chains(40, 5, seed=1), np.array([2.0, 1.0, 2.0, 0.5, 1.0, 3.0])):
+            SortedMassIndex.from_ensemble(ensemble_at(r, np.ones(r.size)))
+            assert expected[-1] == 1 and packed_keys_collide(r)
+        assert len(scans) == sum(expected)
 
     def test_sampled_ensemble_bitwise_equal_to_searchsorted_bounds(self):
         data = InitialData.from_spec(ClassSpec(a0=1.0, a1=-25.0, eps=0.2))
@@ -217,6 +230,36 @@ def assert_lexsort_order(ens):
     assert idx.order.tobytes() == order.tobytes()
     assert idx.radii.tobytes() == radii.tobytes()
     assert idx.group_ends.tolist() == vpshell.field._tie_group_ends(radii).tolist()
+
+
+def packed_keys_collide(r):
+    """Whether two of r's packed sort keys share their high bits: the
+    bits above the low (n-1).bit_length() ones that hold a position."""
+    high = np.sort(r.view(np.int64) >> (r.size - 1).bit_length())
+    return bool(np.any(high[1:] == high[:-1]))
+
+
+def adjacent_float_chains(n_chains, length, seed, lo=0.5, hi=2.0):
+    """n_chains runs of `length` adjacent doubles (np.nextafter steps from
+    a random start), shuffled together."""
+    rng = np.random.default_rng(seed)
+    r = np.empty((n_chains, length))
+    r[:, 0] = rng.uniform(lo, hi, n_chains)
+    for k in range(1, length):
+        r[:, k] = np.nextafter(r[:, k - 1], np.inf)
+    return rng.permutation(r.ravel())
+
+
+def lexsort_sizes(monkeypatch, ens):
+    """Sizes of the lexsorts that building ens's index runs."""
+    sizes, lexsort = [], np.lexsort
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", lambda keys: sizes.append(len(keys[-1])) or lexsort(keys))
+        SortedMassIndex.from_ensemble(ens)
+    return sizes
+
+
+SCRAMBLED_40 = np.random.default_rng(6).permutation(np.geomspace(0.1, 9.0, 40))
 
 
 def ids_for(data, n):
@@ -274,19 +317,96 @@ class TestIndexOrder:
     def test_up_to_two_shells(self, radii, ids):
         assert_lexsort_order(ensemble_at(radii, np.ones(len(radii)), ids))
 
+    @given(
+        n_chains=st.integers(1, 60), length=st.integers(3, 40), seed=st.integers(0, 2**32 - 1)
+    )
+    def test_scrambled_chains_of_adjacent_floats(self, n_chains, length, seed):
+        # three adjacent doubles span at most two blocks of 2^b >= 4 bit
+        # patterns, so two of them share their keys' high bits
+        r = adjacent_float_chains(n_chains, length, seed)
+        assume(descent_frac(r) > NEAR_SORTED_FRAC)
+        assert packed_keys_collide(r)
+        ids = np.random.default_rng(seed).permutation(r.size)
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids))
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            pytest.param(
+                np.concatenate((np.repeat([0.25, 1.0, 1.5], [3, 2, 4]), np.geomspace(0.1, 9.0, 40))),
+                id="exact-ties",
+            ),
+            pytest.param(np.concatenate(([np.inf] * 3, np.geomspace(0.1, 9.0, 40))), id="inf"),
+            pytest.param(
+                np.concatenate((
+                    [5e-324, 1e-323, 5e-324, 2.5e-310, 2.5e-310, 1e-309, 2.2250738585072014e-308],
+                    np.geomspace(1e-300, 1.0, 40),
+                )),
+                id="subnormal",
+            ),
+        ],
+    )
+    def test_ties_inf_and_subnormals_are_packed(self, radii, monkeypatch):
+        r = np.random.default_rng(4).permutation(radii)
+        ens = ensemble_at(r, np.ones(r.size), ids=np.random.default_rng(5).permutation(r.size))
+        assert descent_frac(r) > NEAR_SORTED_FRAC and packed_keys_collide(r)
+        # only the colliding keys' members are lexsorted, never all shells
+        assert 0 < max(lexsort_sizes(monkeypatch, ens)) < r.size
+        assert_lexsort_order(ens)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 4096, 4097])
+    def test_key_width_follows_shell_count(self, n, monkeypatch):
+        # pairs of radii 1024 ulps apart, the first on a 2048-ulp boundary:
+        # their keys share high bits only once positions take 11 bits
+        rng = np.random.default_rng(n)
+        first = rng.choice(np.arange(1 << 12), n // 2, replace=False) << 11
+        bits = np.concatenate((first, first + 1024, np.full(n % 2, 1 << 24)))
+        r = rng.permutation(bits + np.float64(1.0).view(np.int64)).view(np.float64)
+        b = (n - 1).bit_length()
+        assert descent_frac(r) > NEAR_SORTED_FRAC
+        assert packed_keys_collide(r) == (b >= 11)
+        ens = ensemble_at(r, np.ones(n), ids=rng.permutation(n))
+        sizes = lexsort_sizes(monkeypatch, ens)
+        assert sizes == ([] if b < 11 else [n - n % 2])
+        assert_lexsort_order(ens)
+
+    def test_big_endian_radii_are_lexsorted(self, monkeypatch):
+        # the int64 view of a byte-swapped double is not its bit pattern
+        r = SCRAMBLED_40.astype(">f8")
+        ens = dataclasses.replace(ensemble_at(r, np.ones(r.size), ids=np.arange(r.size)[::-1]), r=r)
+        assert lexsort_sizes(monkeypatch, ens) == [r.size]
+        idx = SortedMassIndex.from_ensemble(ens)
+        order = np.lexsort((ens.ids, r))
+        assert idx.order.tolist() == order.tolist()
+        assert idx.radii.tolist() == r[order].tolist()  # native doubles, same values
+
+    def test_distinct_scrambled_radii_take_no_lexsort(self, monkeypatch):
+        r = np.random.default_rng(7).permutation(np.geomspace(0.01, 5.0, 3000))
+        ens = ensemble_at(r, np.ones(r.size), ids=np.random.default_rng(8).permutation(r.size))
+        assert not packed_keys_collide(r)
+        assert lexsort_sizes(monkeypatch, ens) == []
+        assert_lexsort_order(ens)
+
     @pytest.mark.parametrize(
         "radii",
         [
             pytest.param([3.0, 1.0, 2.0, 1.0, 0.0, -0.0, 3.0, np.nan, 2.0, np.nan], id="ties"),
             # NaN != NaN, so these radii hold no tie, yet only ids order the NaNs
             pytest.param([np.nan, 2.0, 1.0, np.nan], id="nans"),
+            *(
+                pytest.param(np.append(SCRAMBLED_40, special), id=name)
+                for name, special in (("zero", 0.0), ("negative-zero", -0.0), ("negative", -1.0))
+            ),
         ],
     )
-    def test_scrambled_ties_and_nans_fall_back_to_lexsort(self, radii):
-        # descents above the threshold, so argsort runs first
+    def test_scrambled_ties_and_nans_fall_back_to_lexsort(self, radii, monkeypatch):
+        # descents above the threshold, yet zero, negative and NaN radii
+        # are never packed: all shells are lexsorted
         r = np.array(radii)
+        ens = ensemble_at(r, np.ones(r.size), ids=np.arange(r.size)[::-1])
         assert descent_frac(r) > NEAR_SORTED_FRAC
-        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids=np.arange(r.size)[::-1]))
+        assert lexsort_sizes(monkeypatch, ens) == [r.size]
+        assert_lexsort_order(ens)
 
 
 class TestDensityGrid:

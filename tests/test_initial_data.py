@@ -226,6 +226,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_ensemble(canonical_data(), 1, 8, 6)
 
+    def test_collapsed_radial_grid_is_refused(self):
+        # delta_r / a0 ~ 2.4e-15: of 40 radial midpoints only 35 are
+        # distinct doubles, and the kept shells shared 33 radii
+        data = InitialData.from_spec(design_small_data(c1=1.0, c2=1e-3).spec)
+        with pytest.raises(ValueError, match=r"n_r = 40 cells give only 35 distinct radii"):
+            sample_ensemble(data, 40, 44, 28)
+
     def test_empty_support_raises(self):
         dead = dataclasses.replace(canonical_data(), scale=0.0)
         with pytest.raises(EmptyEnsembleError):
