@@ -36,6 +36,7 @@ from .dynamics import (
     IntegratorConfig,
     OracleError,
     PiecewiseConstantProfile,
+    StepBudgetError,
     StiffnessError,
     accel,
     free_motion_radius_squared,

@@ -10,9 +10,10 @@ Subcommands:
   oracle  run the randomized bound-vs-reference property suite
 
 Exit codes, mapped from exceptions in main alone: 0 success / all
-checks pass, 1 a check failed or the run or the oracle aborted, 2 usage
-error or refusal (bad argument, missing file or key, inconsistent run
-record, run not made from the certificate or stopped before T).
+checks pass, 1 a check failed or the run (too stiff, out of steps) or the
+oracle aborted, 2 usage error or refusal (bad argument, missing file or
+key, t_end beyond MAX_STEPS steps of dt_max, inconsistent run record,
+run not made from the certificate or stopped before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -32,10 +33,9 @@ from .design import (
     design_small_data,
     verify_focusing_run,
 )
-from .dynamics import OracleError, StiffnessError, integrate
+from .dynamics import OracleError, StepBudgetError, StiffnessError, integrate
 from .initial_data import InitialData, check_membership, sample_ensemble
 from .reporting import (
-    RunSetup,
     load_certificate,
     load_run_config,
     load_run_data,
@@ -162,9 +162,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = load_certificate(args.certificate)
-    summary = load_run_data(args.run_dir)
-    require_manifest_matches(summary, cert, args.certificate)
-    report = verify_focusing_run(summary, cert)
+    run = load_run_data(args.run_dir)
+    require_manifest_matches(args.run_dir, run, cert, args.certificate)
+    report = verify_focusing_run(run, cert)
     out = args.out if args.out is not None else Path(args.run_dir) / "verification.ini"
     save_verification_report(report, out)
     print(report)
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except StiffnessError as exc:
+    except (StiffnessError, StepBudgetError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except OracleError as exc:

@@ -14,13 +14,15 @@ predicted bounds.
   infall concentrates near the origin at time T with certified lower
   bounds exceeding C2 for admissible eps.
 
-verify_focusing_run replays the certificate's claims against run
-output in five stages: (i) time-zero sup-norm bounds, (ii) total mass,
-(iii) all turning times beyond T, (iv) all radii at T within the
-predicted confinement radius, (v) certified sup-norm lower bounds at T.
-An inadmissible eps can be forced through with exploratory=True, which
-marks the certificate and restricts verification to stages (iii)-(v),
-checking the certificate's own scaled predictions instead of C2.
+verify_focusing_run replays the certificate's claims against a
+dynamics.RunResult, as integrate returns it or reporting.load_run_data
+reads it back, in five stages: (i) time-zero sup-norm bounds, (ii) total
+mass, (iii) all turning times beyond T, (iv) all radii at T within the
+predicted confinement radius, (v) certified sup-norm lower bounds at T;
+_stage keeps a stage's witness shell only when it fails.  An
+inadmissible eps can be forced through with exploratory=True, which
+marks the certificate, skips stages (i) and (ii) and checks the
+certificate's own scaled predictions instead of C2.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 import numpy as np
 
 from .bounds import confinement_lower_bounds
+from .dynamics import RunResult
 from .initial_data import MASS_REL_TOL, ClassSpec, derived_bounds
 
 # Relative headroom of the binned time-zero density over its cap.
@@ -221,10 +224,7 @@ class VerificationReport:
         return all(s.status != "fail" for s in self.stages)
 
     def first_failure(self) -> Optional[StageResult]:
-        for s in self.stages:
-            if s.status == "fail":
-                return s
-        return None
+        return next((s for s in self.stages if s.status == "fail"), None)
 
     def __str__(self) -> str:
         head = "verification (exploratory certificate)" if self.exploratory else "verification"
@@ -235,12 +235,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_focusing_run(run, cert: BoundsCertificate) -> VerificationReport:
-    """Check a completed run against its certificate, stage by stage.
+def _stage(name: str, ok, detail: str, witness: Optional[int] = None) -> StageResult:
+    """A checked stage: pass or fail, naming the witness shell only on failure."""
+    ok = bool(ok)
+    return StageResult(name, "pass" if ok else "fail", detail, None if ok else witness)
 
-    run must expose rows (diagnostics), turning_time (per shell),
-    snapshot_at(t), and final (ensemble); both the in-memory run result
-    and the reloaded on-disk record satisfy this.
+
+def verify_focusing_run(run: RunResult, cert: BoundsCertificate) -> VerificationReport:
+    """Check a completed run against its certificate, stage by stage.
 
     The binned density at time zero is only compared up to RHO_BIN_SLACK
     because column quantization makes the histogram noisy on a thin
@@ -250,100 +252,84 @@ def verify_focusing_run(run, cert: BoundsCertificate) -> VerificationReport:
     compared up to RADIUS_REL_SLACK, and a fixed-mass run's total mass
     up to initial_data.MASS_REL_TOL.
     """
-    stages = []
     t_target = cert.t_horizon
-
-    # (i) time-zero sup-norm bounds
+    mass = run.final.total_mass
+    # (i) time-zero sup-norm bounds and (ii) total mass
     if cert.exploratory:
-        stages.append(StageResult("initial-sup-norms", "skipped", "exploratory certificate"))
-    elif cert.recipe == "fixed-mass":
-        stages.append(
-            StageResult(
-                "initial-sup-norms", "skipped", "fixed-mass recipe makes no time-zero claims"
-            )
-        )
-    else:
+        stages = [
+            StageResult(name, "skipped", "exploratory certificate")
+            for name in ("initial-sup-norms", "total-mass")
+        ]
+    elif cert.recipe == "small-data":
         row0 = run.rows[0]
-        ok_e = row0.e_sup_exact <= cert.e0_sup_bound
-        ok_rho_cert = row0.rho_sup_certified <= cert.rho0_sup_bound
-        ok_rho_bin = row0.rho_sup_binned <= cert.rho0_sup_bound * (1.0 + RHO_BIN_SLACK)
-        status = "pass" if (ok_e and ok_rho_cert and ok_rho_bin) else "fail"
-        stages.append(
-            StageResult(
+        db = derived_bounds(cert.spec)
+        stages = [
+            _stage(
                 "initial-sup-norms",
-                status,
+                row0.e_sup_exact <= cert.e0_sup_bound
+                and row0.rho_sup_certified <= cert.rho0_sup_bound
+                and row0.rho_sup_binned <= cert.rho0_sup_bound * (1.0 + RHO_BIN_SLACK),
                 f"E {row0.e_sup_exact:.6g} <= {cert.e0_sup_bound:.6g}; "
                 f"rho certified {row0.rho_sup_certified:.6g} <= {cert.rho0_sup_bound:.6g}; "
                 f"rho binned {row0.rho_sup_binned:.6g} <= cap*(1+{RHO_BIN_SLACK:g})",
-            )
-        )
-
-    # (ii) total mass
-    mass = run.final.total_mass
-    if cert.exploratory:
-        stages.append(StageResult("total-mass", "skipped", "exploratory certificate"))
-    elif cert.recipe == "small-data":
-        db = derived_bounds(cert.spec)
-        ok = db.mass_lower <= mass <= db.mass_upper
-        stages.append(
-            StageResult(
+            ),
+            _stage(
                 "total-mass",
-                "pass" if ok else "fail",
+                db.mass_lower <= mass <= db.mass_upper,
                 f"mass {mass:.6e} in sandwich [{db.mass_lower:.6e}, {db.mass_upper:.6e}]",
-            )
-        )
+            ),
+        ]
     else:
         rel = abs(mass / cert.c1 - 1.0)
-        stages.append(
+        stages = [
             StageResult(
+                "initial-sup-norms", "skipped", "fixed-mass recipe makes no time-zero claims"
+            ),
+            _stage(
                 "total-mass",
-                "pass" if rel <= MASS_REL_TOL else "fail",
+                rel <= MASS_REL_TOL,
                 f"mass {mass!r} vs C1 {cert.c1!r}, rel err {rel:.3e}",
-            )
-        )
+            ),
+        ]
 
     # (iii) every turning time beyond T
     margin = run.turning_time - t_target
     worst = int(np.argmin(margin))
-    ok = bool(np.all(margin > 0.0))
     stages.append(
-        StageResult(
+        _stage(
             "turning-after-T",
-            "pass" if ok else "fail",
+            np.all(margin > 0.0),
             f"min(turning time - T) = {float(margin[worst]):.6g}",
-            witness_id=None if ok else int(run.final.ids[worst]),
+            int(run.final.ids[worst]),
         )
     )
 
     # (iv) confinement radius at T
     snap = run.snapshot_at(t_target)
-    r_max = float(np.max(snap.r))
     worst = int(np.argmax(snap.r))
-    cap = cert.sup_r_bound * (1.0 + RADIUS_REL_SLACK)
-    ok = r_max <= cap
+    r_max = float(np.max(snap.r))
     stages.append(
-        StageResult(
+        _stage(
             "confinement-radius",
-            "pass" if ok else "fail",
+            r_max <= cert.sup_r_bound * (1.0 + RADIUS_REL_SLACK),
             f"max radius at T = {r_max:.6g} vs bound {cert.sup_r_bound:.6g} "
             f"(rel slack {RADIUS_REL_SLACK:g})",
-            witness_id=None if ok else int(snap.ids[worst]),
+            int(snap.ids[worst]),
         )
     )
 
-    # (v) certified sup-norm lower bounds at T
+    # (v) certified sup-norm lower bounds at T; unless exploratory, C2 is a floor too
     sb = confinement_lower_bounds(snap.total_mass, r_max)
-    ok = sb.rho_lower >= cert.rhot_lower and sb.e_lower >= cert.et_lower
-    need_c2 = not cert.exploratory
-    if need_c2:
-        ok = ok and sb.rho_lower >= cert.c2 and sb.e_lower >= cert.c2
-    target_note = f"; both >= C2 = {cert.c2:g}" if need_c2 else ""
+    floors, c2_note = [(cert.rhot_lower, cert.et_lower)], ""
+    if not cert.exploratory:
+        floors.append((cert.c2, cert.c2))
+        c2_note = f"; both >= C2 = {cert.c2:g}"
     stages.append(
-        StageResult(
+        _stage(
             "certified-lower-bounds",
-            "pass" if ok else "fail",
+            all(sb.rho_lower >= rho and sb.e_lower >= e for rho, e in floors),
             f"rho certified {sb.rho_lower:.6g} >= predicted {cert.rhot_lower:.6g}, "
-            f"E certified {sb.e_lower:.6g} >= predicted {cert.et_lower:.6g}{target_note}",
+            f"E certified {sb.e_lower:.6g} >= predicted {cert.et_lower:.6g}{c2_note}",
         )
     )
 

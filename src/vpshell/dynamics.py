@@ -10,7 +10,9 @@ state's diagnostics row and the next step's enclosed masses.  The
 centrifugal term makes r = 0 unreachable for ell > 0, so halving
 succeeds eventually; a purely radial shell (ell = 0) can still fall
 toward the center, and a StiffnessError stops the run once the adaptive
-step or a halved step falls below IntegratorConfig.dt_min.
+step or a halved step falls below IntegratorConfig.dt_min.  A run takes
+at most MAX_STEPS steps: IntegratorConfig refuses a t_end farther away,
+in steps of dt_max, and a StepBudgetError stops a run that uses them up.
 
 The step allocates no array of one value per shell.  A run allocates
 its work arrays once (the enclosed masses, the force, the force's
@@ -49,6 +51,8 @@ from .phase_space import Ensemble
 ORACLE_NEWTON_MAX_ITER = 50
 # Relative distance within which a requested time matches a snapshot's.
 SNAPSHOT_TIME_REL_TOL = 1e-12
+# Steps one run may take.
+MAX_STEPS = 10_000_000
 
 
 class StiffnessError(RuntimeError):
@@ -62,6 +66,10 @@ class StiffnessError(RuntimeError):
             f"step size fell below the minimum at t={time!r} "
             f"(dt={dt!r}); deepest shell id {shell_id}"
         )
+
+
+class StepBudgetError(RuntimeError):
+    """A run used up MAX_STEPS steps before t_end."""
 
 
 class OracleError(RuntimeError):
@@ -80,7 +88,8 @@ class IntegratorConfig:
     dt = cfl * min_i r_i / (|w_i| + sqrt(a_i r_i)) capped at dt_max; the
     sqrt term shortens steps during pericenter passage where the
     acceleration a_i blows up.  A run stops with StiffnessError when this
-    dt, or a step halved to keep radii positive, falls below dt_min.
+    dt, or a step halved to keep radii positive, falls below dt_min.  A
+    t_end more than MAX_STEPS steps of dt_max away is refused.
     """
 
     t_end: float
@@ -97,6 +106,11 @@ class IntegratorConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.output_stride < 1:
             raise ValueError("output_stride must be a positive integer")
+        if self.t_end / self.dt_max > MAX_STEPS:
+            raise ValueError(
+                f"t_end / dt_max = {self.t_end / self.dt_max:.6g} steps exceeds the "
+                f"budget of {MAX_STEPS}"
+            )
 
     @property
     def dt_min(self) -> float:
@@ -173,21 +187,10 @@ class DiagnosticsRow:
     dt_current: float
 
 
-class SnapshotLookup:
-    """snapshot_at for any run record holding (time, Ensemble) snapshots."""
-
-    snapshots: list
-
-    def snapshot_at(self, t: float) -> Ensemble:
-        for time, ens in self.snapshots:
-            if time == t or abs(time - t) <= SNAPSHOT_TIME_REL_TOL * max(abs(t), 1.0):
-                return ens
-        raise KeyError(f"no snapshot recorded at t={t!r}")
-
-
 @dataclass
-class RunResult(SnapshotLookup):
-    """Everything a completed run exposes to verification and reporting."""
+class RunResult:
+    """Everything a completed run exposes to verification and reporting;
+    reporting.load_run_data reads one back, without traces."""
 
     rows: list  # of DiagnosticsRow
     snapshots: list  # of (time, Ensemble), ascending; first is the initial state
@@ -197,6 +200,12 @@ class RunResult(SnapshotLookup):
     t_at_r_min: np.ndarray  # per shell time of that minimum
     steps: int
     traces: dict = field(default_factory=dict)  # shell id -> (t, r, w) arrays
+
+    def snapshot_at(self, t: float) -> Ensemble:
+        for time, ens in self.snapshots:
+            if time == t or abs(time - t) <= SNAPSHOT_TIME_REL_TOL * max(abs(t), 1.0):
+                return ens
+        raise KeyError(f"no snapshot recorded at t={t!r}")
 
 
 def _adaptive_dt(r, w, a, cfl, dt_max, scale, per_shell):
@@ -224,7 +233,6 @@ def integrate(
     mark_times: Sequence[float] = (),
     n_bins: int = 256,
     trace_shells: Sequence[int] = (),
-    max_steps: int = 10_000_000,
 ) -> RunResult:
     """Advance an ensemble to t_end, landing exactly on each mark time.
 
@@ -298,8 +306,8 @@ def integrate(
         if ens.time >= target:
             stop_idx += 1
             continue
-        if steps >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps before t_end")
+        if steps >= MAX_STEPS:
+            raise StepBudgetError(f"{steps} steps reached at t={ens.time!r} before t_end")
         if steps == 0:
             # later states have passed _kdk_attempt's positivity test
             _require_positive(ens.r)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .phase_space import REDUCED_MEASURE, Ensemble
+from .phase_space import REDUCED_MEASURE, Ensemble, to_radial
 
 # Value of the 3-space integral of H(|u|^2); fixes the homogeneous-ball
 # density 3/(4 pi a0^3) after the velocity shift by (a1/a0) x.
@@ -226,8 +226,6 @@ class InitialData:
 
     def evaluate(self, x, v) -> float:
         """f0 at a Cartesian (position, velocity) pair; |x| > 0 required."""
-        from .phase_space import to_radial
-
         c = to_radial(x, v)
         return float(self.evaluate_reduced(c.r, c.w, c.ell))
 
@@ -395,108 +393,94 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-def _shell_check(name: str, margin: np.ndarray, detail: str, ensemble: Ensemble):
-    """The hard per-shell condition margin > 0, its detail formatted with the
-    least margin; a miss names the worst shell (id, r, w, ell) as witness."""
-    i = int(np.argmin(margin))
-    ok = bool(np.all(margin > 0))
-    witness = None if ok else (
-        int(ensemble.ids[i]), float(ensemble.r[i]), float(ensemble.w[i]), float(ensemble.ell[i])
-    )
-    return MembershipCheck(name, ok, True, detail.format(float(np.min(margin))), witness)
+def _check(name: str, ok, hard: bool, detail: str, witness: Optional[tuple] = None):
+    """A membership condition's outcome, keeping the witness only on a miss."""
+    ok = bool(ok)
+    return MembershipCheck(name, ok, hard, detail, None if ok else witness)
 
 
 def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
     """Validate an ensemble and its generating data against the family
     conditions.
 
-    Per-shell support conditions are checked on the ensemble; the density
-    conditions are checked on the continuum f0 by quadrature at
-    N_RHO_SAMPLES radii, up to RHO_REL_TOL.  The density bound and plateau
-    equality apply to the small-density family; the fixed-mass family
-    instead requires the weight sum to equal the target mass up to
-    MASS_REL_TOL.
+    Per-shell support conditions are checked on the ensemble, and a miss
+    names the worst shell (id, r, w, ell); the density conditions are
+    checked on the continuum f0 by quadrature at N_RHO_SAMPLES radii, up
+    to RHO_REL_TOL.  The density bound and plateau equality apply to the
+    small-density family; the fixed-mass family instead requires the
+    weight sum to equal the target mass up to MASS_REL_TOL.
     """
     spec = data.spec
-    checks = []
-    r, w, ell = ensemble.r, ensemble.w, ensemble.ell
-
-    # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2
+    r, w, ell, m = ensemble.r, ensemble.w, ensemble.ell, ensemble.total_mass
     lhs = (r + spec.a0 / abs(spec.a1) * w) ** 2 + ell / r**2 * (spec.a0 / spec.a1) ** 2
-    rhs = spec.eps**2 / spec.a1**2
-    detail = "min margin {:.3e} (must be > 0)"
-    checks.append(_shell_check("support-ellipse", rhs - lhs, detail, ensemble))
-    # radial shell: a0 - delta_r < r < a0 + delta_r
-    margin = np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r)
-    detail = "min distance to shell edge {:.3e}"
-    checks.append(_shell_check("radial-shell", margin, detail, ensemble))
-    # velocity window: w in (a1 - delta_w, a1 + delta_w)
-    margin = np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w)
-    detail = "min distance to window edge {:.3e}"
-    checks.append(_shell_check("velocity-window", margin, detail, ensemble))
-    # angular momentum bound: ell < (r/a0)^2 eps^2
-    margin = (r / spec.a0) ** 2 * spec.eps**2 - ell
-    checks.append(_shell_check("ell-bound", margin, "min margin {:.3e}", ensemble))
+    per_shell = (  # (name, margin that must be > 0, detail of the least margin)
+        # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2
+        ("support-ellipse", spec.eps**2 / spec.a1**2 - lhs, "min margin {:.3e} (must be > 0)"),
+        # radial shell: a0 - delta_r < r < a0 + delta_r
+        ("radial-shell", np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r),
+         "min distance to shell edge {:.3e}"),
+        # velocity window: w in (a1 - delta_w, a1 + delta_w)
+        ("velocity-window", np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w),
+         "min distance to window edge {:.3e}"),
+        # angular momentum bound: ell < (r/a0)^2 eps^2
+        ("ell-bound", (r / spec.a0) ** 2 * spec.eps**2 - ell, "min margin {:.3e}"),
+    )
+    checks = []
+    for name, margin, detail in per_shell:
+        i = int(np.argmin(margin))
+        witness = (int(ensemble.ids[i]), float(r[i]), float(w[i]), float(ell[i]))
+        detail = detail.format(float(np.min(margin)))
+        checks.append(_check(name, np.all(margin > 0), True, detail, witness))
+
+    if spec.is_fixed_mass:
+        rel = abs(m / spec.target_mass - 1.0)
+        checks.append(
+            _check(
+                "total-mass",
+                rel <= MASS_REL_TOL,
+                False,
+                f"mass {m!r} vs target {spec.target_mass!r}, rel err {rel:.3e}",
+            )
+        )
+        return MembershipReport(checks=tuple(checks))
 
     rho_cap = 3.0 / (4.0 * np.pi * spec.a0**3)
-    if not spec.is_fixed_mass:
-        # density bound everywhere (sampled across the shell and just outside)
-        radii = np.linspace(
-            spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES
+    # density bound everywhere (sampled across the shell and just outside)
+    radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES)
+    rho = data.rho0(radii)
+    worst = float(np.max(rho)) / rho_cap
+    checks.append(
+        _check(
+            "density-bound",
+            worst <= 1.0 + RHO_REL_TOL,
+            False,
+            f"max rho0 / cap = {worst:.12f} (tol {RHO_REL_TOL:g})",
+            (float(radii[int(np.argmax(rho))]),),
         )
-        rho = data.rho0(radii)
-        worst = float(np.max(rho)) / rho_cap
-        ok = worst <= 1.0 + RHO_REL_TOL
-        checks.append(
-            MembershipCheck(
-                name="density-bound",
-                passed=ok,
-                hard=False,
-                detail=f"max rho0 / cap = {worst:.12f} (tol {RHO_REL_TOL:g})",
-                witness=None if ok else (float(radii[int(np.argmax(rho))]),),
-            )
+    )
+    # plateau equality on [a0 - delta_r/2, a0 + delta_r/2]
+    plateau = np.linspace(
+        spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, N_RHO_SAMPLES
+    )
+    deviation = np.abs(data.rho0(plateau) / rho_cap - 1.0)
+    rel_err = float(np.max(deviation))
+    checks.append(
+        _check(
+            "density-plateau",
+            rel_err <= RHO_REL_TOL,
+            False,
+            f"max relative deviation {rel_err:.3e} (tol {RHO_REL_TOL:g})",
+            (float(plateau[int(np.argmax(deviation))]),),
         )
-
-        # plateau equality on [a0 - delta_r/2, a0 + delta_r/2]
-        plateau = np.linspace(
-            spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, N_RHO_SAMPLES
+    )
+    # mass sandwich 3 eps^3/a0 <= M <= 8 eps^3/a0
+    db = derived_bounds(spec)
+    checks.append(
+        _check(
+            "mass-sandwich",
+            db.mass_lower <= m <= db.mass_upper,
+            True,
+            f"mass {m:.6e} in [{db.mass_lower:.6e}, {db.mass_upper:.6e}]",
         )
-        rho_p = data.rho0(plateau)
-        rel_err = float(np.max(np.abs(rho_p / rho_cap - 1.0)))
-        ok = rel_err <= RHO_REL_TOL
-        checks.append(
-            MembershipCheck(
-                name="density-plateau",
-                passed=ok,
-                hard=False,
-                detail=f"max relative deviation {rel_err:.3e} (tol {RHO_REL_TOL:g})",
-                witness=None if ok else (float(plateau[int(np.argmax(np.abs(rho_p / rho_cap - 1.0)))]),),
-            )
-        )
-
-        # mass sandwich 3 eps^3/a0 <= M <= 8 eps^3/a0
-        db = derived_bounds(spec)
-        m = ensemble.total_mass
-        ok = db.mass_lower <= m <= db.mass_upper
-        checks.append(
-            MembershipCheck(
-                name="mass-sandwich",
-                passed=ok,
-                hard=True,
-                detail=f"mass {m:.6e} in [{db.mass_lower:.6e}, {db.mass_upper:.6e}]",
-            )
-        )
-    else:
-        m = ensemble.total_mass
-        rel = abs(m / spec.target_mass - 1.0)
-        ok = rel <= MASS_REL_TOL
-        checks.append(
-            MembershipCheck(
-                name="total-mass",
-                passed=ok,
-                hard=False,
-                detail=f"mass {m!r} vs target {spec.target_mass!r}, rel err {rel:.3e}",
-            )
-        )
-
+    )
     return MembershipReport(checks=tuple(checks))

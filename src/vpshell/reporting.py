@@ -17,8 +17,11 @@ rounds as float() does; a table it cannot parse, a blank line and a
 non-ASCII line are refused with RecordError naming the file and, for a
 wrong field count, the line.  The manifest deliberately omits wall-clock
 times and thread counts: results do not depend on them and reruns must
-compare equal.  load_run_data raises RecordError for a run directory
-whose tables disagree with the manifest or with each other.  Every INI
+compare equal.  load_run_data reads a run directory back as the
+dynamics.RunResult integrate returned, without traces, and raises
+RecordError for one whose tables disagree with the manifest or with each
+other; require_manifest_matches reads the manifest's [class] to refuse
+a certificate the run was not made from.  Every INI
 reader raises RecordError starting with the file's path for a file it
 cannot decode or parse, a missing section or key, and a value that is not
 a finite number, true or false where one is expected.
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .design import BoundsCertificate, RefusalError, StageResult, VerificationReport
-from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult, SnapshotLookup
+from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult
 from .initial_data import ClassSpec
 from .phase_space import Ensemble
 
@@ -232,14 +235,16 @@ def load_run_config(path) -> RunSetup:
             n_bins=int(diag.get("n_bins", "256")),
             mark_times=marks,
         )
-        # refuse here, naming this file, what the run would refuse later;
-        # the certificate's horizon fills an absent t_end, so 1.0 stands in
+        # refuse here, naming this file, what the run would refuse later; the
+        # certificate's horizon fills an absent t_end, so 0 stands in, with
+        # no steps to budget for (1 if dt_max defaults to t_end / 50)
         if min(setup.n_r, setup.n_w, setup.n_ell) < 2 or setup.n_bins < 1:
             raise ValueError("need n_r, n_w and n_ell >= 2 and n_bins >= 1")
         for m in marks:
             if not m > 0.0:
                 raise ValueError(f"mark time {m!r} is not after the start t = 0")
-        setup._config(1.0 if setup.t_end is None else setup.t_end)
+        stand_in = 1.0 if setup.dt_max is None else 0.0
+        setup._config(stand_in if setup.t_end is None else setup.t_end)
         return setup
 
 
@@ -413,25 +418,9 @@ def _load_snapshot(path: Path, time: float) -> Ensemble:
     return Ensemble(time=time, **{attr: table[name] for name, attr in SNAPSHOT_COLUMNS.items()})
 
 
-@dataclass
-class RunSummary(SnapshotLookup):
-    """Reloaded run record exposing the same surface verify needs."""
-
-    rows: list
-    snapshots: list  # of (time, Ensemble)
-    turning_time: np.ndarray
-    r_min_shell: np.ndarray
-    t_at_r_min: np.ndarray
-    spec: ClassSpec  # the manifest's [class]
-    manifest_path: Path
-
-    @property
-    def final(self) -> Ensemble:
-        return self.snapshots[-1][1]
-
-
-def load_run_data(out_dir) -> RunSummary:
-    """Reload a run directory, refusing one that is incomplete or inconsistent.
+def load_run_data(out_dir) -> RunResult:
+    """Reload a run directory as the RunResult integrate returned, with no
+    traces, refusing a record that is incomplete or inconsistent.
 
     Raises RecordError unless the manifest lists [snapshots] count files
     and ascending times from the first to the last time of rows.csv,
@@ -457,7 +446,7 @@ def load_run_data(out_dir) -> RunSummary:
         if (times[0], times[-1]) != span or any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")
         n_shells = int(manifest["run"]["n_shells"])
-        spec = _read_class(manifest["class"])
+        steps = int(manifest["run"]["steps"])
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
@@ -469,35 +458,38 @@ def load_run_data(out_dir) -> RunSummary:
         if length != n_shells:
             raise RecordError(f"{out / name}: {length} rows, [run] n_shells is {n_shells}")
 
-    summary = RunSummary(
+    run = RunResult(
         rows=rows,
         snapshots=snapshots,
-        spec=spec,
-        manifest_path=out / "manifest.ini",
+        final=snapshots[-1][1],
+        steps=steps,
         **{attr: shells[name] for name, attr in SHELLS_COLUMNS.items() if "." not in attr},
     )
-    for name, column in _columns(summary, SHELLS_COLUMNS).items():
+    for name, column in _columns(run, SHELLS_COLUMNS).items():
         if column.tobytes() != shells[name].tobytes():
             raise RecordError(f"{out / 'shells.csv'}: column {name} differs from {files[-1]}")
-    return summary
+    return run
 
 
-def require_manifest_matches(summary: RunSummary, cert: BoundsCertificate, cert_path):
-    """Refuse to verify a run against a certificate it was not produced
-    from (the class parameters recorded in the manifest must agree), or a
-    run that holds no snapshot at the certificate's horizon T.  cert_path
-    names the certificate's file in the refusal."""
-    if summary.spec != cert.spec:
+def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, cert_path):
+    """Refuse to verify run, read from out_dir, against a certificate it was
+    not produced from (the class parameters recorded in the manifest must
+    agree), or a run that holds no snapshot at the certificate's horizon T.
+    cert_path names the certificate's file in the refusal."""
+    manifest_path = Path(out_dir) / "manifest.ini"
+    with _reading_ini(manifest_path, f"no manifest.ini under {out_dir}") as manifest:
+        spec = _read_class(manifest["class"])
+    if spec != cert.spec:
         raise RefusalError(
-            f"{summary.manifest_path}: class parameters {summary.spec} do not match "
+            f"{manifest_path}: class parameters {spec} do not match "
             f"certificate {cert_path}: {cert.spec}"
         )
     try:
-        summary.snapshot_at(cert.t_horizon)
+        run.snapshot_at(cert.t_horizon)
     except KeyError:
         raise RefusalError(
-            f"{summary.manifest_path}: run has no snapshot at certificate {cert_path}'s "
-            f"T = {cert.t_horizon!r}; it ends at t = {summary.final.time!r}"
+            f"{manifest_path}: run has no snapshot at certificate {cert_path}'s "
+            f"T = {cert.t_horizon!r}; it ends at t = {run.final.time!r}"
         ) from None
 
 
@@ -552,20 +544,14 @@ def save_verification_report(report: VerificationReport, path) -> Path:
 
 def load_verification_report(path) -> VerificationReport:
     with _reading_ini(path, f"verification report not found: {path}") as parser:
-        stages = []
-        for section in parser.sections():
-            if not section.startswith("stage:"):
-                continue
-            s = parser[section]
-            stages.append(
-                StageResult(
-                    name=section[len("stage:"):],
-                    status=s["status"],
-                    detail=s["detail"],
-                    witness_id=int(s["witness_shell"]) if "witness_shell" in s else None,
-                )
+        stages = tuple(
+            StageResult(
+                name=section[len("stage:"):],
+                status=s["status"],
+                detail=s["detail"],
+                witness_id=int(s["witness_shell"]) if "witness_shell" in s else None,
             )
-        return VerificationReport(
-            stages=tuple(stages),
-            exploratory=_bool(parser["verification"]["exploratory"]),
+            for section, s in parser.items()
+            if section.startswith("stage:")
         )
+        return VerificationReport(stages, exploratory=_bool(parser["verification"]["exploratory"]))

@@ -280,6 +280,34 @@ def test_stiffness_error_is_a_failed_run(workspace, monkeypatch, capsys):
     assert "run aborted" in capsys.readouterr().err
 
 
+def test_step_budget_beyond_dt_max_is_refused_naming_the_config(workspace, capsys):
+    """dt_max = 1e-10 needs 8e7 steps to the desk certificate's T = 0.008."""
+    ws, _, _ = workspace
+    config = save_run_config(
+        RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, dt_max=1e-10),
+        ws / "tiny_dt.ini",
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(ws / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"run error: {config}: t_end / dt_max = 8e+07 steps exceeds")
+    assert not (ws / "out").exists()
+
+
+def test_step_budget_used_up_is_a_failed_run(workspace, monkeypatch, capsys):
+    """At cfl = 0.001 the 8x8x6 desk run takes 227 steps, past a budget of 60."""
+    ws, _, _ = workspace
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 60)
+    config = save_run_config(
+        RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, cfl=0.001),
+        ws / "slow.ini",
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(ws / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("run aborted: 60 steps reached at t=")
+
+
 def test_oracle_error_is_a_failed_run(monkeypatch, capsys):
     def unconverged(*args, **kwargs):
         raise OracleError("Newton solve did not converge")

@@ -11,6 +11,7 @@ from vpshell import (
     IntegratorConfig,
     PiecewiseConstantProfile,
     SortedMassIndex,
+    StepBudgetError,
     StiffnessError,
     accel,
     free_motion_radius_squared,
@@ -358,10 +359,19 @@ class TestIntegrateEdgeCases:
         with pytest.raises(ValueError):
             integrate(single_shell(), cfg, trace_shells=[42])
 
-    def test_step_budget_enforced(self):
-        cfg = IntegratorConfig(t_end=1.0, dt_max=1e-4)
-        with pytest.raises(RuntimeError):
-            integrate(single_shell(), cfg, max_steps=3)
+    def test_step_budget_enforced(self, monkeypatch):
+        """CFL limits take a run that dt_max alone ends in 2 steps past the
+        budget; it stops with a StepBudgetError."""
+        monkeypatch.setattr(vpshell.dynamics, "MAX_STEPS", 3)
+        cfg = IntegratorConfig(t_end=1.0, dt_max=0.5, cfl=0.01)
+        with pytest.raises(StepBudgetError, match="3 steps reached at t="):
+            integrate(single_shell(), cfg)
+
+    def test_config_refuses_a_t_end_beyond_the_step_budget(self, monkeypatch):
+        monkeypatch.setattr(vpshell.dynamics, "MAX_STEPS", 3)
+        IntegratorConfig(t_end=0.75, dt_max=0.25)
+        with pytest.raises(ValueError, match="exceeds the budget of 3"):
+            IntegratorConfig(t_end=1.0, dt_max=0.25)
 
     def test_empty_ensemble_rejected(self):
         cfg = IntegratorConfig(t_end=1.0, dt_max=0.1)

@@ -1,0 +1,138 @@
+"""Byte pins of the verify and membership output that the desk digests
+(bench/desk_digests.json) do not reach: fixed-mass verification with and
+without an exploratory certificate, a failing report with witness shells,
+and membership reports of a fixed-mass sample, a density-plateau miss and
+a per-shell miss.  A change to any of these bytes must be named, with its
+reason, in CHANGES.md."""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+
+from vpshell import (
+    IntegratorConfig,
+    check_membership,
+    cli,
+    design_fixed_mass,
+    design_small_data,
+    integrate,
+    sample_ensemble,
+    verify_focusing_run,
+)
+from vpshell.initial_data import InitialData
+from vpshell.reporting import (
+    RunSetup,
+    save_membership_report,
+    save_run_config,
+    save_verification_report,
+)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _verify_fixed_mass(tmp_path, design_argv):
+    """design -> run -> verify at 8x8x6; returns verify's exit code, its
+    stdout with the run directory's path replaced by <run>, and the SHA-256
+    of verification.ini."""
+    cert, config, run = tmp_path / "certificate.ini", tmp_path / "run.ini", tmp_path / "run"
+    save_run_config(RunSetup(certificate_path="certificate.ini", n_r=8, n_w=8, n_ell=6), config)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["design", *design_argv, "--out", str(cert)]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(run)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["verify", str(run), str(cert)])
+    return code, stdout.getvalue().replace(str(run), "<run>"), _sha256(run / "verification.ini")
+
+
+EXPLORATORY_FIXED_MASS_STDOUT = """\
+verification (exploratory certificate)
+  skipped initial-sup-norms: exploratory certificate
+  skipped total-mass: exploratory certificate
+  pass    turning-after-T: min(turning time - T) = inf
+  pass    confinement-radius: max radius at T = 0.998669 vs bound 7.98823 (rel slack 1e-06)
+  pass    certified-lower-bounds: rho certified 0.239688 >= predicted 0.000294266, \
+E certified 1.00267 >= predicted 0.0156711
+report -> <run>/verification.ini
+"""
+
+FIXED_MASS_STDOUT = """\
+verification
+  skipped initial-sup-norms: fixed-mass recipe makes no time-zero claims
+  pass    total-mass: mass 1.0000000000000002 vs C1 1.0, rel err 2.220e-16
+  pass    turning-after-T: min(turning time - T) = inf
+  pass    confinement-radius: max radius at T = 0.201868 vs bound 1.61493 (rel slack 1e-06)
+  pass    certified-lower-bounds: rho certified 29.021 >= predicted 0.0072, \
+E certified 24.5396 >= predicted 0.383435; both >= C2 = 0.0001
+report -> <run>/verification.ini
+"""
+
+
+def test_exploratory_fixed_mass_verification(tmp_path):
+    design = ["--c1", "1", "--c2", "1e-2", "--t", "1", "--eps", "0.05", "--exploratory"]
+    code, stdout, digest = _verify_fixed_mass(tmp_path, design)
+    assert code == 0
+    assert stdout == EXPLORATORY_FIXED_MASS_STDOUT
+    assert digest == "3d03f8f96f31f86c144edce601f5372a7027aa1b332917aeb8a3fc28640184d1"
+
+
+def test_fixed_mass_verification(tmp_path):
+    code, stdout, digest = _verify_fixed_mass(tmp_path, ["--c1", "1", "--c2", "1e-4", "--t", "1"])
+    assert code == 0
+    assert stdout == FIXED_MASS_STDOUT
+    assert digest == "81fb3cb9750f4925573116638c40223e7c623d031aea27e8826f0f86588ffabf"
+
+
+def test_failing_report_with_witness_shells(tmp_path):
+    """The 8x8x6 run at eps = 0.05 to 3T crosses pericenter; against its
+    certificate moved to T = 3T with a confinement radius 1e-6 of the
+    claimed one, stages (iii) and (iv) fail and name a shell."""
+    cert = design_small_data(c1=32.0, c2=1e-7, eps=0.05)
+    ens = sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6)
+    t_end = 3.0 * cert.t_horizon
+    result = integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
+    moved = dataclasses.replace(cert, t_horizon=t_end, sup_r_bound=1e-6 * cert.sup_r_bound)
+    report = verify_focusing_run(result, moved)
+    failed = {s.name: s.witness_id for s in report.stages if s.status == "fail"}
+    assert failed.keys() >= {"turning-after-T", "confinement-radius"}
+    assert None not in (failed["turning-after-T"], failed["confinement-radius"])
+    path = save_verification_report(report, tmp_path / "verification.ini")
+    assert hashlib.sha256(str(report).encode()).hexdigest() == (
+        "4067ec608739baba5be6a54518a80d6d54d5859a08523eb9605da5195436e89e"
+    )
+    assert _sha256(path) == "882192ac77d2f016624abb3f544e2d77e03573abcc81acc6bc01704f8207c6b7"
+
+
+def _membership_digest(tmp_path, data, ensemble):
+    report = check_membership(data, ensemble)
+    return report, _sha256(save_membership_report(report, tmp_path / "membership.ini"))
+
+
+def test_fixed_mass_membership(tmp_path):
+    data = InitialData.from_spec(design_fixed_mass(1.0, 1e-4, 1.0).spec)
+    report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 8, 8, 6))
+    assert report.passed
+    assert digest == "c86b6399e882c3df4873fcb0486fe6eb8ecaf7a5a5a92de39245f6ec67b29980"
+
+
+def test_density_plateau_miss_membership(tmp_path):
+    data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-3).spec)
+    report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 16, 16, 8))
+    assert [c.name for c in report.failures()] == ["density-plateau"]
+    assert digest == "8a40e0e2b4c05b3e293085f90ddabb47e4e5b2493843aafd63ae453dfdcac45c"
+
+
+def test_per_shell_miss_membership(tmp_path):
+    """Shells moved out by half the shell's width miss the radial shell and
+    the support ellipse, each naming its worst shell."""
+    data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec)
+    ens = sample_ensemble(data, 8, 8, 6)
+    moved = ens.advanced(ens.r + 0.5 * data.spec.delta_r, ens.w, ens.time)
+    report, digest = _membership_digest(tmp_path, data, moved)
+    missed = {c.name: c.witness for c in report.failures()}
+    assert sorted(missed) == ["radial-shell", "support-ellipse"]
+    assert all(len(witness) == 4 for witness in missed.values())  # (id, r, w, ell)
+    assert digest == "6b199217e65a38fbf8945e69eca76c27ea8ca99d0e62b8a4fc787902375dbdea"

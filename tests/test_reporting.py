@@ -98,6 +98,12 @@ class TestRunConfigFiles:
         assert loaded == setup
         assert loaded.t_end is None and loaded.dt_max is None
 
+    def test_absent_t_end_leaves_the_step_budget_to_the_run(self, tmp_path):
+        """The certificate's horizon fills t_end, so 1e8 steps of 1e-8 are
+        not counted against dt_max alone."""
+        setup = RunSetup(certificate_path="cert.ini", dt_max=1e-8)
+        assert load_run_config(save_run_config(setup, tmp_path / "run.ini")) == setup
+
     def test_resolve_fills_from_certificate(self):
         cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
         config, marks = RunSetup(certificate_path="x").resolve(cert)
@@ -145,7 +151,7 @@ class TestRunRecord:
         cert, setup, result = small_run
         out = save_run(result, cert, setup, tmp_path / "out")
         summary = load_run_data(out)
-        require_manifest_matches(summary, cert, "cert.ini")
+        require_manifest_matches(out, summary, cert, "cert.ini")
         a = verify_focusing_run(result, cert)
         b = verify_focusing_run(summary, cert)
         assert [s.status for s in a.stages] == [s.status for s in b.stages]
@@ -157,7 +163,7 @@ class TestRunRecord:
         summary = load_run_data(out)
         other = design_small_data(c1=32.0, c2=1e-7, eps=0.1)
         with pytest.raises(RefusalError):
-            require_manifest_matches(summary, other, "other.ini")
+            require_manifest_matches(out, summary, other, "other.ini")
 
     def test_rerun_is_byte_identical(self, tmp_path, small_run):
         cert, setup, result = small_run
