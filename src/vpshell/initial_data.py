@@ -16,16 +16,18 @@ H_eps((a1 r - a0 w)^2 + a0^2 l / r^2) phi(r).  The velocity profile
 H_eps (bump_profile) and the radial cutoff phi (smooth_cutoff) are fixed
 functions of the spec's eps, a0 and delta_r, so a ClassSpec and a scale
 are the whole description of the data.
+
+The velocity shift integrates out of f0, so the density and the mass are
+closed forms: rho0(r) = scale * phi(r) * 3/(4 pi a0^3), the homogeneous-
+ball value on the plateau of phi, and l1_norm follows from phi's moments.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .phase_space import REDUCED_MEASURE, Ensemble, to_radial
 
@@ -35,28 +37,17 @@ PROFILE_NORMALIZATION = 3.0 / (4.0 * np.pi)
 # int_0^1 exp(-1/(1-u^2)) u^2 du, as adaptive quadrature returns it; the
 # tests recompute it.  Fixes the bump profile's normalization constant.
 BUMP_INTEGRAL = 0.03510073837648729
+# int_0^1 rise(t) (1 - t/2)^2 dt for the smooth step rise of the cutoff, as
+# adaptive quadrature at relative tolerance 1e-13 returns it; the tests
+# recompute it.  Fixes the second moment of phi about a0 in l1_norm.
+RISE_MOMENT = 0.20801118298082247
 
-# Gauss-Legendre nodes per axis of the density and mass quadratures.
-N_QUAD = 64
 # Radii sampled by each density membership check.
 N_RHO_SAMPLES = 33
-# Radii per array pass of the density quadrature.  Its temporaries of
-# RHO_BLOCK * N_QUAD**2 floats (96 KiB) stay below the 128 KiB from which
-# malloc maps fresh pages per array: 8 radii per pass took 1.7x as long.
-RHO_BLOCK = 3
 # Relative tolerance of the density bound and plateau checks.
 RHO_REL_TOL = 1e-6
 # Relative tolerance of a fixed-mass total against its target.
 MASS_REL_TOL = 1e-12
-
-
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre():
-    """N_QUAD Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    nodes, wts = leggauss(N_QUAD)
-    nodes.flags.writeable = False
-    wts.flags.writeable = False
-    return nodes, wts
 
 
 class EmptyEnsembleError(ValueError):
@@ -245,66 +236,25 @@ class InitialData:
         return r_lo, r_hi, w_lo, w_hi, ell_hi
 
     def rho0(self, r):
-        """Initial charge density by N_QUAD-point quadrature of the (w, ell)
-        marginal: rho(r) = (pi / r^2) * double integral of f0 over w and ell.
-
-        RHO_BLOCK radii at a time share one array pass; each radius's sums
-        run along the last axis, so its value does not depend on the
-        others.
-        """
-        scalar = np.isscalar(r) or np.ndim(r) == 0
-        radii = np.atleast_1d(np.asarray(r, dtype=float))
-        if not np.all(radii > 0):
+        """Initial charge density rho(r) = int f0 dv in closed form: at fixed
+        x, u = a1 x - a0 v turns the velocity integral of H_eps into
+        PROFILE_NORMALIZATION / a0^3, so rho0 = scale * phi(r) * that."""
+        r = np.asarray(r, dtype=float)
+        if not np.all(r > 0):
             raise ValueError("radius must be positive (NaN refused)")
-        vals = np.zeros_like(radii)
-        phi = _cutoff(radii, self.spec.a0, self.spec.delta_r)
-        inside = np.flatnonzero(phi != 0.0)
-        for start in range(0, inside.size, RHO_BLOCK):
-            block = inside[start : start + RHO_BLOCK]
-            vals[block] = self._rho0_inside(radii[block], phi[block])
-        return float(vals[0]) if scalar else vals
-
-    def _rho0_inside(self, radii: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        # rho0 at radii where the cutoff phi is nonzero.  Rows are radii,
-        # then w nodes, then ell nodes.  r^2 is libm's pow, as a float's
-        # r**2 is, so the values match a loop over single radii.
         spec = self.spec
-        s_max = spec.eps * spec.eps  # H_eps vanishes for s >= eps^2
-        nodes, wts = _gauss_legendre()
-        ri = radii[:, None]
-        ri_sq = np.float_power(ri, 2.0)
-        # f0 > 0 needs (a1 r - a0 w)^2 < s_max, an interval in w
-        w_half = np.sqrt(s_max) / spec.a0
-        w_nodes = spec.a1 * ri / spec.a0 + w_half * nodes
-        s1 = (spec.a1 * ri - spec.a0 * w_nodes) ** 2
-        ell_top = (ri_sq * np.clip(s_max - s1, 0.0, None) / spec.a0**2)[..., None]
-        ell_nodes = 0.5 * ell_top * (nodes + 1.0)
-        ell_weights = 0.5 * ell_top * wts
-        s_grid = s1[..., None] + spec.a0**2 * ell_nodes / ri_sq[..., None]
-        f_grid = self.scale * _bump(s_grid, spec.eps) * phi[:, None, None]
-        inner = np.sum(f_grid * ell_weights, axis=-1)
-        return np.pi / ri_sq[:, 0] * np.sum(inner * (w_half * wts), axis=-1)
+        out = self.scale * _cutoff(r, spec.a0, spec.delta_r) * (PROFILE_NORMALIZATION / spec.a0**3)
+        return float(out) if out.ndim == 0 else out
 
     def l1_norm(self) -> float:
-        """Total mass of the data: 4 pi * int rho0(r) r^2 dr.
-
-        Integrates piecewise between the cutoff breakpoints (support
-        edges and plateau edges) where the integrand is smooth.
+        """Total mass 4 pi * int rho0(r) r^2 dr in closed form.  phi is even
+        about a0, so with r = a0 + y it is scale * (3/a0^3) * (a0^2 int phi dy
+        + int phi y^2 dy), where int phi dy = 1.5 delta_r (each rise
+        integrates to 1/2) and int phi y^2 dy = delta_r^3 (1/12 + RISE_MOMENT).
         """
-        spec = self.spec
-        pts = [
-            spec.a0 - spec.delta_r,
-            spec.a0 - 0.5 * spec.delta_r,
-            spec.a0 + 0.5 * spec.delta_r,
-            spec.a0 + spec.delta_r,
-        ]
-        nodes, wts = _gauss_legendre()
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            radii = mid + half * nodes
-            total += half * float(np.sum(wts * self.rho0(radii) * radii**2))
-        return 4.0 * np.pi * total
+        a0, dr = self.spec.a0, self.spec.delta_r
+        moments = 1.5 * dr * a0**2 + dr**3 * (1.0 / 12.0 + RISE_MOMENT)
+        return self.scale * (3.0 / a0**3) * moments
 
 
 def sample_ensemble(
@@ -364,7 +314,8 @@ class MembershipCheck:
     """Outcome of a single membership condition.
 
     hard distinguishes structural conditions (strict support inequalities,
-    the mass sandwich) from quadrature-tolerance comparisons.
+    the mass sandwich) from comparisons of the continuum density or of the
+    weight sum with their targets up to a relative tolerance.
     """
 
     name: str
@@ -405,17 +356,18 @@ def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
 
     Per-shell support conditions are checked on the ensemble, and a miss
     names the worst shell (id, r, w, ell); the density conditions are
-    checked on the continuum f0 by quadrature at N_RHO_SAMPLES radii, up
-    to RHO_REL_TOL.  The density bound and plateau equality apply to the
-    small-density family; the fixed-mass family instead requires the
+    checked on the closed-form continuum density rho0 at N_RHO_SAMPLES
+    radii, up to RHO_REL_TOL.  The density bound and plateau equality apply
+    to the small-density family; the fixed-mass family instead requires the
     weight sum to equal the target mass up to MASS_REL_TOL.
     """
     spec = data.spec
     r, w, ell, m = ensemble.r, ensemble.w, ensemble.ell, ensemble.total_mass
-    lhs = (r + spec.a0 / abs(spec.a1) * w) ** 2 + ell / r**2 * (spec.a0 / spec.a1) ** 2
+    s = (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2  # as evaluate_reduced
     per_shell = (  # (name, margin that must be > 0, detail of the least margin)
-        # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2
-        ("support-ellipse", spec.eps**2 / spec.a1**2 - lhs, "min margin {:.3e} (must be > 0)"),
+        # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2, i.e.
+        # s < eps^2, a form that does not cancel at large a0
+        ("support-ellipse", (spec.eps**2 - s) / spec.a1**2, "min margin {:.3e} (must be > 0)"),
         # radial shell: a0 - delta_r < r < a0 + delta_r
         ("radial-shell", np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r),
          "min distance to shell edge {:.3e}"),
@@ -444,7 +396,7 @@ def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
         )
         return MembershipReport(checks=tuple(checks))
 
-    rho_cap = 3.0 / (4.0 * np.pi * spec.a0**3)
+    rho_cap = PROFILE_NORMALIZATION / spec.a0**3  # 3/(4 pi a0^3), as rho0 computes it
     # density bound everywhere (sampled across the shell and just outside)
     radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES)
     rho = data.rho0(radii)

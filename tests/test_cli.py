@@ -108,22 +108,46 @@ class TestPipeline:
         assert rc == 0
 
     def test_run_refuses_data_outside_the_class(self, tmp_path, capsys):
-        """--c2 1e-3 misses density-plateau at 16x16x8: init and run exit 1
-        and run writes nothing; the certificate marked exploratory runs."""
+        """The desk certificate at 4x2x2 samples a mass of 2.1e-2, below the
+        mass sandwich's 2.4e-2: init and run exit 1 and run writes nothing;
+        the certificate marked exploratory runs."""
         cert = tmp_path / "cert.ini"
-        assert cli.main(["design", "--c1", "32", "--c2", "1e-3", "--out", str(cert)]) == 0
+        assert cli.main(
+            ["design", "--c1", "32", "--c2", "1e-7", "--eps", "0.2", "--out", str(cert)]
+        ) == 0
         config = save_run_config(
-            RunSetup(certificate_path="cert.ini", n_r=16, n_w=16, n_ell=8), tmp_path / "run.ini"
+            RunSetup(certificate_path="cert.ini", n_r=4, n_w=2, n_ell=2), tmp_path / "run.ini"
         )
         assert cli.main(["init", "--config", str(config), "--out", str(tmp_path / "init")]) == 1
         capsys.readouterr()
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
-        assert "[miss] density-plateau" in out
+        assert "[FAIL] mass-sandwich" in out
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
         cert.write_text(cert.read_text().replace("exploratory = false", "exploratory = true"))
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("design, skipped", [
+        (["--c1", "32", "--c2", "1e-3"], []),
+        (["--c1", "1", "--c2", "1e-2", "--t", "1"], ["initial-sup-norms"]),
+    ], ids=["small-data-eps-6e-5", "fixed-mass-eps-1e-3"])
+    def test_small_eps_certificates_pass_every_stage(self, tmp_path, capsys, design, skipped):
+        """Certificates whose density quadrature read a false plateau miss
+        (eps = 6.25e-5) or whose support-ellipse check cancelled at
+        a0 = 9.8e5 run and verify at 16x16x8; the fixed-mass recipe makes
+        no time-zero claims."""
+        cert, out = tmp_path / "cert.ini", tmp_path / "out"
+        config = save_run_config(
+            RunSetup(certificate_path="cert.ini", n_r=16, n_w=16, n_ell=8), tmp_path / "run.ini"
+        )
+        assert cli.main(["design", *design, "--out", str(cert)]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["verify", str(out), str(cert)]) == 0
+        report = load_verification_report(out / "verification.ini")
+        assert report.passed
+        assert len(report.stages) == 5
+        assert [s.name for s in report.stages if s.status != "pass"] == skipped
 
     def test_verify_refuses_foreign_certificate(self, workspace, tmp_path, capsys):
         ws, cert_path, config_path = workspace
@@ -319,9 +343,13 @@ def test_oracle_error_is_a_failed_run(monkeypatch, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """The runtime is numpy alone; scipy is a test dependency only."""
+    """The runtime is numpy alone; scipy is a test dependency only.  Nor
+    does it load numpy.polynomial, since no quadrature runs at run time."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    probe = "import sys, vpshell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = (
+        "import sys, vpshell.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy', 'numpy.polynomial'))))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -360,9 +388,10 @@ def test_desk_run_files_match_recorded_digests(tmp_path):
     assert digests == recorded
     initial = hashlib.sha256((tmp_path / "init" / "initial.csv").read_bytes()).hexdigest()
     assert initial == recorded["snapshot_000.csv"]
-    # recorded with the density quadrature that looped over single radii
+    # re-recorded when rho0 became closed form: the density-plateau deviation
+    # reads 0.000e+00 where the quadrature read 2.409e-14
     membership = hashlib.sha256((tmp_path / "init" / "membership.ini").read_bytes()).hexdigest()
-    assert membership == "df6e10545ae853bdec7a1a2902b450ca5986ec3af5282c2d3b0fd32e4eaeaf45"
+    assert membership == "5daa3f92d33a4007a238640c5be448ce0f9b2158a414c7ccbf589cae4363a29b"
 
 
 # ------------------------------------------------------- malformed INI files

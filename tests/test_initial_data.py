@@ -20,7 +20,7 @@ from vpshell import (
     sample_ensemble,
     smooth_cutoff,
 )
-from vpshell.initial_data import BUMP_INTEGRAL, N_QUAD, PROFILE_NORMALIZATION, RHO_BLOCK
+from vpshell.initial_data import BUMP_INTEGRAL, PROFILE_NORMALIZATION, RISE_MOMENT
 from vpshell.phase_space import REDUCED_MEASURE
 
 
@@ -186,11 +186,13 @@ class TestInitialData:
                 canonical_data(a0=a0, eps=eps, target_mass=target_mass)
 
     def test_density_plateau_matches_ball_value(self):
-        data = canonical_data()
-        spec = data.spec
-        cap = 3.0 / (4.0 * np.pi * spec.a0**3)
-        for r in (spec.a0 - 0.5 * spec.delta_r, spec.a0, spec.a0 + 0.5 * spec.delta_r):
-            assert data.rho0(r) == pytest.approx(cap, rel=1e-8)
+        # at eps = 6.25e-5 a 64-point quadrature of the marginal read 8.75e-6 low
+        small_eps = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-3).spec)
+        for data in (canonical_data(), small_eps):
+            spec = data.spec
+            cap = 3.0 / (4.0 * np.pi * spec.a0**3)
+            for r in (spec.a0 - 0.5 * spec.delta_r, spec.a0, spec.a0 + 0.5 * spec.delta_r):
+                assert data.rho0(r) == pytest.approx(cap, rel=1e-15, abs=0.0)
 
     def test_density_vanishes_outside(self):
         data = canonical_data()
@@ -245,7 +247,8 @@ class TestSampling:
 
     def test_fixed_mass_sample_bytes_are_pinned(self):
         # SHA-256 of (r, w, ell, weight, ids) and the scale's exact value,
-        # recorded before the profile and cutoff became plain functions
+        # re-recorded when l1_norm became closed form (the scale moved by
+        # 180 ulp, 2.3e-14 relative, the old quadrature's error)
         data = canonical_data(a1=-25.0, target_mass=1.0)
         ens = sample_ensemble(data, 8, 8, 6)
         digest = hashlib.sha256()
@@ -253,21 +256,22 @@ class TestSampling:
             digest.update(column.tobytes())
         assert len(ens) == 128
         assert digest.hexdigest() == (
-            "c8d6f67d6e6c76322b93c2ad9418d500eb5513dd5c73cd57e126b2b2bb598ee1"
+            "beb647c398c141e7b07cb0bdff8838a3305671083391b93b4baa2c40b484c6af"
         )
-        assert data.scale == float.fromhex("0x1.bc705d0b95916p+4")
+        assert data.scale == float.fromhex("0x1.bc705d0b95862p+4")
 
     # SHA-256 of (r, w, ell, weight, ids), recorded while the sampler still
     # evaluated f0 on a meshgrid of every cell: the desk and focus grids,
     # the fixed-mass recipe's exploratory certificate, and the benchmark's
-    # desk grid jittered at seed 1
+    # desk grid jittered at seed 1; the fixed-mass pin re-recorded when
+    # l1_norm, and with it the scale, became closed form
     @pytest.mark.parametrize("cert, grid, n_shells, expected", [
         (dict(c1=32.0, c2=1e-7, eps=0.2), (40, 44, 28), 16132,
          "ddc58d2b1543b2a3d387a891467fe5117e13b26a0ada222f6529efae1c502f38"),
         (dict(c1=32.0, c2=1e-7, eps=0.05), (48, 48, 32), 24624,
          "7183cd9568cca08222e3459fae1d47ca7b915598031ed2a5cb9589886b2bc438"),
         (dict(c1=1.0, c2=1.0, t_horizon=1.0, eps=0.02, exploratory=True), (16, 16, 12), 1024,
-         "b2f8af023904d1deafb66567a1b996d3bc65930b74d1485befafd977a459f4be"),
+         "ab4cc4fed5de2be807998ecca5584075be20bbd4bc8d6b9fc47e7ce9ce8265ea"),
         (dict(c1=32.0, c2=1e-7, eps=0.2), (39, 45, 28), 16082,
          "b2ad66403fe4d84612a13cec032222ed17e10955c17c6df79faab12d36f0528d"),
     ], ids=["desk", "focus", "fixed-mass", "desk-jittered"])
@@ -341,9 +345,14 @@ def _meshgrid_sample(data, n_r, n_w, n_ell):
     return rr[keep], ww[keep], ll[keep], weight, np.flatnonzero(keep).astype(np.int64)
 
 
+# Gauss-Legendre nodes per axis of the reference density and mass quadratures.
+N_QUAD = 64
+
+
 def _loop_rho0(data, radii):
-    """rho0 by the quadrature loop over single radii that the array form
-    replaced; the reference its bytes are checked against."""
+    """rho0 by N_QUAD-point quadrature of the (w, ell) marginal,
+    rho(r) = (pi / r^2) * double integral of f0 over w and ell, one radius
+    at a time; the reference the closed form is checked against."""
     spec = data.spec
     s_max = spec.eps * spec.eps
     nodes, wts = leggauss(N_QUAD)
@@ -365,29 +374,41 @@ def _loop_rho0(data, radii):
     return vals
 
 
-class TestDensityQuadrature:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        a0=st.floats(0.6, 1.8),
-        eps=st.floats(0.08, 0.35),
-        k=st.floats(0.5, 2.0),
-        fixed_mass=st.booleans(),
-        n=st.integers(1, 3 * RHO_BLOCK + 1),
-    )
-    def test_matches_loop_over_single_radii_bitwise(self, a0, eps, k, fixed_mass, n):
-        data = canonical_data(a0=a0, eps=eps, a1=-k / eps**2,
-                              target_mass=1.0 if fixed_mass else None)
+def _quadrature_mass(data):
+    """4 pi * int rho0 r^2 dr by N_QUAD-point quadrature of _loop_rho0 on
+    each piece between the cutoff's breakpoints, where it is smooth."""
+    a0, dr = data.spec.a0, data.spec.delta_r
+    nodes, wts = leggauss(N_QUAD)
+    total = 0.0
+    for lo, hi in ((a0 - dr, a0 - dr / 2), (a0 - dr / 2, a0 + dr / 2), (a0 + dr / 2, a0 + dr)):
+        radii = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        total += 0.5 * (hi - lo) * float(np.sum(wts * _loop_rho0(data, radii) * radii**2))
+    return 4.0 * np.pi * total
+
+
+class TestClosedForm:
+    def test_rise_moment_literal_recomputed(self):
+        def rise(t):
+            up, down = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+            return up / (up + down)
+
+        val, _ = quad(lambda t: rise(t) * (1.0 - 0.5 * t) ** 2, 0.0, 1.0,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert val == pytest.approx(RISE_MOMENT, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("fixed_mass", [False, True])
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    def test_rho0_matches_quadrature(self, eps, fixed_mass):
+        data = canonical_data(eps=eps, target_mass=1.0 if fixed_mass else None)
         spec = data.spec
-        # across the shell and just outside it, edges included
-        radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, n)
-        # and radii whose r**2 (libm pow) differs from r * r in the last bit
-        inside = np.random.default_rng(n).uniform(radii[0], radii[-1], 20_000)
-        split = inside[np.float_power(inside, 2.0) != inside * inside][:4]
-        radii = np.concatenate((radii, [spec.a0 - spec.delta_r, spec.a0 + 0.5 * spec.delta_r], split))
-        vals = data.rho0(radii)
-        assert vals.tobytes() == _loop_rho0(data, radii).tobytes()
-        # a radius's value does not depend on the radii it shares a block with
-        assert [data.rho0(r) for r in radii] == vals.tolist()
+        # the radii the density membership checks sample, and just outside
+        radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, 33)
+        cap = data.scale * 3.0 / (4.0 * np.pi * spec.a0**3)
+        assert np.max(np.abs(data.rho0(radii) - _loop_rho0(data, radii))) <= 1e-12 * cap
+
+    def test_l1_norm_matches_quadrature(self):
+        data = canonical_data()
+        assert data.l1_norm() == pytest.approx(_quadrature_mass(data), rel=1e-13, abs=0.0)
 
 
 class TestMembership:

@@ -1,7 +1,7 @@
 """Byte pins of the verify and membership output that the desk digests
 (bench/desk_digests.json) do not reach: fixed-mass verification with and
 without an exploratory certificate, a failing report with witness shells,
-and membership reports of a fixed-mass sample, a density-plateau miss and
+and membership reports of a fixed-mass sample, a mass-sandwich miss and
 a per-shell miss.  A change to any of these bytes must be named, with its
 reason, in CHANGES.md."""
 
@@ -118,11 +118,14 @@ def test_fixed_mass_membership(tmp_path):
     assert digest == "c86b6399e882c3df4873fcb0486fe6eb8ecaf7a5a5a92de39245f6ec67b29980"
 
 
-def test_density_plateau_miss_membership(tmp_path):
-    data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-3).spec)
-    report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 16, 16, 8))
-    assert [c.name for c in report.failures()] == ["density-plateau"]
-    assert digest == "8a40e0e2b4c05b3e293085f90ddabb47e4e5b2493843aafd63ae453dfdcac45c"
+def test_mass_sandwich_miss_membership(tmp_path):
+    """The desk certificate on a 4x2x2 grid samples a mass of 2.1e-2, below
+    the sandwich's lower end 2.4e-2."""
+    data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec)
+    report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 4, 2, 2))
+    assert [c.name for c in report.failures()] == ["mass-sandwich"]
+    assert report.failures()[0].hard
+    assert digest == "33e068a97f3a28541bd062868aa80c8b6e0ed5adb4cbd25801400681b787870d"
 
 
 def test_per_shell_miss_membership(tmp_path):
@@ -135,4 +138,6 @@ def test_per_shell_miss_membership(tmp_path):
     missed = {c.name: c.witness for c in report.failures()}
     assert sorted(missed) == ["radial-shell", "support-ellipse"]
     assert all(len(witness) == 4 for witness in missed.values())  # (id, r, w, ell)
-    assert digest == "6b199217e65a38fbf8945e69eca76c27ea8ca99d0e62b8a4fc787902375dbdea"
+    # re-recorded when rho0 became closed form: density-plateau reads
+    # 0.000e+00 where the quadrature read 2.409e-14
+    assert digest == "0cd5e9238d70262e4c3d717f47cb61d74f8a3ea20481dc8e81e43609a9896322"
