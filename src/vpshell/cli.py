@@ -12,8 +12,9 @@ Subcommands:
 Exit codes, mapped from exceptions in main alone: 0 success / all
 checks pass, 1 a check failed or the run (too stiff, out of steps) or the
 oracle aborted, 2 usage error or refusal (bad argument, missing file or
-key, t_end beyond MAX_STEPS steps of dt_max, inconsistent run record,
-run not made from the certificate or stopped before T).
+key, unread run config key, t_end beyond MAX_STEPS steps of dt_max,
+inconsistent run record, run not made from the certificate or stopped
+before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -146,7 +147,7 @@ def _cmd_run(args) -> int:
             print(report)
             print("run not started: the sampled data misses the class", file=sys.stderr)
             return CHECK_FAILED
-    result = integrate(ensemble, config, mark_times=marks, n_bins=setup.n_bins)
+    result = integrate(ensemble, config, mark_times=marks)
     out = save_run(result, cert, setup, args.out)
     last = result.rows[-1]
     print(

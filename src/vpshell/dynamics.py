@@ -25,6 +25,10 @@ state gives its r and w to the state after next, unless it is a
 snapshot or the final state, whose arrays, like the caller's ensemble,
 are never written again; a fresh pair replaces one kept that way.
 
+integrate takes exactly what a run manifest's [run] records, and its
+RunResult holds exactly what the run directory holds, so a run replays
+from its record.
+
 integrate_oracle_batch solves the single-trajectory equation
 y'' = ell/y^3 + profile(t) * P / y^2 exactly, for many cases at once:
 under a piecewise-constant profile each segment is free motion or a
@@ -39,12 +43,12 @@ oracle is the reference the bound formulas are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .field import SortedMassIndex, sup_norms
+from .field import N_BINS, SortedMassIndex, sup_norms
 from .phase_space import Ensemble
 
 # Newton steps allowed per sample when solving the Kepler time equation.
@@ -89,13 +93,13 @@ class IntegratorConfig:
     sqrt term shortens steps during pericenter passage where the
     acceleration a_i blows up.  A run stops with StiffnessError when this
     dt, or a step halved to keep radii positive, falls below dt_min.  A
-    t_end more than MAX_STEPS steps of dt_max away is refused.
+    t_end more than MAX_STEPS steps of dt_max away is refused.  These are
+    the manifest's [run] t_end, dt_max and cfl.
     """
 
     t_end: float
     dt_max: float
     cfl: float = 0.2
-    output_stride: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.t_end < np.inf:
@@ -104,8 +108,6 @@ class IntegratorConfig:
             raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be a positive integer")
         if self.t_end / self.dt_max > MAX_STEPS:
             raise ValueError(
                 f"t_end / dt_max = {self.t_end / self.dt_max:.6g} steps exceeds the "
@@ -189,17 +191,20 @@ class DiagnosticsRow:
 
 @dataclass
 class RunResult:
-    """Everything a completed run exposes to verification and reporting;
-    reporting.load_run_data reads one back, without traces."""
+    """A completed run, field for field what its run directory holds:
+    reporting.load_run_data reads back the RunResult integrate returned."""
 
     rows: list  # of DiagnosticsRow
     snapshots: list  # of (time, Ensemble), ascending; first is the initial state
-    final: Ensemble
     turning_time: np.ndarray  # per shell, +inf if the radius never turned
     r_min_shell: np.ndarray  # per shell min radius over the run
     t_at_r_min: np.ndarray  # per shell time of that minimum
     steps: int
-    traces: dict = field(default_factory=dict)  # shell id -> (t, r, w) arrays
+
+    @property
+    def final(self) -> Ensemble:
+        """The state at the end of the run, its last snapshot."""
+        return self.snapshots[-1][1]
 
     def snapshot_at(self, t: float) -> Ensemble:
         for time, ens in self.snapshots:
@@ -228,22 +233,17 @@ def _adaptive_dt(r, w, a, cfl, dt_max, scale, per_shell):
 
 
 def integrate(
-    ensemble: Ensemble,
-    config: IntegratorConfig,
-    mark_times: Sequence[float] = (),
-    n_bins: int = 256,
-    trace_shells: Sequence[int] = (),
+    ensemble: Ensemble, config: IntegratorConfig, mark_times: Sequence[float] = ()
 ) -> RunResult:
     """Advance an ensemble to t_end, landing exactly on each mark time.
 
-    Emits a diagnostics row every output_stride steps and at every mark
-    and at the final time; stores ensemble snapshots at the initial
-    time, the marks, and the end.  Per shell, tracks the running radius
-    minimum and the turning time, the latter interpolated from the step
-    that saw w change sign (trajectories are convex, so the first sign
-    change is the only one).  Each state is sorted once: its
+    Emits a diagnostics row for every state and stores ensemble snapshots
+    at the initial time, the marks, and the end.  Per shell, tracks the
+    running radius minimum and the turning time, the latter interpolated
+    from the step that saw w change sign (trajectories are convex, so the
+    first sign change is the only one).  Each state is sorted once: its
     SortedMassIndex gives the state's row (sup norms and a density binned
-    on n_bins geometric bins spanning its radii, see sup_norms) and the
+    on N_BINS geometric bins spanning its radii, see sup_norms) and the
     next step's enclosed masses.  The step writes into work arrays the
     run allocates once (see the module docstring); the caller's ensemble
     and every snapshot keep arrays that are never written.
@@ -262,21 +262,8 @@ def integrate(
     r_min_shell = ens.r.copy()
     t_at_r_min = np.full(n, ens.time)
 
-    trace_ids = tuple(int(i) for i in trace_shells)
-    trace_pos = {}
-    for tid in trace_ids:
-        hits = np.flatnonzero(ens.ids == tid)
-        if hits.size != 1:
-            raise ValueError(f"trace shell id {tid} not found exactly once")
-        trace_pos[tid] = int(hits[0])
-    traces = {tid: [] for tid in trace_ids}
-
-    def record_trace(state: Ensemble):
-        for tid, pos in trace_pos.items():
-            traces[tid].append((state.time, float(state.r[pos]), float(state.w[pos])))
-
     def make_row(state: Ensemble, index: SortedMassIndex, dt_current: float) -> DiagnosticsRow:
-        norms = sup_norms(index, n_bins)
+        norms = sup_norms(index, N_BINS)
         return DiagnosticsRow(
             t=state.time,
             rho_sup_binned=norms.rho_sup_binned,
@@ -291,7 +278,6 @@ def integrate(
     index = SortedMassIndex.from_ensemble(ens)
     rows = [make_row(ens, index, 0.0)]
     snapshots = [(ens.time, ens)]
-    record_trace(ens)
 
     m_frozen, a = np.empty(n), np.empty(n)
     ell_r3, r2 = np.empty(n), np.empty(n)  # radius terms of ens
@@ -360,26 +346,21 @@ def integrate(
         lower = np.less(ens.r, r_min_shell, out=mask)
         np.copyto(r_min_shell, ens.r, where=lower)
         np.copyto(t_at_r_min, ens.time, where=lower)
-        record_trace(ens)
 
-        landed = ens.time >= target
-        if landed or steps % config.output_stride == 0:
-            if rows[-1].t != ens.time:
-                rows.append(make_row(ens, index, dt_try))
-        if landed:
+        if rows[-1].t != ens.time:
+            rows.append(make_row(ens, index, dt_try))
+        kept = ens.time >= target
+        if kept:
             snapshots.append((ens.time, ens))
             stop_idx += 1
-        kept = landed
 
     return RunResult(
         rows=rows,
         snapshots=snapshots,
-        final=ens,
         turning_time=turning_time,
         r_min_shell=r_min_shell,
         t_at_r_min=t_at_r_min,
         steps=steps,
-        traces={tid: np.array(v) for tid, v in traces.items()},
     )
 
 

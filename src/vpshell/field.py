@@ -38,6 +38,8 @@ from .phase_space import Ensemble
 # lexsort still beats the packed-key sort; above it the state counts as
 # scrambled.
 NEAR_SORTED_FRAC = 0.01
+# Geometric bins of the density estimate in each row of a run.
+N_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ class DensityGrid:
         return float(np.sum(self.bin_masses))
 
 
-def default_grid_edges(r_min: float, r_max: float, n_bins: int = 256) -> np.ndarray:
+def default_grid_edges(r_min: float, r_max: float, n_bins: int = N_BINS) -> np.ndarray:
     """Geometric bin edges from r_min/2 to r_max * 1.01.
 
     Geometric spacing resolves the many-decades radius range that opens
@@ -312,7 +314,7 @@ class SupNorms:
     r_max: float
 
 
-def sup_norms(index: SortedMassIndex, n_bins: int = 256) -> SupNorms:
+def sup_norms(index: SortedMassIndex, n_bins: int = N_BINS) -> SupNorms:
     """Sup norms of the state that index was built from.
 
     The density is binned from the index on

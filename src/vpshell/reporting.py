@@ -18,13 +18,14 @@ non-ASCII line are refused with RecordError naming the file and, for a
 wrong field count, the line.  The manifest deliberately omits wall-clock
 times and thread counts: results do not depend on them and reruns must
 compare equal.  load_run_data reads a run directory back as the
-dynamics.RunResult integrate returned, without traces, and raises
+dynamics.RunResult integrate returned, every field of it, and raises
 RecordError for one whose tables disagree with the manifest or with each
 other; require_manifest_matches reads the manifest's [class] to refuse
 a certificate the run was not made from.  Every INI
 reader raises RecordError starting with the file's path for a file it
 cannot decode or parse, a missing section or key, and a value that is not
-a finite number, true or false where one is expected.
+a finite number, true or false where one is expected; load_run_config
+also refuses a key it does not read.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 from . import __version__
 from .design import BoundsCertificate, RefusalError, StageResult, VerificationReport
 from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult
+from .field import N_BINS
 from .initial_data import ClassSpec
 from .phase_space import Ensemble
 
@@ -169,29 +171,26 @@ class RunSetup:
     n_ell: int = 28
     t_end: Optional[float] = None  # default: certificate t_horizon
     dt_max: Optional[float] = None  # default: t_end / 50
-    cfl: float = 0.2
-    output_stride: int = 1
-    n_bins: int = 256
+    cfl: float = IntegratorConfig.cfl
     mark_times: tuple = ()  # default: (certificate t_horizon,)
 
     def resolve(self, cert: BoundsCertificate):
-        """Fill defaults from the certificate; returns (config, marks).
+        """Fill defaults from the certificate and check the result; returns
+        (config, marks), what the manifest's [run] records.
 
         The default mark, the certificate's horizon, is left out of a run
-        that ends before it; an explicit mark after t_end is refused.
+        that ends before it; an explicit mark at or before the start t = 0
+        or after t_end is refused, as is what IntegratorConfig refuses.
         """
         t_end = self.t_end if self.t_end is not None else cert.t_horizon
         for m in self.mark_times:
+            if not m > 0.0:
+                raise ValueError(f"mark time {m!r} is not after the start t = 0")
             if m > t_end:
                 raise ValueError(f"mark time {m!r} is after t_end = {t_end!r}")
         marks = self.mark_times or tuple(m for m in (cert.t_horizon,) if m <= t_end)
-        return self._config(t_end), marks
-
-    def _config(self, t_end: float) -> IntegratorConfig:
         dt_max = self.dt_max if self.dt_max is not None else t_end / 50.0
-        return IntegratorConfig(
-            t_end=t_end, dt_max=dt_max, cfl=self.cfl, output_stride=self.output_stride
-        )
+        return IntegratorConfig(t_end=t_end, dt_max=dt_max, cfl=self.cfl), marks
 
 
 def save_run_config(setup: RunSetup, path) -> Path:
@@ -203,48 +202,44 @@ def save_run_config(setup: RunSetup, path) -> Path:
         "n_w": str(setup.n_w),
         "n_ell": str(setup.n_ell),
     }
-    integ = {"cfl": _fmt(setup.cfl), "output_stride": str(setup.output_stride)}
+    integ = {"cfl": _fmt(setup.cfl)}
     if setup.t_end is not None:
         integ["t_end"] = _fmt(setup.t_end)
     if setup.dt_max is not None:
         integ["dt_max"] = _fmt(setup.dt_max)
     parser["integrator"] = integ
-    parser["diagnostics"] = {
-        "n_bins": str(setup.n_bins),
-        "mark_times": ",".join(_fmt(m) for m in setup.mark_times),
-    }
+    parser["diagnostics"] = {"mark_times": ",".join(_fmt(m) for m in setup.mark_times)}
     _write_ini(parser, path)
     return path
 
 
 def load_run_config(path) -> RunSetup:
+    """Parse a run config; RunSetup.resolve checks the values against the
+    certificate.  A key this reads nowhere is refused, so a misspelt or
+    retired one is never run silently at its default."""
+    read = {
+        "certificate": ("file",),
+        "sampling": ("n_r", "n_w", "n_ell"),
+        "integrator": ("t_end", "dt_max", "cfl"),
+        "diagnostics": ("mark_times",),
+    }
     with _reading_ini(path, f"run config not found: {path}") as parser:
+        for section in parser.sections():
+            for key in parser[section]:
+                if key not in read.get(section, ()):
+                    raise ValueError(f"[{section}] {key} is not a run config key")
         integ = parser["integrator"] if "integrator" in parser else {}
         diag = parser["diagnostics"] if "diagnostics" in parser else {}
-        marks_raw = diag.get("mark_times", "")
-        marks = tuple(_float(s) for s in marks_raw.split(",") if s.strip())
         setup = RunSetup(
             certificate_path=parser["certificate"]["file"],
             n_r=int(parser["sampling"]["n_r"]),
             n_w=int(parser["sampling"]["n_w"]),
             n_ell=int(parser["sampling"]["n_ell"]),
-            t_end=_float(integ["t_end"]) if "t_end" in integ else None,
-            dt_max=_float(integ["dt_max"]) if "dt_max" in integ else None,
-            cfl=_float(integ.get("cfl", "0.2")),
-            output_stride=int(integ.get("output_stride", "1")),
-            n_bins=int(diag.get("n_bins", "256")),
-            mark_times=marks,
+            mark_times=tuple(_float(s) for s in diag.get("mark_times", "").split(",") if s.strip()),
+            **{key: _float(value) for key, value in integ.items()},
         )
-        # refuse here, naming this file, what the run would refuse later; the
-        # certificate's horizon fills an absent t_end, so 0 stands in, with
-        # no steps to budget for (1 if dt_max defaults to t_end / 50)
-        if min(setup.n_r, setup.n_w, setup.n_ell) < 2 or setup.n_bins < 1:
-            raise ValueError("need n_r, n_w and n_ell >= 2 and n_bins >= 1")
-        for m in marks:
-            if not m > 0.0:
-                raise ValueError(f"mark time {m!r} is not after the start t = 0")
-        stand_in = 1.0 if setup.dt_max is None else 0.0
-        setup._config(stand_in if setup.t_end is None else setup.t_end)
+        if min(setup.n_r, setup.n_w, setup.n_ell) < 2:
+            raise ValueError("need n_r, n_w and n_ell >= 2")
         return setup
 
 
@@ -395,9 +390,9 @@ def save_run(
         "n_w": str(setup.n_w),
         "n_ell": str(setup.n_ell),
         "n_shells": str(len(result.final)),
-        "n_bins": str(setup.n_bins),
-        "cfl": _fmt(setup.cfl),
-        "output_stride": str(setup.output_stride),
+        "n_bins": str(N_BINS),
+        "cfl": _fmt(config.cfl),
+        "output_stride": "1",  # every state has a row
         "steps": str(result.steps),
         "t_end": _fmt(config.t_end),
         "dt_max": _fmt(config.dt_max),
@@ -419,8 +414,8 @@ def _load_snapshot(path: Path, time: float) -> Ensemble:
 
 
 def load_run_data(out_dir) -> RunResult:
-    """Reload a run directory as the RunResult integrate returned, with no
-    traces, refusing a record that is incomplete or inconsistent.
+    """Reload a run directory as the RunResult integrate returned, refusing
+    a record that is incomplete or inconsistent.
 
     Raises RecordError unless the manifest lists [snapshots] count files
     and ascending times from the first to the last time of rows.csv,
@@ -461,7 +456,6 @@ def load_run_data(out_dir) -> RunResult:
     run = RunResult(
         rows=rows,
         snapshots=snapshots,
-        final=snapshots[-1][1],
         steps=steps,
         **{attr: shells[name] for name, attr in SHELLS_COLUMNS.items() if "." not in attr},
     )

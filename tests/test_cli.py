@@ -521,8 +521,8 @@ class TestMalformedIniFiles:
             ),
             pytest.param(
                 "run.ini",
-                "output_stride = 1\n\n[diagnostics]\nn_bins = 256\nmark_times =",
-                "output_stride = 1\nt_end = 0.004\n\n[diagnostics]\nn_bins = 256\nmark_times = 0.002,0.5",
+                "cfl = 0.2\n\n[diagnostics]\nmark_times =",
+                "cfl = 0.2\nt_end = 0.004\n\n[diagnostics]\nmark_times = 0.002,0.5",
                 id="run.ini-mark_times after t_end = 0.004",
             ),
             ("run.ini", "cfl = 0.2", "cfl = 0.2\nt_end = 0.0"),
@@ -538,6 +538,24 @@ class TestMalformedIniFiles:
         code, err, _, path = _run_with(intact, name, text.replace(old, new).encode())
         assert code == 2
         _assert_names_file(name, err, path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("integrator", "dt_mx", "1e-05"),  # a typo of dt_max
+            ("integrator", "output_stride", "3"),  # retired: every state has a row
+            ("diagnostics", "n_bins", "64"),  # retired: field.N_BINS bins
+        ],
+    )
+    def test_key_nothing_reads_is_refused(self, intact, section, key, value):
+        """A key run.ini's reader does not read would otherwise leave its
+        setting at the default without a word."""
+        text = _ini_path(intact, "run.ini").read_text()
+        edited = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        assert edited != text
+        code, err, _, path = _run_with(intact, "run.ini", edited.encode())
+        assert code == 2
+        assert err == f"run error: {path}: [{section}] {key} is not a run config key\n"
 
     def test_class_mismatch_refusal_names_the_manifest(self, intact):
         text = _ini_path(intact, "manifest.ini").read_text()

@@ -62,8 +62,6 @@ class TestConfig:
             IntegratorConfig(t_end=1.0, dt_max=float("inf"))
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, dt_max=0.1, cfl=1.5)
-        with pytest.raises(ValueError):
-            IntegratorConfig(t_end=1.0, dt_max=0.1, output_stride=0)
 
     def test_dt_min_tracks_dt_max(self):
         cfg = IntegratorConfig(t_end=1.0, dt_max=0.25)
@@ -144,7 +142,7 @@ class TestStep:
 
         monkeypatch.setattr(SortedMassIndex, "from_ensemble", staticmethod(counting))
         ens = sample_ensemble(canonical_data(), 6, 6, 4)
-        cfg = IntegratorConfig(t_end=0.02, dt_max=1e-3, output_stride=3)
+        cfg = IntegratorConfig(t_end=0.02, dt_max=1e-3)
         result = integrate(ens, cfg, mark_times=(0.005,))
         assert result.steps > 3
         assert len(calls) == result.steps + 1
@@ -223,18 +221,30 @@ class TestWorkArrays:
         assert mark.w.tobytes() == stopped.w.tobytes()
 
 
+def mark_grid(dt, t_end):
+    """Mark times every dt up to t_end, so that the snapshots sample every
+    shell's path."""
+    return tuple(np.linspace(0.0, t_end, round(t_end / dt) + 1)[1:].tolist())
+
+
+def sampled_paths(result):
+    """The snapshot times and the radii there, one column per shell."""
+    t = np.array([time for time, _ in result.snapshots])
+    return t, np.array([state.r for _, state in result.snapshots])
+
+
 class TestIntegrateSingleShell:
     """A lone shell feels no self-field, so the run must reproduce free
     planar motion exactly up to the integrator's order."""
 
     def run(self, dt_max, cfl):
         cfg = IntegratorConfig(t_end=1.0, dt_max=dt_max, cfl=cfl)
-        return integrate(single_shell(), cfg, trace_shells=[0])
+        return integrate(single_shell(), cfg, mark_times=mark_grid(dt_max, 1.0))
 
     def max_rel_err(self, result):
-        t, r, _ = result.traces[0].T
+        t, r = sampled_paths(result)
         exact = np.sqrt(free_motion_radius_squared(1.0, -1.0, 1.0, t))
-        return float(np.max(np.abs(r / exact - 1.0)))
+        return float(np.max(np.abs(r[:, 0] / exact - 1.0)))
 
     def test_matches_closed_form(self):
         assert self.max_rel_err(self.run(0.02, 0.1)) < 1e-3
@@ -257,8 +267,7 @@ def small_run():
     data = canonical_data()
     ens = sample_ensemble(data, 8, 8, 6)
     cfg = IntegratorConfig(t_end=0.06, dt_max=1e-3, cfl=0.2)
-    trace = [int(i) for i in ens.ids[:: max(1, len(ens) // 7)]]
-    result = integrate(ens, cfg, mark_times=(0.008,), trace_shells=trace)
+    result = integrate(ens, cfg, mark_times=(0.008, *mark_grid(cfg.dt_max, cfg.t_end)))
     return ens, cfg, result
 
 
@@ -288,9 +297,8 @@ class TestIntegrateEnsemble:
 
     def test_trajectories_unimodal(self, small_run):
         # convex radii: strictly decreasing then increasing, one minimum
-        _, _, result = small_run
-        for tid, tr in result.traces.items():
-            r = tr[:, 1]
+        ens, _, result = small_run
+        for tid, r in zip(ens.ids, sampled_paths(result)[1].T):
             s = np.sign(np.diff(r))
             s = s[s != 0.0]
             flips = np.flatnonzero(np.diff(s) != 0.0)
@@ -301,9 +309,8 @@ class TestIntegrateEnsemble:
     def test_envelope_bound_until_turning(self, small_run):
         ens, _, result = small_run
         total = ens.total_mass
-        for tid, tr in result.traces.items():
-            pos = int(np.flatnonzero(ens.ids == tid)[0])
-            t, r, _ = tr.T
+        t, paths = sampled_paths(result)
+        for pos, r in enumerate(paths.T):
             mask = t <= result.turning_time[pos]
             env = infall_envelope(
                 y0=float(ens.r[pos]),
@@ -353,11 +360,6 @@ class TestIntegrateEdgeCases:
             integrate(single_shell(), cfg, mark_times=(2.0,))
         with pytest.raises(ValueError):
             integrate(single_shell(), cfg, mark_times=(0.0,))
-
-    def test_unknown_trace_id(self):
-        cfg = IntegratorConfig(t_end=1.0, dt_max=0.1)
-        with pytest.raises(ValueError):
-            integrate(single_shell(), cfg, trace_shells=[42])
 
     def test_step_budget_enforced(self, monkeypatch):
         """CFL limits take a run that dt_max alone ends in 2 steps past the

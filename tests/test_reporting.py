@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import filecmp
@@ -5,6 +6,7 @@ import io
 import re
 import warnings
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from vpshell.reporting import (
     SNAPSHOT_COLUMNS,
     RecordError,
     RunSetup,
+    _read_class,
     _read_table,
     _write_table,
     load_certificate,
@@ -86,7 +89,6 @@ class TestRunConfigFiles:
             certificate_path="cert.ini",
             n_r=10, n_w=12, n_ell=8,
             t_end=0.02, dt_max=1e-4, cfl=0.15,
-            output_stride=3, n_bins=64,
             mark_times=(0.005, 0.02),
         )
         path = save_run_config(setup, tmp_path / "run.ini")
@@ -103,6 +105,19 @@ class TestRunConfigFiles:
         not counted against dt_max alone."""
         setup = RunSetup(certificate_path="cert.ini", dt_max=1e-8)
         assert load_run_config(save_run_config(setup, tmp_path / "run.ini")) == setup
+
+    def test_readme_example_is_the_default_config(self, tmp_path):
+        """The README's run.ini example is what save_run_config writes for
+        the defaults, up to trailing spaces, and loads back as them."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        setup = RunSetup(certificate_path="certificate.ini")
+        written = save_run_config(setup, tmp_path / "run.ini").read_text()
+        assert [line.rstrip() for line in example.rstrip().splitlines()] == [
+            line.rstrip() for line in written.rstrip().splitlines()
+        ]
+        (tmp_path / "example.ini").write_text(example)
+        assert load_run_config(tmp_path / "example.ini") == setup
 
     def test_resolve_fills_from_certificate(self):
         cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
@@ -126,6 +141,16 @@ class TestRunConfigFiles:
         assert setup.resolve(cert)[1] == (0.002, 0.004)
 
 
+def _bits(value):
+    """value as bytes, nested through lists, tuples and dataclasses, so that
+    == compares floats and arrays bit for bit."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return np.asarray(value).tobytes()
+
+
 class TestRunRecord:
     def test_round_trip(self, tmp_path, small_run):
         cert, setup, result = small_run
@@ -146,6 +171,25 @@ class TestRunRecord:
             assert np.array_equal(ea.weight, eb.weight)
             assert np.array_equal(ea.ids, eb.ids)
         assert summary.final.total_mass == result.final.total_mass
+
+    def test_manifest_alone_reproduces_the_run(self, tmp_path, small_run):
+        """Sampling from the manifest's [class] and [run] grid and
+        integrating with its [run] t_end, dt_max, cfl and mark_times gives
+        load_run_data's RunResult, every field bit for bit."""
+        cert, setup, result = small_run
+        out = save_run(result, cert, setup, tmp_path / "out")
+        manifest = configparser.ConfigParser()
+        manifest.optionxform = str
+        manifest.read(out / "manifest.ini", encoding="utf-8")
+        run = manifest["run"]
+        data = InitialData.from_spec(_read_class(manifest["class"]))
+        ens = sample_ensemble(data, *(int(run[key]) for key in ("n_r", "n_w", "n_ell")))
+        config = IntegratorConfig(*(float(run[key]) for key in ("t_end", "dt_max", "cfl")))
+        marks = [float(m) for m in run["mark_times"].split(",") if m]
+        replay = integrate(ens, config, mark_times=marks)
+        loaded = load_run_data(out)
+        for f in dataclasses.fields(RunResult):
+            assert _bits(getattr(replay, f.name)) == _bits(getattr(loaded, f.name)), f.name
 
     def test_verification_agrees_after_reload(self, tmp_path, small_run):
         cert, setup, result = small_run
@@ -409,7 +453,6 @@ class TestTableWriter:
         result = RunResult(
             rows=[DiagnosticsRow(t, 1.0, 2.0, 3.0, 0.5, 4.0, 0.0, 0.1) for t, _ in snapshots],
             snapshots=snapshots,
-            final=final,
             turning_time=np.array([0.3, np.inf, 0.7]),
             r_min_shell=final.r - 0.5,
             t_at_r_min=np.array([0.3, 1.0, 0.7]),
@@ -455,7 +498,6 @@ def _shared_runs(draw):
     return RunResult(
         rows=[DiagnosticsRow(*row) for row in rows],
         snapshots=snapshots,
-        final=final,
         turning_time=draw(column),
         r_min_shell=final.r.copy() if draw(st.booleans()) else draw(column),
         t_at_r_min=draw(column),
