@@ -14,16 +14,18 @@ step or a halved step falls below IntegratorConfig.dt_min.  A run takes
 at most MAX_STEPS steps: IntegratorConfig refuses a t_end farther away,
 in steps of dt_max, and a StepBudgetError stops a run that uses them up.
 
-The step allocates no array of one value per shell.  A run allocates
-its work arrays once (the enclosed masses, the force, the force's
-radius terms ell/r^3 and r^2, and two masks), every elementwise pass
-writes into them, and each index build reuses the previous index's
-arrays.  The radius terms computed for a step's closing kick are those
-of the next state, so the next step's opening force recomputes only
-m/r^2.  Positions and velocities rotate through two pairs of arrays: a
-state gives its r and w to the state after next, unless it is a
-snapshot or the final state, whose arrays, like the caller's ensemble,
-are never written again; a fresh pair replaces one kept that way.
+A run allocates its work arrays once (the enclosed masses, the force,
+the force's radius terms ell/r^3 and r^2, and two masks), and every
+elementwise pass writes into them.  Each index build reuses the previous
+index's arrays and allocates one array of one value per shell: the
+positions its packed keys carry, or lexsort's order.  Only colliding
+keys and tied radii add arrays, sized by their members.  The radius
+terms computed for a step's closing kick are those of the next state,
+so the next step's opening force recomputes only m/r^2.  Positions and
+velocities rotate through two pairs of arrays: a state gives its r and
+w to the state after next, unless it is a snapshot or the final state,
+whose arrays, like the caller's ensemble, are never written again; a
+fresh pair replaces one kept that way.
 
 integrate takes exactly what a run manifest's [run] records, and its
 RunResult holds exactly what the run directory holds, so a run replays

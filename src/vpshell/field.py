@@ -10,34 +10,32 @@ same index's prefix sums, and is reported alongside a certified lower
 bound that is independent of binning.
 
 The index order is the (radius, id) order of np.lexsort, whichever sort
-computes it, so it never depends on the thread count.  A near-sorted
-state (at most NEAR_SORTED_FRAC descents per shell in ensemble order, as
-before shells cross) is lexsorted, which is fastest there.  A scrambled
-state (after crossings) of positive radii is sorted as one array of
-int64 keys: each key is a radius's bit pattern with its low
-b = (n-1).bit_length() bits replaced by the shell's position.  Bit
-patterns of positive floats ascend with their values, so keys whose high
-bits differ are in radius order, and the sorted keys' low bits are the
-order.  When no two keys share their high bits the radii are distinct,
-so the order is lexsort's and needs no tie scan.  Keys that do share
-them (exact ties, inf, or radii a few ulps apart) are reordered by
-(radius, id) with one lexsort over their members only.  A state with a
-zero, negative or NaN radius, or with radii not stored as native
-doubles, is lexsorted.
+computes it, so it never depends on the thread count.  A state whose
+radii are native doubles in [tiny, inf), tiny the smallest normal
+double, is sorted as one array of keys: each key is a radius's bit
+pattern with its low b = (n-1).bit_length() bits replaced by the shell's
+position.  Such a key is the bit pattern of a distinct, positive, normal
+double, so sorting the keys as doubles orders them as their int64 bit
+patterns, whatever the FPU's denormal mode.  Bit patterns of positive
+doubles ascend with their values, so keys whose high bits differ are in
+radius order, and the sorted keys' low bits are the order.  When no two
+keys share their high bits the radii are distinct, so the order is
+lexsort's and needs no tie scan.  Keys that do share them (exact ties,
+or radii a few ulps apart) are reordered by (radius, id) with one
+lexsort over their members only.  The empty ensemble, and a state with
+a zero, negative, subnormal, infinite or NaN radius or with radii not
+stored as native doubles, is lexsorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .phase_space import Ensemble
 
-# Largest fraction of descents (r[k+1] < r[k]) in ensemble order at which
-# lexsort still beats the packed-key sort; above it the state counts as
-# scrambled.
-NEAR_SORTED_FRAC = 0.01
 # Geometric bins of the density estimate in each row of a run.
 N_BINS = 256
 
@@ -52,9 +50,9 @@ class SortedMassIndex:
     never feels its own weight (see interior_mass).
 
     The order is lexsort's whichever sort built it (see the module
-    docstring): lexsort for near-sorted states and for states with a
-    zero, negative or NaN radius, a sort of packed (radius, position)
-    keys for other scrambled states.
+    docstring): a sort of packed (radius, position) keys as doubles when
+    every radius is a positive normal finite double, lexsort otherwise.
+    group_ends is None when no two radii are equal.
 
     work is scratch space of one float per shell: the packed keys,
     interior_mass's sorted values and e_sup_exact's quotients pass
@@ -65,7 +63,7 @@ class SortedMassIndex:
     weights: np.ndarray    # aligned with radii
     order: np.ndarray      # ensemble position of each sorted entry
     cum: np.ndarray        # length n + 1, cum[0] = 0
-    group_ends: np.ndarray  # one past the last position of each tie group
+    group_ends: Optional[np.ndarray]  # one past the last position of each tie group
     total_mass: float
     work: np.ndarray = field(repr=False, compare=False)
 
@@ -75,21 +73,20 @@ class SortedMassIndex:
 
         An index out of the same length lends the new one its arrays and
         is invalid afterwards: radii, weights, cum, work and order are
-        overwritten, and a tie-free state shares out's tie-free group ends.
+        overwritten.
         """
         n = len(ensemble)
         if out is None:
             radii, weights, cum, work = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n)
-            order, tie_free = None, None
+            order = None
         else:
             radii, weights, cum, work = out.radii, out.weights, out.cum, out.work
             order = out.order
-            tie_free = out.group_ends if out.group_ends.size == n else None
         # weights is filled last, so until then its bytes are the sort's
         # boolean scratch
         order, group_ends = _sort_by_radius_then_id(
             ensemble.r, ensemble.ids, radii, order, work.view(np.int64),
-            weights.view(np.bool_)[:n], tie_free,
+            weights.view(np.bool_)[:n],
         )
         # unbuffered gather, as in _sort_by_radius_then_id
         np.take(ensemble.weight, order, out=weights, mode="wrap")
@@ -137,7 +134,7 @@ class SortedMassIndex:
         """
         n = len(self)
         ends = self.group_ends
-        if ends.size == n:
+        if ends is None:
             # no ties: shell k's group is [k, k + 1), the same arithmetic
             # as below without the repeats and gathers
             cum = self.cum
@@ -168,7 +165,7 @@ class SortedMassIndex:
         if len(self) == 0:
             raise ValueError("empty ensemble has no field sup")
         ends = self.group_ends
-        if ends.size == len(self):
+        if ends is None:
             # no ties: every radius ends its own group
             r, below_or_at = self.radii, self.cum[1:]
         else:
@@ -179,42 +176,42 @@ class SortedMassIndex:
         return float(np.max(np.divide(below_or_at, quotient, out=quotient)))
 
 
-def _sort_by_radius_then_id(r, ids, radii, order, keys, flags, tie_free):
-    """(order, tie-group ends) of np.lexsort((ids, r)); the sorted radii
-    go into radii.
+def _sort_by_radius_then_id(r, ids, radii, order, keys, flags):
+    """(order, tie-group ends) of np.lexsort((ids, r)), the ends None
+    when no two radii are equal; the sorted radii go into radii.
 
-    A scrambled state of positive radii is sorted by packed keys (see the
-    module docstring) built in keys, r.size int64; its order is written
-    into order when that is given.  flags is a boolean scratch of r.size
-    entries.  tie_free, when given, is returned as the ends of a state
-    without ties.  An order is a permutation, so the gathers by it take
-    mode="wrap", which writes into their out directly where the default
-    mode="raise" buffers.
+    Radii that are all native doubles in [tiny, inf) are sorted by packed
+    keys (see the module docstring) built in keys, r.size int64; the
+    order is written into order when that is given.  flags is a boolean
+    scratch of r.size entries.  An order is a permutation, so the
+    gathers by it take mode="wrap", which writes into their out directly
+    where the default mode="raise" buffers.
     """
     n = r.size
-    descents = np.less(r[1:], r[:-1], out=flags[:-1])
     if (
-        np.count_nonzero(descents) <= NEAR_SORTED_FRAC * n
-        # only positive native doubles have bit patterns that ascend with them
+        n == 0
+        # only these radii give keys that are normal doubles, which sort
+        # as their bit patterns
         or r.dtype != np.float64
-        or not np.min(r) > 0
+        or not np.min(r) >= np.finfo(np.float64).tiny
+        or not np.max(r) < np.inf
     ):
         order = np.lexsort((ids, r))
         np.take(r, order, out=radii, mode="wrap")
-        return order, _tie_group_ends(radii, flags, tie_free)
+        return order, _tie_group_ends(radii, flags)
     if order is None:
         order = np.empty(n, dtype=np.intp)
     b = (n - 1).bit_length()
     low = (1 << b) - 1
     np.bitwise_and(r.view(np.int64), ~low, out=keys)
     np.bitwise_or(keys, np.arange(n), out=keys)
-    keys.sort()
+    keys.view(np.float64).sort()
     np.bitwise_and(keys, low, out=order)
     high = np.right_shift(keys, b, out=keys)
     shared = np.equal(high[1:], high[:-1], out=flags[:-1])
     if not shared.any():
         np.take(r, order, out=radii, mode="wrap")
-        return order, np.arange(1, n + 1) if tie_free is None else tie_free
+        return order, None
     # A run of keys sharing their high bits is in position order.  Runs
     # are in radius order among themselves, so one lexsort over all run
     # members, written back to their slots, orders each run by (r, id).
@@ -224,22 +221,18 @@ def _sort_by_radius_then_id(r, ids, radii, order, keys, flags, tie_free):
     shells = order[slots]
     order[slots] = shells[np.lexsort((ids[shells], r[shells]))]
     np.take(r, order, out=radii, mode="wrap")
-    return order, _tie_group_ends(radii, flags, tie_free)
+    return order, _tie_group_ends(radii, flags)
 
 
-def _tie_group_ends(radii: np.ndarray, last=None, tie_free=None) -> np.ndarray:
-    """One past the last position of each run of equal ascending radii.
+def _tie_group_ends(radii: np.ndarray, last: np.ndarray) -> Optional[np.ndarray]:
+    """One past the last position of each run of equal ascending radii,
+    None if no two radii are equal.
 
-    last, when given, is the boolean scratch the scan writes; tie_free,
-    when given, is returned if no two radii are equal.
+    last is the boolean scratch of radii.size entries the scan writes.
     """
-    if last is None:
-        last = np.empty(radii.size, dtype=bool)
     np.not_equal(radii[1:], radii[:-1], out=last[:-1])
     last[-1:] = True
-    if tie_free is not None and last.all():
-        return tie_free
-    return np.flatnonzero(last) + 1
+    return None if last.all() else np.flatnonzero(last) + 1
 
 
 @dataclass(frozen=True)

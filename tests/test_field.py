@@ -2,10 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import vpshell.field
-from vpshell.field import NEAR_SORTED_FRAC
 from vpshell import (
     ClassSpec,
     Ensemble,
@@ -44,10 +43,6 @@ def near_sorted(ascending, swaps):
         i = 3 * k * (r.size // (3 * swaps))
         r[i], r[i + 1] = r[i + 1], r[i]
     return r
-
-
-def descent_frac(r):
-    return np.count_nonzero(r[1:] < r[:-1]) / r.size
 
 
 class TestEnclosedMass:
@@ -171,9 +166,9 @@ class TestInteriorMass:
         self._assert_matches_searchsorted(ensemble_at(radii, weights))
 
     def test_one_tie_scan_per_index(self, monkeypatch):
-        """A lexsorted build and a packed build whose keys collide scan the
-        sorted radii for ties once; a collision-free packed build, whose
-        radii are proven distinct, never does."""
+        """A build that lexsorts all shells and a packed build whose keys
+        collide scan the sorted radii for ties once; a collision-free
+        packed build, whose radii are proven distinct, never does."""
         scan = vpshell.field._tie_group_ends
         build = SortedMassIndex.from_ensemble
         scans, expected = [], []
@@ -184,8 +179,7 @@ class TestInteriorMass:
 
         def counting_build(ensemble, **kwargs):
             r = ensemble.r
-            packed = descent_frac(r) > NEAR_SORTED_FRAC and np.min(r) > 0
-            expected.append(0 if packed and not packed_keys_collide(r) else 1)
+            expected.append(0 if packable(r) and not packed_keys_collide(r) else 1)
             return build(ensemble, **kwargs)
 
         monkeypatch.setattr(vpshell.field, "_tie_group_ends", counting_scan)
@@ -195,12 +189,17 @@ class TestInteriorMass:
         t_end = 3.0 * cert.t_horizon
         result = integrate(ens, IntegratorConfig(t_end=t_end, dt_max=t_end / 150))
         assert len(expected) == result.steps + 1
-        # crossings scramble the order: the run has lexsorted and packed builds
+        # the run has packed builds with and without colliding keys
         assert 0 < sum(expected) < len(expected)
-        # plus states whose packed keys collide
-        for r in (adjacent_float_chains(40, 5, seed=1), np.array([2.0, 1.0, 2.0, 0.5, 1.0, 3.0])):
+        # plus states whose keys collide and states lexsorted in full
+        for r in (
+            adjacent_float_chains(40, 5, seed=1),
+            np.array([2.0, 1.0, 2.0, 0.5, 1.0, 3.0]),
+            np.append(SCRAMBLED_40, 0.0),
+            np.append(SCRAMBLED_40, np.inf),
+        ):
             SortedMassIndex.from_ensemble(ensemble_at(r, np.ones(r.size)))
-            assert expected[-1] == 1 and packed_keys_collide(r)
+            assert expected[-1] == 1
         assert len(scans) == sum(expected)
 
     def test_sampled_ensemble_bitwise_equal_to_searchsorted_bounds(self):
@@ -229,7 +228,23 @@ def assert_lexsort_order(ens):
     radii = ens.r[order]
     assert idx.order.tobytes() == order.tobytes()
     assert idx.radii.tobytes() == radii.tobytes()
-    assert idx.group_ends.tolist() == vpshell.field._tie_group_ends(radii).tolist()
+    # group_ends is None exactly when no two radii are equal
+    last = np.append(radii[1:] != radii[:-1], True)
+    if last.all():
+        assert idx.group_ends is None
+    else:
+        assert idx.group_ends.tolist() == (np.flatnonzero(last) + 1).tolist()
+
+
+def packable(r):
+    """Whether r's index is built by sorting packed keys: r is a nonempty
+    array of native doubles in [tiny, inf)."""
+    return (
+        r.size > 0
+        and r.dtype == np.float64
+        and np.min(r) >= np.finfo(np.float64).tiny
+        and np.max(r) < np.inf
+    )
 
 
 def packed_keys_collide(r):
@@ -277,7 +292,6 @@ class TestIndexOrder:
     )
     def test_scrambled_distinct_radii(self, radii, data):
         r = np.asarray(data.draw(st.permutations(radii)))
-        assume(descent_frac(r) > NEAR_SORTED_FRAC)
         assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids_for(data, r.size)))
 
     @given(n=st.integers(100, 1000), swaps=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
@@ -285,7 +299,6 @@ class TestIndexOrder:
         rng = np.random.default_rng(seed)
         ascending = np.unique(rng.uniform(0.01, 10.0, n))
         r = near_sorted(ascending, min(swaps, ascending.size // 100))
-        assert descent_frac(r) <= NEAR_SORTED_FRAC
         assert_lexsort_order(ensemble_at(r, np.ones(r.size), rng.permutation(r.size)))
 
     @given(
@@ -324,35 +337,89 @@ class TestIndexOrder:
         # three adjacent doubles span at most two blocks of 2^b >= 4 bit
         # patterns, so two of them share their keys' high bits
         r = adjacent_float_chains(n_chains, length, seed)
-        assume(descent_frac(r) > NEAR_SORTED_FRAC)
         assert packed_keys_collide(r)
         ids = np.random.default_rng(seed).permutation(r.size)
         assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids))
 
     @pytest.mark.parametrize(
-        "radii",
+        "radii, packed",
         [
             pytest.param(
                 np.concatenate((np.repeat([0.25, 1.0, 1.5], [3, 2, 4]), np.geomspace(0.1, 9.0, 40))),
+                True,
                 id="exact-ties",
             ),
-            pytest.param(np.concatenate(([np.inf] * 3, np.geomspace(0.1, 9.0, 40))), id="inf"),
+            pytest.param(
+                np.concatenate(([np.inf] * 3, np.geomspace(0.1, 9.0, 40))), False, id="inf"
+            ),
             pytest.param(
                 np.concatenate((
                     [5e-324, 1e-323, 5e-324, 2.5e-310, 2.5e-310, 1e-309, 2.2250738585072014e-308],
                     np.geomspace(1e-300, 1.0, 40),
                 )),
+                False,
                 id="subnormal",
             ),
         ],
     )
-    def test_ties_inf_and_subnormals_are_packed(self, radii, monkeypatch):
+    def test_ties_are_packed_inf_and_subnormals_lexsorted(self, radii, packed, monkeypatch):
         r = np.random.default_rng(4).permutation(radii)
         ens = ensemble_at(r, np.ones(r.size), ids=np.random.default_rng(5).permutation(r.size))
-        assert descent_frac(r) > NEAR_SORTED_FRAC and packed_keys_collide(r)
-        # only the colliding keys' members are lexsorted, never all shells
-        assert 0 < max(lexsort_sizes(monkeypatch, ens)) < r.size
+        assert packed_keys_collide(r) and packable(r) == packed
+        sizes = lexsort_sizes(monkeypatch, ens)
+        if packed:
+            # only the colliding keys' members are lexsorted, never all shells
+            assert 0 < max(sizes) < r.size
+        else:
+            # an inf or subnormal radius has no normal-double key
+            assert sizes == [r.size]
         assert_lexsort_order(ens)
+
+    @pytest.mark.parametrize("n", [2, 1000, 4097])
+    def test_radii_at_the_normal_extremes(self, n, monkeypatch):
+        # tiny, max and radii a few parts in 2^20 from them, shuffled:
+        # packed without collisions, in lexsort's order
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        steps = np.arange(n // 2) * 2.0**-20
+        r = np.concatenate((tiny * (1.0 + steps), big * (1.0 - steps), [1.0] * (n % 2)))
+        rng = np.random.default_rng(n)
+        r = rng.permutation(r)
+        ens = ensemble_at(r, np.ones(n), ids=rng.permutation(n))
+        assert packable(r) and not packed_keys_collide(r)
+        assert lexsort_sizes(monkeypatch, ens) == []
+        assert_lexsort_order(ens)
+
+    def test_packed_keys_of_the_extremes_stay_normal(self):
+        # at every key width up to 52 bits, which no shell count exceeds,
+        # tiny's lowest key is tiny and max's highest key is max, so a
+        # key is never inf, NaN or subnormal
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        bits = np.array([tiny, big]).view(np.int64)
+        for b in range(53):
+            low = (1 << b) - 1
+            keys = np.array([bits[0] & ~low, bits[1] & ~low | low])
+            assert keys.view(np.float64).tolist() == [tiny, big]
+
+    @given(
+        radii=st.lists(
+            st.floats(np.finfo(np.float64).tiny, np.finfo(np.float64).max)
+            | st.sampled_from([np.finfo(np.float64).tiny, np.finfo(np.float64).max]),
+            min_size=1,
+            max_size=200,
+        ),
+        data=st.data(),
+    )
+    def test_normal_radii_over_their_whole_range(self, radii, data):
+        r = np.asarray(radii)
+        assert packable(r)
+        assert_lexsort_order(ensemble_at(r, np.ones(r.size), ids_for(data, r.size)))
+
+    def test_empty_ensemble(self):
+        idx = SortedMassIndex.from_ensemble(ensemble_at([], []))
+        assert len(idx) == 0 and idx.group_ends is None and idx.cum.tolist() == [0.0]
+        assert idx.interior_mass().size == 0
+        again = SortedMassIndex.from_ensemble(ensemble_at([], []), out=idx)
+        assert len(again) == 0 and again.group_ends is None
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 4096, 4097])
     def test_key_width_follows_shell_count(self, n, monkeypatch):
@@ -363,7 +430,6 @@ class TestIndexOrder:
         bits = np.concatenate((first, first + 1024, np.full(n % 2, 1 << 24)))
         r = rng.permutation(bits + np.float64(1.0).view(np.int64)).view(np.float64)
         b = (n - 1).bit_length()
-        assert descent_frac(r) > NEAR_SORTED_FRAC
         assert packed_keys_collide(r) == (b >= 11)
         ens = ensemble_at(r, np.ones(n), ids=rng.permutation(n))
         sizes = lexsort_sizes(monkeypatch, ens)
@@ -379,6 +445,14 @@ class TestIndexOrder:
         order = np.lexsort((ens.ids, r))
         assert idx.order.tolist() == order.tolist()
         assert idx.radii.tolist() == r[order].tolist()  # native doubles, same values
+
+    def test_near_sorted_distinct_radii_take_no_lexsort(self, monkeypatch):
+        # ascending with a few swapped pairs, as before shells cross
+        r = near_sorted(np.geomspace(0.01, 5.0, 3000), 20)
+        ens = ensemble_at(r, np.ones(r.size), ids=np.random.default_rng(9).permutation(r.size))
+        assert not packed_keys_collide(r)
+        assert lexsort_sizes(monkeypatch, ens) == []
+        assert_lexsort_order(ens)
 
     def test_distinct_scrambled_radii_take_no_lexsort(self, monkeypatch):
         r = np.random.default_rng(7).permutation(np.geomspace(0.01, 5.0, 3000))
@@ -400,11 +474,10 @@ class TestIndexOrder:
         ],
     )
     def test_scrambled_ties_and_nans_fall_back_to_lexsort(self, radii, monkeypatch):
-        # descents above the threshold, yet zero, negative and NaN radii
-        # are never packed: all shells are lexsorted
+        # zero, negative and NaN radii are never packed: all shells are
+        # lexsorted
         r = np.array(radii)
         ens = ensemble_at(r, np.ones(r.size), ids=np.arange(r.size)[::-1])
-        assert descent_frac(r) > NEAR_SORTED_FRAC
         assert lexsort_sizes(monkeypatch, ens) == [r.size]
         assert_lexsort_order(ens)
 
