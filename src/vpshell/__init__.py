@@ -64,7 +64,6 @@ from .oracle_suite import draw_cases, run_oracle_suite
 from .phase_space import (
     Ensemble,
     RadialCoordinates,
-    Shell,
     from_radial,
     to_radial,
 )

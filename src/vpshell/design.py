@@ -144,7 +144,6 @@ def design_small_data(
         marked = True
 
     spec = ClassSpec(a0=a0, a1=-1.0 / eps**2, eps=eps)
-    mass_used = 3.0 * eps**3 / a0  # sandwich lower end
     return BoundsCertificate(
         recipe="small-data",
         c1=c1,
@@ -156,7 +155,7 @@ def design_small_data(
         sup_r_bound=100.0 * eps**2,
         rhot_lower=1.0 / (200.0**3 * a0 * eps**3),
         et_lower=3.0 / (100.0**2 * a0 * eps),
-        mass_used=mass_used,
+        mass_used=derived_bounds(spec).mass_lower,
         rho0_sup_bound=3.0 / (4.0 * np.pi * a0**3),
         e0_sup_bound=32.0 / a0**3,
     )

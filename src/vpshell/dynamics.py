@@ -135,15 +135,11 @@ def _force(ell_r3, m_enc, r2, out):
     return np.add(ell_r3, out, out=out)
 
 
-def _require_positive(r):
-    if not np.all(r > 0):
-        raise ValueError("acceleration undefined for r <= 0 or NaN")
-
-
 def accel(r, ell, m_enc):
     """Radial acceleration ell/r^3 + m_enc/r^2 (always outward)."""
     r = np.asarray(r, dtype=float)
-    _require_positive(r)
+    if not np.all(r > 0):
+        raise ValueError("acceleration undefined for r <= 0 or NaN")
     shape = np.broadcast_shapes(r.shape, np.shape(ell), np.shape(m_enc))
     ell_r3, r2 = np.empty(shape), np.empty(shape)
     _radius_terms(r, ell, ell_r3, r2)
@@ -170,6 +166,26 @@ def _kdk_attempt(r, w, ell, m_frozen, a, dt, r_new, w_new, ell_r3, r2) -> bool:
     np.multiply(0.5 * dt, a_end, out=a_end)
     np.add(w_half, a_end, out=w_new)
     return True
+
+
+def _refuse_bad_shells(ensemble: Ensemble):
+    """ValueError naming the first shell, in ensemble order, whose radius
+    is not positive and finite, whose w or weight is not finite, or whose
+    ell is negative or not finite."""
+    r, ell = ensemble.r, ensemble.ell
+    valid = {
+        "r": (r > 0.0) & (r < np.inf),
+        "w": np.isfinite(ensemble.w),
+        "ell": (ell >= 0.0) & (ell < np.inf),
+        "weight": np.isfinite(ensemble.weight),
+    }
+    bad = [(int(np.argmin(ok)), q) for q, ok in valid.items() if not ok.all()]
+    if bad:
+        k, name = min(bad, key=lambda b: b[0])
+        raise ValueError(
+            f"cannot integrate shell id {int(ensemble.ids[k])}: "
+            f"{name}={float(getattr(ensemble, name)[k])!r}"
+        )
 
 
 def _stiffness(ensemble: Ensemble, dt: float) -> StiffnessError:
@@ -248,10 +264,13 @@ def integrate(
     on N_BINS geometric bins spanning its radii, see sup_norms) and the
     next step's enclosed masses.  The step writes into work arrays the
     run allocates once (see the module docstring); the caller's ensemble
-    and every snapshot keep arrays that are never written.
+    and every snapshot keep arrays that are never written.  An empty
+    ensemble, and a shell that _refuse_bad_shells names, is refused with
+    a ValueError before the first step.
     """
     if len(ensemble) == 0:
         raise ValueError("cannot integrate an empty ensemble")
+    _refuse_bad_shells(ensemble)
     marks = sorted(set(float(m) for m in mark_times))
     for m in marks:
         if m <= ensemble.time or m > config.t_end:
@@ -283,6 +302,7 @@ def integrate(
 
     m_frozen, a = np.empty(n), np.empty(n)
     ell_r3, r2 = np.empty(n), np.empty(n)  # radius terms of ens
+    _radius_terms(ens.r, ens.ell, ell_r3, r2)
     crossing, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     spare = None  # r and w of the state before ens, when free to overwrite
     kept = True  # ens's arrays are the caller's or a snapshot's
@@ -296,10 +316,6 @@ def integrate(
             continue
         if steps >= MAX_STEPS:
             raise StepBudgetError(f"{steps} steps reached at t={ens.time!r} before t_end")
-        if steps == 0:
-            # later states have passed _kdk_attempt's positivity test
-            _require_positive(ens.r)
-            _radius_terms(ens.r, ens.ell, ell_r3, r2)
 
         index.interior_mass(out=m_frozen)
         a_start = _force(ell_r3, m_frozen, r2, out=a)
@@ -329,7 +345,8 @@ def integrate(
         if np.any(crossing):
             w_old = ens.w[crossing]
             dw = w_new[crossing] - w_old
-            tau = np.where(dw > 0.0, -w_old / dw * dt_try, dt_try)
+            # w_old < 0 <= w_new, so dw >= -w_old > 0
+            tau = -w_old / dw * dt_try
             t_star = ens.time + tau
             # radius along the step parabola at the interpolated instant
             r_star = ens.r[crossing] + w_old * tau + 0.5 * (dw / dt_try) * tau**2
@@ -525,10 +542,9 @@ def integrate_oracle_batch(
     for j in range(int(n_segments.max())):
         live = rows[n_segments > j]
         ta, tb = cuts[:, j], cuts[:, j + 1]
-        # evaluate forcing strictly inside the segment so breakpoints
-        # never alias to the wrong side
-        mid = 0.5 * (ta[live] + tb[live])
-        k[live] = values[live, np.count_nonzero(edges[live] <= mid[:, None], axis=1)] * P[live]
+        # a case's breakpoints below its t_end are the first of its edges,
+        # so its segment j runs under its value j
+        k[live] = values[live, j] * P[live]
         samples = np.flatnonzero(segment == j)
         # each live case's segment end rides along after the samples
         owner = np.concatenate((case[samples], live))

@@ -132,26 +132,22 @@ class SortedMassIndex:
         each shell uses in its own equation of motion.  Written into out
         when given.
         """
-        n = len(self)
-        ends = self.group_ends
+        # each shell's tie group spans sorted positions [lo, hi), so cum[lo]
+        # is the mass below it and cum[hi] the mass up to and including it
+        cum, ends = self.cum, self.group_ends
         if ends is None:
-            # no ties: shell k's group is [k, k + 1), the same arithmetic
-            # as below without the repeats and gathers
-            cum = self.cum
-            interior_sorted = np.subtract(cum[1:], cum[:-1], out=self.work)
-            np.subtract(interior_sorted, self.weights, out=interior_sorted)
-            np.multiply(interior_sorted, 0.5, out=interior_sorted)
-            np.add(cum[:-1], interior_sorted, out=interior_sorted)
+            # no ties: shell k's group is [k, k + 1)
+            below, upto = cum[:-1], cum[1:]
         else:
-            # each shell's tie group spans sorted positions [lo, hi)
             sizes = np.diff(ends, prepend=0)
-            lo = np.repeat(ends - sizes, sizes)
-            hi = np.repeat(ends, sizes)
-            below = self.cum[lo]
-            group = self.cum[hi] - self.cum[lo]
-            interior_sorted = below + 0.5 * (group - self.weights)
+            below = cum[np.repeat(ends - sizes, sizes)]
+            upto = cum[np.repeat(ends, sizes)]
+        interior_sorted = np.subtract(upto, below, out=self.work)
+        np.subtract(interior_sorted, self.weights, out=interior_sorted)
+        np.multiply(interior_sorted, 0.5, out=interior_sorted)
+        np.add(below, interior_sorted, out=interior_sorted)
         if out is None:
-            out = np.empty(n)
+            out = np.empty(len(self))
         out[self.order] = interior_sorted
         return out
 

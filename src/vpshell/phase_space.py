@@ -1,11 +1,12 @@
-"""Reduced phase-space coordinates, shells, and ensembles.
+"""Reduced phase-space coordinates and shell ensembles.
 
 A spherically symmetric particle distribution is fully described by the
 radius r = |x|, the radial velocity w = x.v/r, and the squared angular
 momentum ell = |x cross v|^2.  A *shell* is one weighted characteristic in
 these coordinates; an *ensemble* is the collection of shells that
-discretizes the distribution.  Weights discretize the reduced-coordinate
-measure 4 pi^2 f dl dw dr, so the weight sum is the total mass.
+discretizes the distribution, stored as parallel arrays with one entry
+per shell.  Weights discretize the reduced-coordinate measure
+4 pi^2 f dl dw dr, so the weight sum is the total mass.
 """
 
 from __future__ import annotations
@@ -40,22 +41,6 @@ class RadialCoordinates:
     def speed_squared(self) -> float:
         """|v|^2 of any Cartesian realization: w^2 + ell / r^2."""
         return self.w**2 + self.ell / self.r**2
-
-
-@dataclass(frozen=True)
-class Shell:
-    """One weighted characteristic: reduced coordinates plus a mass weight.
-
-    ell is a constant of the motion, so a shell keeps its value forever.
-    """
-
-    coords: RadialCoordinates
-    weight: float
-    id: int = 0
-
-    def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError(f"shell weight must be positive, got {self.weight}")
 
 
 def to_radial(x, v) -> RadialCoordinates:
@@ -116,27 +101,24 @@ class Ensemble:
             arr = getattr(self, name)
             if arr.ndim != 1 or arr.shape != self.r.shape:
                 raise ValueError(f"ensemble array {name!r} must be 1-D and congruent")
-        if self.time < 0:
-            raise ValueError("ensemble time must be nonnegative")
+        if not self.time >= 0:  # NaN too: integrate would never reach t_end
+            raise ValueError(f"ensemble time must be nonnegative, got {self.time!r}")
 
     def __len__(self) -> int:
         return self.r.size
 
     @classmethod
-    def from_shells(cls, shells, time: float = 0.0) -> "Ensemble":
-        shells = list(shells)
+    def single(cls, r: float, w: float, ell: float, weight: float, time: float = 0.0) -> "Ensemble":
+        """The one-shell ensemble of the point (r, w, ell), id 0."""
+        RadialCoordinates(r, w, ell)  # refuses r <= 0 and ell < 0
         return cls(
-            r=np.array([s.coords.r for s in shells], dtype=float),
-            w=np.array([s.coords.w for s in shells], dtype=float),
-            ell=np.array([s.coords.ell for s in shells], dtype=float),
-            weight=np.array([s.weight for s in shells], dtype=float),
-            ids=np.array([s.id for s in shells], dtype=np.int64),
+            r=np.array([r], dtype=float),
+            w=np.array([w], dtype=float),
+            ell=np.array([ell], dtype=float),
+            weight=np.array([weight], dtype=float),
+            ids=np.zeros(1, dtype=np.int64),
             time=time,
         )
-
-    @classmethod
-    def single(cls, r: float, w: float, ell: float, weight: float, time: float = 0.0) -> "Ensemble":
-        return cls.from_shells([Shell(RadialCoordinates(r, w, ell), weight)], time=time)
 
     def advanced(self, r: np.ndarray, w: np.ndarray, time: float) -> "Ensemble":
         """New ensemble with updated positions/velocities and the same

@@ -557,6 +557,17 @@ class TestMalformedIniFiles:
         assert code == 2
         assert err == f"run error: {path}: [{section}] {key} is not a run config key\n"
 
+    @pytest.mark.parametrize("key", ["n_r", "n_w", "n_ell"])
+    def test_sampling_key_is_required(self, intact, key):
+        """RunSetup's grid defaults are not the run config's: run.ini must
+        name every grid size."""
+        text = _ini_path(intact, "run.ini").read_text()
+        edited = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+        assert edited != text
+        code, err, _, path = _run_with(intact, "run.ini", edited.encode())
+        assert code == 2
+        assert err == f"run error: {path}: missing section or key '{key}'\n"
+
     def test_class_mismatch_refusal_names_the_manifest(self, intact):
         text = _ini_path(intact, "manifest.ini").read_text()
         assert "a0 = 1.0\n" in text

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -381,8 +382,34 @@ class TestIntegrateEdgeCases:
 
     def test_empty_ensemble_rejected(self):
         cfg = IntegratorConfig(t_end=1.0, dt_max=0.1)
+        empty = np.empty(0)
         with pytest.raises(ValueError):
-            integrate(Ensemble.from_shells([]), cfg)
+            integrate(Ensemble(empty, empty, empty, empty, np.empty(0, dtype=np.int64)), cfg)
+
+    @pytest.mark.parametrize(
+        "quantity, value",
+        [
+            ("r", 0.0),
+            ("r", -1.0),
+            ("r", np.inf),
+            ("r", np.nan),
+            ("w", np.nan),
+            ("ell", -1.0),
+            ("ell", np.nan),
+            ("weight", np.nan),
+        ],
+    )
+    def test_bad_shell_refused_by_id_before_the_first_step(self, quantity, value):
+        columns = dict(
+            r=np.array([1.0, 1.2]),
+            w=np.array([-0.5, -0.4]),
+            ell=np.array([0.1, 0.2]),
+            weight=np.array([0.5, 0.5]),
+        )
+        columns[quantity][1] = value
+        ens = Ensemble(**columns, ids=np.array([7, 3], dtype=np.int64))
+        with pytest.raises(ValueError, match=re.escape(f"shell id 3: {quantity}={value!r}") + "$"):
+            integrate(ens, IntegratorConfig(t_end=1.0, dt_max=0.01))
 
 
 class TestFreeMotion:

@@ -548,7 +548,7 @@ class TestDensityGrid:
 class TestSupNorms:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sup_norms(SortedMassIndex.from_ensemble(Ensemble.from_shells([])))
+            sup_norms(SortedMassIndex.from_ensemble(ensemble_at([], [])))
 
     def test_certified_below_binned_for_spread_ensemble(self):
         # certified bound treats all mass as a ball of radius r_max, so it

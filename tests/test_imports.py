@@ -1,4 +1,5 @@
-"""Every name a source module imports is used in it.  An import kept on
+"""Every name a source module imports is used in it, and every private
+module-level name is used somewhere in the package.  An import kept on
 purpose carries `# noqa: F401` on its line, as flake8 and ruff read it."""
 
 import ast
@@ -7,10 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "vpshell").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "vpshell").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(path: Path) -> list:
@@ -36,3 +35,37 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree) -> list:
+    """Module-level `_name` defs, classes and assignment targets."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_helper_is_used():
+    """A private name only its own definition mentions is dead code that a
+    deletion left behind."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    orphans = [
+        f"{name}:{helper}"
+        for name, tree in trees.items()
+        for helper in _private_definitions(tree)
+        if helper not in used
+    ]
+    assert orphans == []

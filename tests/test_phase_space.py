@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpshell import Ensemble, RadialCoordinates, Shell, from_radial, to_radial
+from vpshell import Ensemble, RadialCoordinates, from_radial, to_radial
 
 
 def test_to_radial_orthogonal_unit_vectors():
@@ -62,13 +62,14 @@ def test_coordinate_validation():
         RadialCoordinates(r=0.0, w=1.0, ell=1.0)
     with pytest.raises(ValueError):
         RadialCoordinates(r=1.0, w=1.0, ell=-1.0)
-    with pytest.raises(ValueError):
-        Shell(RadialCoordinates(1.0, 0.0, 1.0), weight=0.0)
 
 
 def test_reduced_mass_empty_and_single():
-    assert Ensemble.from_shells([]).total_mass == 0.0
+    empty = np.empty(0)
+    assert Ensemble(empty, empty, empty, empty, np.empty(0, dtype=np.int64)).total_mass == 0.0
     assert Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=0.5).total_mass == 0.5
+    # a single shell follows the ensemble's weight rule, >= 0
+    assert Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=0.0).total_mass == 0.0
 
 
 def test_ensemble_rejects_negative_weight_and_bad_shapes():
@@ -88,6 +89,12 @@ def test_ensemble_rejects_negative_weight_and_bad_shapes():
             weight=np.array([1.0]),
             ids=np.array([0]),
         )
+
+
+@pytest.mark.parametrize("time", [-1.0, float("nan")])
+def test_ensemble_rejects_negative_or_nan_time(time):
+    with pytest.raises(ValueError, match="ensemble time must be nonnegative"):
+        Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=1.0, time=time)
 
 
 @pytest.mark.parametrize("ids", [np.arange(2), np.arange(4), np.zeros((3, 1), dtype=np.int64)],
