@@ -245,9 +245,9 @@ def verify_focusing_run(run: RunResult, cert: BoundsCertificate) -> Verification
 
     The binned density at time zero is only compared up to RHO_BIN_SLACK
     because column quantization makes the histogram noisy on a thin
-    shell; the continuum density bound is validated by quadrature at
-    construction time (membership checks), and the certified bound and
-    the exact field sup are checked without slack.  The radii at T are
+    shell; the continuum density bound is checked on the closed-form rho0
+    when the data are made (membership checks), and the certified bound
+    and the exact field sup are checked without slack.  The radii at T are
     compared up to RADIUS_REL_SLACK, and a fixed-mass run's total mass
     up to initial_data.MASS_REL_TOL.
     """

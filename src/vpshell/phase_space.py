@@ -91,7 +91,7 @@ class Ensemble:
 
     def __post_init__(self):
         self._check_shapes_and_time()
-        if np.any(self.weight < 0):
+        if not np.all(self.weight >= 0):  # NaN too
             raise ValueError("shell weights must be nonnegative")
         if self.total_mass is None:
             object.__setattr__(self, "total_mass", float(np.sum(self.weight)))

@@ -4,34 +4,41 @@ INI (key/value with sections) holds configuration, certificates,
 manifests, and verification reports; CSV holds the run record's tables:
 rows.csv (diagnostics), shells.csv (per-shell summary), and snapshots
 (initial.csv included).  Each record is described once: the rows.csv
-columns and the [certificate] and [class] keys are dataclass fields,
-SHELLS_COLUMNS and SNAPSHOT_COLUMNS map columns to attributes, and all
-tables share _write_table and _read_table.  Ids are written as integers,
-other values as repr(float(x)), which round-trips exactly, so a rerun
-reproduces output byte for byte.  save_run calls repr once per distinct
-float bit pattern of the run's tables (the initial snapshot holds a few
-grid values, the snapshots share ell and weight, and shells.csv repeats
-the final r and w), gathers each column's cells from that one text table
-and joins rows with str.join.  _read_table parses a table with one np.loadtxt call, which
-rounds as float() does; a table it cannot parse, a blank line and a
-non-ASCII line are refused with RecordError naming the file and, for a
+columns, the [certificate] and [class] keys and the membership and
+verification sections' keys are dataclass fields, SHELLS_COLUMNS and
+SNAPSHOT_COLUMNS map columns to attributes, and _RUN_KEYS and
+_STAGE_KEYS map run.ini's and verification.ini's keys to fields for
+their writers and readers alike.  Every table is written by _write_table
+and read by _read_table, every INI file is written by _write_ini and read
+inside _reading_ini, and _ini_value is the one rule by which an INI value
+becomes text.  Ids and ints are written as digits, other numbers as
+repr(float(x)), which round-trips exactly, so a rerun reproduces output
+byte for byte; a field declared float is written as a float even where it
+holds an int.  save_run calls repr once per distinct float bit pattern
+of the run's tables (the initial snapshot holds a few grid values, the
+snapshots share ell and weight, and shells.csv repeats the final r and
+w), gathers each column's cells from that one text table and joins rows
+with str.join.  _read_table parses a table with one np.loadtxt call,
+which rounds as float() does; a table it cannot parse, a blank line and
+a non-ASCII line are refused with RecordError naming the file and, for a
 wrong field count, the line.  The manifest deliberately omits wall-clock
 times and thread counts: results do not depend on them and reruns must
 compare equal.  load_run_data reads a run directory back as the
 dynamics.RunResult integrate returned, every field of it, and raises
 RecordError for one whose tables disagree with the manifest or with each
 other; require_manifest_matches reads the manifest's [class] to refuse
-a certificate the run was not made from.  Every INI
-reader raises RecordError starting with the file's path for a file it
-cannot decode or parse, a missing section or key, and a value that is not
-a finite number, true or false where one is expected; load_run_config
-also refuses a key it does not read.
+a certificate the run was not made from.  Every INI reader raises
+RecordError starting with the file's path for a file it cannot decode or
+parse, a missing section or key, and a value that is not a finite
+number, true or false where one is expected; load_run_config also
+refuses a key it does not read.
 """
 
 from __future__ import annotations
 
 import configparser
 import contextlib
+import functools
 import itertools
 import math
 import warnings
@@ -67,10 +74,6 @@ SHELLS_COLUMNS = {
 
 class RecordError(ValueError):
     """A CSV table or run directory is malformed or inconsistent."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _new_parser() -> configparser.ConfigParser:
@@ -110,29 +113,63 @@ def _bool(text: str) -> bool:
     return text == "true"
 
 
-def _write_ini(parser: configparser.ConfigParser, path: Path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        parser.write(handle)
-
-
 def _ini_value(value) -> str:
+    """The text of an INI value: true or false, an int's digits, a str as
+    it is, a tuple's entries joined by commas, any other number as
+    repr(float(x)), which round-trips exactly."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return value if isinstance(value, str) else _fmt(value)
+    if isinstance(value, tuple):
+        return ",".join(map(_ini_value, value))
+    if isinstance(value, (int, np.integer, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_ini(path, sections: dict) -> Path:
+    """Write {section: {key: value}} as an INI file, leaving out None values."""
+    parser = _new_parser()
+    for name, values in sections.items():
+        parser[name] = {key: _ini_value(v) for key, v in values.items() if v is not None}
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        parser.write(handle)
+    return path
+
+
+# declared field type -> parse of its INI text; every other field is a float
+_PARSE = {
+    bool: _bool, str: str, int: int, Optional[int]: int,
+    tuple[float, ...]: lambda text: tuple(_float(s) for s in text.split(",") if s.strip()),
+}
+_FLOAT_TYPES = (float, Optional[float])
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Declared type of each init field of a dataclass, resolved once."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
 def _to_section(record, skip: str = "") -> dict:
-    """INI section of a dataclass's fields, leaving out skip and None values."""
-    values = {f.name: getattr(record, f.name) for f in fields(record) if f.init and f.name != skip}
-    return {key: _ini_value(value) for key, value in values.items() if value is not None}
+    """The init fields of a dataclass but skip, by name; a field declared
+    float, or tuple[float, ...], holds floats even where given ints."""
+    types = _field_types(type(record))
+    section = {name: getattr(record, name) for name in types if name != skip}
+    for name, value in section.items():
+        if value is not None and types[name] in _FLOAT_TYPES:
+            section[name] = float(value)
+        elif types[name] == tuple[float, ...]:
+            section[name] = tuple(map(float, value))
+    return section
 
 
 def _from_section(cls, section, skip: str = "") -> dict:
     """Keyword arguments for cls read back from a _to_section section."""
-    types = get_type_hints(cls)
-    parse = {bool: _bool, str: str}
+    types = _field_types(cls)
     return {
-        f.name: parse.get(types[f.name], _float)(section[f.name])
+        f.name: _PARSE.get(types[f.name], _float)(section[f.name])
         for f in fields(cls)
         if f.init and f.name != skip and (f.name in section or f.default is MISSING)
     }
@@ -145,12 +182,8 @@ def _read_class(section) -> ClassSpec:
 # ---------------------------------------------------------------- certificates
 
 def save_certificate(cert: BoundsCertificate, path) -> Path:
-    path = Path(path)
-    parser = _new_parser()
-    parser["certificate"] = _to_section(cert, skip="spec")
-    parser["class"] = _to_section(cert.spec)
-    _write_ini(parser, path)
-    return path
+    sections = {"certificate": _to_section(cert, skip="spec"), "class": _to_section(cert.spec)}
+    return _write_ini(path, sections)
 
 
 def load_certificate(path) -> BoundsCertificate:
@@ -172,11 +205,11 @@ class RunSetup:
     t_end: Optional[float] = None  # default: certificate t_horizon
     dt_max: Optional[float] = None  # default: t_end / 50
     cfl: float = IntegratorConfig.cfl
-    mark_times: tuple = ()  # default: (certificate t_horizon,)
+    mark_times: tuple[float, ...] = ()  # default: (certificate t_horizon,)
 
     def resolve(self, cert: BoundsCertificate):
         """Fill defaults from the certificate and check the result; returns
-        (config, marks), what the manifest's [run] records.
+        (config, marks), what the manifest's [run] records, as floats.
 
         The default mark, the certificate's horizon, is left out of a run
         that ends before it; an explicit mark at or before the start t = 0
@@ -188,56 +221,47 @@ class RunSetup:
                 raise ValueError(f"mark time {m!r} is not after the start t = 0")
             if m > t_end:
                 raise ValueError(f"mark time {m!r} is after t_end = {t_end!r}")
-        marks = self.mark_times or tuple(m for m in (cert.t_horizon,) if m <= t_end)
-        dt_max = self.dt_max if self.dt_max is not None else t_end / 50.0
-        return IntegratorConfig(t_end=t_end, dt_max=dt_max, cfl=self.cfl), marks
+        marks = tuple(float(m) for m in self.mark_times or (cert.t_horizon,) if m <= t_end)
+        dt_max = float(self.dt_max) if self.dt_max is not None else t_end / 50.0
+        return IntegratorConfig(t_end=float(t_end), dt_max=dt_max, cfl=float(self.cfl)), marks
+
+
+# run.ini: section -> {key: RunSetup field}, in written order.  Every
+# [certificate] and [sampling] key is required, since RunSetup's grid
+# defaults are not the run config's; the others fall back to RunSetup's.
+_RUN_KEYS = {
+    "certificate": {"file": "certificate_path"},
+    "sampling": {"n_r": "n_r", "n_w": "n_w", "n_ell": "n_ell"},
+    "integrator": {"cfl": "cfl", "t_end": "t_end", "dt_max": "dt_max"},
+    "diagnostics": {"mark_times": "mark_times"},
+}
+_RUN_REQUIRED = ("certificate", "sampling")
 
 
 def save_run_config(setup: RunSetup, path) -> Path:
-    path = Path(path)
-    parser = _new_parser()
-    parser["certificate"] = {"file": setup.certificate_path}
-    parser["sampling"] = {
-        "n_r": str(setup.n_r),
-        "n_w": str(setup.n_w),
-        "n_ell": str(setup.n_ell),
-    }
-    integ = {"cfl": _fmt(setup.cfl)}
-    if setup.t_end is not None:
-        integ["t_end"] = _fmt(setup.t_end)
-    if setup.dt_max is not None:
-        integ["dt_max"] = _fmt(setup.dt_max)
-    parser["integrator"] = integ
-    parser["diagnostics"] = {"mark_times": ",".join(_fmt(m) for m in setup.mark_times)}
-    _write_ini(parser, path)
-    return path
+    values = _to_section(setup)
+    return _write_ini(path, {
+        section: {key: values[name] for key, name in keys.items()}
+        for section, keys in _RUN_KEYS.items()
+    })
 
 
 def load_run_config(path) -> RunSetup:
     """Parse a run config; RunSetup.resolve checks the values against the
     certificate.  A key this reads nowhere is refused, so a misspelt or
     retired one is never run silently at its default."""
-    read = {
-        "certificate": ("file",),
-        "sampling": ("n_r", "n_w", "n_ell"),
-        "integrator": ("t_end", "dt_max", "cfl"),
-        "diagnostics": ("mark_times",),
-    }
     with _reading_ini(path, f"run config not found: {path}") as parser:
         for section in parser.sections():
             for key in parser[section]:
-                if key not in read.get(section, ()):
+                if key not in _RUN_KEYS.get(section, ()):
                     raise ValueError(f"[{section}] {key} is not a run config key")
-        integ = parser["integrator"] if "integrator" in parser else {}
-        diag = parser["diagnostics"] if "diagnostics" in parser else {}
-        setup = RunSetup(
-            certificate_path=parser["certificate"]["file"],
-            n_r=int(parser["sampling"]["n_r"]),
-            n_w=int(parser["sampling"]["n_w"]),
-            n_ell=int(parser["sampling"]["n_ell"]),
-            mark_times=tuple(_float(s) for s in diag.get("mark_times", "").split(",") if s.strip()),
-            **{key: _float(value) for key, value in integ.items()},
-        )
+        text = {
+            name: parser[section][key]
+            for section, keys in _RUN_KEYS.items()
+            for key, name in keys.items()
+            if section in _RUN_REQUIRED or parser.has_option(section, key)
+        }
+        setup = RunSetup(**_from_section(RunSetup, text))
         if min(setup.n_r, setup.n_w, setup.n_ell) < 2:
             raise ValueError("need n_r, n_w and n_ell >= 2")
         return setup
@@ -374,37 +398,26 @@ def save_run(
     snapshots = [_columns(ens, SNAPSHOT_COLUMNS) for _, ens in result.snapshots]
     text = _FloatText(rows, shells, *snapshots)
     _write_table(out / "rows.csv", rows, text)
-    snapshot_files = []
-    for k, (time, ens) in enumerate(result.snapshots):
-        name = f"snapshot_{k:03d}.csv"
+    names = tuple(f"snapshot_{k:03d}.csv" for k in range(len(result.snapshots)))
+    for name, (_, ens) in zip(names, result.snapshots):
         save_snapshot(ens, out / name, text=text)
-        snapshot_files.append((name, time))
     _write_table(out / "shells.csv", shells, text)
 
-    parser = _new_parser()
-    parser["manifest"] = {"format": "1", "version": __version__}
     save_certificate(cert, out / "certificate.ini")
     config, marks = setup.resolve(cert)
-    parser["run"] = {
-        "n_r": str(setup.n_r),
-        "n_w": str(setup.n_w),
-        "n_ell": str(setup.n_ell),
-        "n_shells": str(len(result.final)),
-        "n_bins": str(N_BINS),
-        "cfl": _fmt(config.cfl),
-        "output_stride": "1",  # every state has a row
-        "steps": str(result.steps),
-        "t_end": _fmt(config.t_end),
-        "dt_max": _fmt(config.dt_max),
-        "mark_times": ",".join(_fmt(m) for m in marks),
-    }
-    parser["class"] = _to_section(cert.spec)
-    parser["snapshots"] = {
-        "count": str(len(snapshot_files)),
-        "files": ",".join(name for name, _ in snapshot_files),
-        "times": ",".join(_fmt(t) for _, t in snapshot_files),
-    }
-    _write_ini(parser, out / "manifest.ini")
+    times = tuple(float(time) for time, _ in result.snapshots)
+    _write_ini(out / "manifest.ini", {
+        "manifest": {"format": 1, "version": __version__},
+        "run": {
+            "n_r": setup.n_r, "n_w": setup.n_w, "n_ell": setup.n_ell,
+            "n_shells": len(result.final), "n_bins": N_BINS, "cfl": config.cfl,
+            "output_stride": 1,  # every state has a row
+            "steps": result.steps, "t_end": config.t_end, "dt_max": config.dt_max,
+            "mark_times": marks,
+        },
+        "class": _to_section(cert.spec),
+        "snapshots": {"count": len(names), "files": names, "times": times},
+    })
     return out
 
 
@@ -491,61 +504,39 @@ def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, c
 
 def save_membership_report(report, path) -> Path:
     """Write a data-validation report (one section per condition)."""
-    path = Path(path)
-    parser = _new_parser()
-    parser["membership"] = {"passed": "true" if report.passed else "false"}
-    for check in report.checks:
-        section = f"check:{check.name}"
-        parser[section] = {
-            "passed": "true" if check.passed else "false",
-            "hard": "true" if check.hard else "false",
-            "detail": check.detail,
-        }
-        if check.witness is not None:
-            parser[section]["witness"] = ",".join(repr(v) for v in check.witness)
-    _write_ini(parser, path)
-    return path
+    checks = {f"check:{c.name}": _to_section(c, skip="name") for c in report.checks}
+    return _write_ini(path, {"membership": {"passed": report.passed}, **checks})
 
 
 def save_oracle_summary(result, path) -> Path:
     """Write the outcome counts of an oracle-suite run."""
-    path = Path(path)
-    parser = _new_parser()
-    parser["oracle-suite"] = {
-        "cases": str(result.n_cases),
-        "violations": str(len(result.violations)),
-        "passed": "true" if result.passed else "false",
+    counts = {
+        "cases": result.n_cases, "violations": len(result.violations), "passed": result.passed,
     }
-    _write_ini(parser, path)
-    return path
+    return _write_ini(path, {"oracle-suite": counts})
+
+
+# verification.ini [stage:<name>] key -> StageResult field; [verification]
+# holds passed and VerificationReport's fields but stages
+_STAGE_KEYS = {"status": "status", "detail": "detail", "witness_shell": "witness_id"}
 
 
 def save_verification_report(report: VerificationReport, path) -> Path:
-    path = Path(path)
-    parser = _new_parser()
-    parser["verification"] = {
-        "passed": "true" if report.passed else "false",
-        "exploratory": "true" if report.exploratory else "false",
+    head = {"passed": report.passed, **_to_section(report, skip="stages")}
+    stages = {
+        f"stage:{s.name}": {key: getattr(s, name) for key, name in _STAGE_KEYS.items()}
+        for s in report.stages
     }
-    for stage in report.stages:
-        section = f"stage:{stage.name}"
-        parser[section] = {"status": stage.status, "detail": stage.detail}
-        if stage.witness_id is not None:
-            parser[section]["witness_shell"] = str(stage.witness_id)
-    _write_ini(parser, path)
-    return path
+    return _write_ini(path, {"verification": head, **stages})
 
 
 def load_verification_report(path) -> VerificationReport:
     with _reading_ini(path, f"verification report not found: {path}") as parser:
-        stages = tuple(
-            StageResult(
-                name=section[len("stage:"):],
-                status=s["status"],
-                detail=s["detail"],
-                witness_id=int(s["witness_shell"]) if "witness_shell" in s else None,
-            )
-            for section, s in parser.items()
-            if section.startswith("stage:")
-        )
-        return VerificationReport(stages, exploratory=_bool(parser["verification"]["exploratory"]))
+        stages = []
+        for section, s in parser.items():
+            if section.startswith("stage:"):
+                text = {name: s[key] for key, name in _STAGE_KEYS.items() if key in s}
+                values = _from_section(StageResult, text, skip="name")
+                stages.append(StageResult(name=section[len("stage:"):], **values))
+        head = _from_section(VerificationReport, parser["verification"], skip="stages")
+        return VerificationReport(tuple(stages), **head)

@@ -396,7 +396,7 @@ class TestIntegrateEdgeCases:
             ("w", np.nan),
             ("ell", -1.0),
             ("ell", np.nan),
-            ("weight", np.nan),
+            ("weight", np.inf),  # a NaN weight is refused when the ensemble is built
         ],
     )
     def test_bad_shell_refused_by_id_before_the_first_step(self, quantity, value):

@@ -69,3 +69,19 @@ def test_every_private_helper_is_used():
         if helper not in used
     ]
     assert orphans == []
+
+
+def test_only_the_ini_writer_and_reader_make_a_parser():
+    """Every INI file reporting.py writes goes through _write_ini, and every
+    one it reads through _reading_ini, so no other function builds its own
+    parser and formats its own values."""
+    path = next(p for p in SOURCES if p.name == "reporting.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    users = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "_new_parser"
+    }
+    assert users == {"_write_ini", "_reading_ini"}

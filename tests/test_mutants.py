@@ -1,0 +1,80 @@
+"""The mutant kill matrix: one named mutant per row, each an edit to a
+written run record, and the check that should catch it.
+
+A mutant is caught when `vpshell verify` refuses or fails the edited
+record: it exits nonzero and, where the row names one, prints the
+refusal.  A mutant no check catches yet is xfail(strict=True) with the
+ROADMAP item that would catch it as its reason, so the change that kills
+it must remove the marker.
+"""
+
+import contextlib
+import dataclasses
+import io
+import shutil
+
+import pytest
+
+from vpshell import cli
+from vpshell.reporting import RunSetup, load_run_data, save_run_config, save_snapshot
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """The desk certificate run on an 8x8x6 grid; not changed after."""
+    ws = tmp_path_factory.mktemp("desk")
+    save_run_config(RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6), ws / "run.ini")
+    design = ["design", "--c1", "32", "--c2", "1e-7", "--eps", "0.2", "--out", str(ws / "cert.ini")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(design) == 0
+        assert cli.main(["run", "--config", str(ws / "run.ini"), "--out", str(ws / "run")]) == 0
+    return ws
+
+
+def _edit_snapshot(run_dir, k: int, edit):
+    """Rewrite the run's k-th snapshot file as edit(ensemble) returns it."""
+    ens = load_run_data(run_dir).snapshots[k][1]
+    save_snapshot(edit(ens), sorted(run_dir.glob("snapshot_*.csv"))[k])
+
+
+def _scale_snapshot_0(run_dir):
+    """Snapshot 0 with r x3, w x0.1 and weight x1/2."""
+    _edit_snapshot(run_dir, 0, lambda ens: dataclasses.replace(
+        ens, r=ens.r * 3.0, w=ens.w * 0.1, weight=ens.weight * 0.5
+    ))
+
+
+def _nudge_one_final_weight(run_dir):
+    """The final snapshot's weight x(1 + 1e-15) on one shell, a few ulp."""
+
+    def edit(ens):
+        weight = ens.weight.copy()
+        weight[0] *= 1.0 + 1e-15
+        assert weight[0] != ens.weight[0]
+        return dataclasses.replace(ens, weight=weight)
+
+    _edit_snapshot(run_dir, -1, edit)
+
+
+MUTANTS = [
+    pytest.param(
+        _scale_snapshot_0, None, id="snapshot-0-scaled",
+        marks=pytest.mark.xfail(strict=True, reason="item 1"),
+    ),
+    pytest.param(
+        _nudge_one_final_weight, "column weight differs",
+        id="final-weight-nudged",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, refusal", MUTANTS)
+def test_verify_catches(desk_run, tmp_path, mutate, refusal):
+    ws = shutil.copytree(desk_run, tmp_path / "ws")
+    mutate(ws / "run")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(ws / "run"), str(ws / "cert.ini")])
+    assert code != 0
+    if refusal is not None:
+        assert code == 2 and refusal in err.getvalue()

@@ -91,6 +91,12 @@ def test_ensemble_rejects_negative_weight_and_bad_shapes():
         )
 
 
+def test_ensemble_refuses_nan_weight():
+    """A NaN weight would make total_mass NaN for every later state."""
+    with pytest.raises(ValueError, match="shell weights must be nonnegative"):
+        Ensemble.single(r=1.0, w=0.0, ell=1.0, weight=float("nan"))
+
+
 @pytest.mark.parametrize("time", [-1.0, float("nan")])
 def test_ensemble_rejects_negative_or_nan_time(time):
     with pytest.raises(ValueError, match="ensemble time must be nonnegative"):
@@ -121,13 +127,13 @@ def test_mass_error_is_bitwise_zero():
 
 
 class _CountingArray(np.ndarray):
-    """An array that counts its `<` comparisons."""
+    """An array that counts its `>=` comparisons."""
 
     comparisons = 0
 
-    def __lt__(self, other):
+    def __ge__(self, other):
         type(self).comparisons += 1
-        return super().__lt__(other)
+        return super().__ge__(other)
 
 
 def test_advanced_checks_shapes_and_time_but_does_not_rescan_weights():

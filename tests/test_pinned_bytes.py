@@ -1,9 +1,11 @@
-"""Byte pins of the verify and membership output that the desk digests
-(bench/desk_digests.json) do not reach: fixed-mass verification with and
-without an exploratory certificate, a failing report with witness shells,
-and membership reports of a fixed-mass sample, a mass-sandwich miss and
-a per-shell miss.  A change to any of these bytes must be named, with its
-reason, in CHANGES.md."""
+"""Byte pins of the output that the desk digests (bench/desk_digests.json)
+do not reach: fixed-mass verification with and without an exploratory
+certificate, a failing report with witness shells, membership reports of
+a fixed-mass sample, a mass-sandwich miss and a per-shell miss, and the
+INI records a desk run never writes: fixed-mass and exploratory
+certificates, a fixed-mass manifest, and a run.ini and certificate given
+ints where floats are declared.  A change to any of these bytes must be
+named, with its reason, in CHANGES.md."""
 
 import contextlib
 import dataclasses
@@ -23,7 +25,9 @@ from vpshell import (
 from vpshell.initial_data import InitialData
 from vpshell.reporting import (
     RunSetup,
+    save_certificate,
     save_membership_report,
+    save_run,
     save_run_config,
     save_verification_report,
 )
@@ -141,3 +145,40 @@ def test_per_shell_miss_membership(tmp_path):
     # re-recorded when rho0 became closed form: density-plateau reads
     # 0.000e+00 where the quadrature read 2.409e-14
     assert digest == "0cd5e9238d70262e4c3d717f47cb61d74f8a3ea20481dc8e81e43609a9896322"
+
+
+def test_fixed_mass_run_from_int_settings(tmp_path):
+    """A fixed-mass certificate (target_mass, c0 and eta, no time-zero
+    bounds) run from a RunSetup whose every float is given as an int: the
+    run.ini, the run's certificate.ini and its manifest.ini write each of
+    them as a float, in the order given."""
+    cert = design_fixed_mass(1.0, 1e-4, 1.0)
+    setup = RunSetup(
+        certificate_path="certificate.ini", n_r=8, n_w=8, n_ell=6,
+        t_end=1, dt_max=1, cfl=1, mark_times=(1, 0.5),
+    )
+    assert _sha256(save_run_config(setup, tmp_path / "run.ini")) == (
+        "bf897522bced53c7e7580d3b9ea22a24686625f3077cdb8a3a3561dae8eff72c"
+    )
+    config, marks = setup.resolve(cert)
+    result = integrate(sample_ensemble(InitialData.from_spec(cert.spec), 8, 8, 6), config, marks)
+    out = save_run(result, cert, setup, tmp_path / "run")
+    assert _sha256(out / "certificate.ini") == (
+        "78ceb782c8db87eb3cc1c3b856c7ab0a6e29bdcbcf9b662928080f20a48cdab8"
+    )
+    assert _sha256(out / "manifest.ini") == (
+        "4847d1e53057cecb4f993a4d3edb3d1ce0db3885ff6f8a1ceb348530e6744164"
+    )
+
+
+def test_exploratory_certificates(tmp_path):
+    """A fixed-mass certificate beyond its admissible eps, and a small-data
+    one designed from int targets, which are written as floats."""
+    fixed_mass = design_fixed_mass(1.0, 1e-2, 1.0, eps=0.05, exploratory=True)
+    assert _sha256(save_certificate(fixed_mass, tmp_path / "fixed_mass.ini")) == (
+        "5c17dd91e3c0be858928b375b6c4fd5dc28b59751906bf65a8084aacd14f848e"
+    )
+    small = design_small_data(c1=32, c2=1, eps=0.2, exploratory=True)
+    assert _sha256(save_certificate(small, tmp_path / "small.ini")) == (
+        "3b3fad067bfa9d7dcba39e48f8ea7574bcc92dd864b943c9fdf99a9a82f6e210"
+    )

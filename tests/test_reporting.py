@@ -480,7 +480,8 @@ def _shared_runs(draw):
     with np.errstate(over="ignore"):  # the largest float's neighbour is inf
         pool += [float(np.nextafter(x, np.inf)) for x in pool]
     column = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(np.array)
-    weights = column.map(np.abs)  # Ensemble refuses a negative weight
+    # Ensemble refuses a negative or NaN weight
+    weights = column.map(lambda c: np.where(np.isnan(c), 0.0, np.abs(c)))
     ell, weight = draw(column), draw(weights)
     shared = draw(st.booleans())
     with np.errstate(over="ignore"):  # total_mass may overflow to inf
@@ -609,6 +610,6 @@ class TestReports:
 
 @given(st.floats(allow_nan=False, allow_infinity=True))
 def test_float_formatting_round_trips(x):
-    from vpshell.reporting import _fmt
+    from vpshell.reporting import _ini_value
 
-    assert float(_fmt(x)) == x
+    assert float(_ini_value(x)) == x
