@@ -205,10 +205,14 @@ def design_fixed_mass(
     )
 
 
+# Every status a verification stage can have.
+STAGE_STATUSES = ("pass", "fail", "skipped")
+
+
 @dataclass(frozen=True)
 class StageResult:
     name: str
-    status: str  # "pass", "fail", or "skipped"
+    status: str  # one of STAGE_STATUSES
     detail: str
     witness_id: Optional[int] = None
 

@@ -36,11 +36,14 @@ y'' = ell/y^3 + profile(t) * P / y^2 exactly, for many cases at once:
 under a piecewise-constant profile each segment is free motion or a
 repulsive Kepler orbit, whose time equation a Newton solve of at most
 ORACLE_NEWTON_MAX_ITER steps inverts, and the turning point is that
-orbit's pericenter.  Round j advances segment j of every case in one
-elementwise pass of _free_segment and _kepler_segment over arrays, and
-a converged Newton sample keeps its iterate, so a case comes out bit for
-bit the same in any batch.  integrate_oracle is its one-case call.  The
-oracle is the reference the bound formulas are tested against.
+orbit's pericenter.  Round j advances segment j of every case in
+elementwise passes over arrays: one over the cases for the orbit's
+constants and pericenter (_free_orbit, _kepler_orbit), and one over the
+samples, which take those constants gathered per sample (_free_samples,
+_kepler_samples).  A converged Newton sample keeps its iterate, so a
+case comes out bit for bit the same in any batch.  integrate_oracle is
+its one-case call.  The oracle is the reference the bound formulas are
+tested against.
 """
 
 from __future__ import annotations
@@ -490,16 +493,15 @@ def integrate_oracle_batch(
     sampled at the entries of `times` whose `case` is i, which must
     ascend.  Its profile splits [0, t_end[i]] at the breakpoints; on each
     segment the charge k = profile * P is constant and the trajectory is
-    advanced in closed form (_free_segment, _kepler_segment), its end
-    state starting the next segment.  A sample time on a breakpoint
-    belongs to the earlier segment.  The first turning point (ydot = 0
-    crossing upward) is the pericenter of the first segment that starts
-    inbound and reaches it.
+    advanced in closed form, its end state starting the next segment.  A
+    sample time on a breakpoint belongs to the earlier segment.  The
+    first turning point (ydot = 0 crossing upward) is the pericenter of
+    the first segment that starts inbound and reaches it.
 
-    Round j advances segment j of every case that has one in a single
-    elementwise pass, so each case comes out bit for bit as when solved
-    alone.  An OracleError carries as `case` the lowest index it failed
-    on.
+    Round j advances segment j of every case that has one: its orbit
+    once per case, then its samples, each in a single elementwise pass,
+    so each case comes out bit for bit as when solved alone.  An
+    OracleError carries as `case` the lowest index it failed on.
     """
     r0, w0, ell, P, t_end = (np.asarray(v, dtype=float) for v in (r0, w0, ell, P, t_end))
     times = np.asarray(times, dtype=float)
@@ -520,18 +522,21 @@ def integrate_oracle_batch(
 
     # breakpoints padded with inf, so each row's cuts inside (0, t_end) lead
     n = r0.size
-    width = max(p.edges.size for p in profiles)
+    sizes = np.array([p.edges.size for p in profiles])[:, None]
+    width = int(sizes.max())
     edges = np.full((n, width), np.inf)
     values = np.zeros((n, width + 1))
-    for i, p in enumerate(profiles):
-        edges[i, : p.edges.size] = p.edges
-        values[i, : p.values.size] = p.values
+    edges[np.arange(width) < sizes] = np.concatenate([p.edges for p in profiles])
+    values[np.arange(width + 1) <= sizes] = np.concatenate([p.values for p in profiles])
     interior = np.where(edges < t_end[:, None], edges, np.inf)
     n_segments = 1 + np.count_nonzero(interior < np.inf, axis=1)
     cuts = np.column_stack((np.zeros(n), interior, np.full(n, np.inf)))
     rows = np.arange(n)
     cuts[rows, n_segments] = t_end
-    segment = np.count_nonzero(interior[case] < times[:, None], axis=1)
+    # each sample's segment: the cuts below it, counted a column at a time
+    segment = np.zeros(times.size, dtype=np.intp)
+    for column in interior.T:
+        segment += column[case] < times
 
     y = np.empty_like(times)
     ydot = np.empty_like(times)
@@ -539,28 +544,34 @@ def integrate_oracle_batch(
     y_turn = np.full(n, np.nan)
     y_now, w_now = r0.copy(), w0.copy()
     k = np.zeros(n)
+    # each live case's segment orbit, by rows: a free orbit's y0^2 in row
+    # 0 or a Kepler orbit's (a, b, c, tau0) in rows 0-3, then its
+    # pericenter's time and radius
+    orbit = np.empty((6, n))
     for j in range(int(n_segments.max())):
         live = rows[n_segments > j]
         ta, tb = cuts[:, j], cuts[:, j + 1]
         # a case's breakpoints below its t_end are the first of its edges,
         # so its segment j runs under its value j
         k[live] = values[live, j] * P[live]
+        free = k[live] == 0.0
+        on = live[free]
+        orbit[0, on], orbit[4, on], orbit[5, on] = _free_orbit(y_now[on], w_now[on], ell[on])
+        on = live[~free]
+        orbit[:, on] = _kepler_orbit(y_now[on], w_now[on], ell[on], k[on])
+
         samples = np.flatnonzero(segment == j)
         # each live case's segment end rides along after the samples
         owner = np.concatenate((case[samples], live))
         dt = np.concatenate((times[samples], tb[live])) - ta[owner]
-        y_at, yd_at, t_turn, y_min = (np.empty_like(dt) for _ in range(4))
+        y_at, yd_at = np.empty_like(dt), np.empty_like(dt)
         free = k[owner] == 0.0
         at = np.flatnonzero(free)
         o = owner[at]
-        y_at[at], yd_at[at], t_turn[at], y_min[at] = _free_segment(
-            y_now[o], w_now[o], ell[o], dt[at]
-        )
+        y_at[at], yd_at[at] = _free_samples(y_now[o], w_now[o], ell[o], orbit[0, o], dt[at])
         at = np.flatnonzero(~free)
         o = owner[at]
-        y_at[at], yd_at[at], t_turn[at], y_min[at], stuck = _kepler_segment(
-            y_now[o], w_now[o], ell[o], k[o], dt[at]
-        )
+        y_at[at], yd_at[at], stuck = _kepler_samples(*orbit[:4, o], dt[at])
         if np.any(stuck):
             i = int(np.min(o[stuck]))
             raise OracleError(
@@ -576,9 +587,9 @@ def integrate_oracle_batch(
         m = samples.size
         y[samples], ydot[samples] = y_at[:m], yd_at[:m]
         y_now[live], w_now[live] = y_at[m:], yd_at[m:]
-        first = np.isnan(turning_time[live]) & (t_turn[m:] <= dt[m:])
-        turning_time[live[first]] = ta[live[first]] + t_turn[m:][first]
-        y_turn[live[first]] = y_min[m:][first]
+        first = live[np.isnan(turning_time[live]) & (orbit[4, live] <= dt[m:])]
+        turning_time[first] = ta[first] + orbit[4, first]
+        y_turn[first] = orbit[5, first]
 
     return OracleBatch(
         times=times, y=y, ydot=ydot, case=case, turning_time=turning_time, y_turn=y_turn
@@ -589,44 +600,48 @@ def integrate_oracle_batch(
 # np.float_power(x, 2.0), which is libm's pow as Python's x**2 of a float
 # is; x * x and an array's x**2 differ from it in the last bit for some x.
 # So a segment solved from arrays matches one solved from Python floats.
+# Each segment is split in two elementwise parts: its orbit, once per
+# case, and its samples, which take the orbit's constants gathered per
+# sample.
 
 
-def _free_segment(y0, w0, ell, t):
-    """Force-free motion from (y0, w0) at the times t after the segment
-    start, elementwise over broadcast arrays.
+def _free_orbit(y0, w0, ell):
+    """The force-free orbit through (y0, w0), elementwise over broadcast
+    arrays.
 
-    Returns (y, ydot, t_turn, y_turn): the pericenter's time and radius,
-    t_turn NaN where it does not lie ahead (w0 >= 0).
+    Returns (y0_sq, t_turn, y_turn): the constant y0^2 that _free_samples
+    takes, and the pericenter's time and radius, t_turn NaN where it does
+    not lie ahead (w0 >= 0).
     """
     y0_sq = np.float_power(y0, 2.0)
-    y = np.sqrt(free_motion_radius_squared(y0, w0, ell, t))
-    ydot = ((y0 + w0 * t) * w0 + ell * t / y0_sq) / y
     t_turn = -y0 * w0 / (np.float_power(w0, 2.0) + ell / y0_sq)
     y_turn = np.sqrt(np.float_power(y0 + w0 * t_turn, 2.0) + ell * (t_turn * t_turn) / y0_sq)
-    return y, ydot, np.where(w0 < 0.0, t_turn, np.nan), y_turn
+    return y0_sq, np.where(w0 < 0.0, t_turn, np.nan), y_turn
 
 
-def _kepler_segment(y0, w0, ell, k, t):
-    """Repulsive Kepler motion under the constant charge k > 0,
-    elementwise over broadcast arrays.
+def _free_samples(y0, w0, ell, y0_sq, t):
+    """(y, ydot) of the force-free orbit through (y0, w0), whose y0^2 is
+    y0_sq, at the times t after the segment start; the radius is
+    free_motion_radius_squared's."""
+    u = y0 + w0 * t
+    y = np.sqrt(u**2 + ell * t**2 / y0_sq)
+    return y, (u * w0 + ell * t / y0_sq) / y
+
+
+def _kepler_orbit(y0, w0, ell, k):
+    """The repulsive Kepler orbit through (y0, w0) under the constant
+    charge k > 0, elementwise over broadcast arrays.
 
     With E = w0^2/2 + ell/(2 y0^2) + k/y0, a = k/(2E),
     e = sqrt(1 + 2 E ell/k^2) and n = sqrt(a^3/k), the orbit is
     y = a(e cosh F + 1) at the time tau(F) = n(e sinh F + F) from
     pericenter.  It is evaluated through b = a e = sqrt(a^2 + ell/(2E))
     and c = n/a = 1/sqrt(2E), which stay finite as k -> 0 where e does
-    not: y = b cosh F + a, tau = c(b sinh F + a F).
+    not: y = b cosh F + a, tau = c(b sinh F + a F).  The start lies at
+    tau0 = tau(F0).
 
-    tau(F) = tau(F0) + t is solved for every sample at once by Newton
-    from asinh(target/(b c)), which lies on the outer side of the root
-    of a function that is convex for F > 0 and concave for F < 0, so
-    every iterate moves monotonically toward the root.  A sample counts
-    as converged once its Newton step stops pointing that way or no
-    longer changes it, and keeps that iterate from then on, so its
-    iterates do not depend on the other samples.  Returns (y, ydot,
-    t_turn, y_turn, stuck) with t_turn and y_turn as _free_segment
-    returns them; stuck marks the samples that still moved after
-    ORACLE_NEWTON_MAX_ITER steps.
+    Returns (a, b, c, tau0, t_turn, y_turn) with t_turn and y_turn as
+    _free_orbit returns them.
     """
     energy = 0.5 * np.float_power(w0, 2.0) + ell / (2.0 * np.float_power(y0, 2.0)) + k / y0
     a = k / (2.0 * energy)
@@ -634,19 +649,48 @@ def _kepler_segment(y0, w0, ell, k, t):
     c = 1.0 / np.sqrt(2.0 * energy)
     f0 = np.arcsinh(c * w0 * y0 / b)
     tau0 = c * (b * np.sinh(f0) + a * f0)
+    return a, b, c, tau0, np.where(f0 < 0.0, -tau0, np.nan), a + b
 
+
+def _kepler_samples(a, b, c, tau0, t):
+    """(y, ydot, stuck) of the _kepler_orbit (a, b, c, tau0) at the times
+    t after the segment start.
+
+    tau(F) = tau0 + t is solved for every sample at once by Newton from
+    asinh(target/(b c)), which lies on the outer side of the root of a
+    function that is convex for F > 0 and concave for F < 0, so every
+    iterate moves monotonically toward the root.  A sample counts as
+    converged once its Newton step stops pointing that way or no longer
+    changes it, and keeps that iterate from then on, so its iterates do
+    not depend on the other samples.  Each step is computed in place.
+    stuck marks the samples that still moved after ORACLE_NEWTON_MAX_ITER
+    steps.
+    """
     target = tau0 + t
     inward = np.sign(target)
     f = np.arcsinh(target / (b * c))
+    f_next, step, den = np.empty_like(f), np.empty_like(f), np.empty_like(f)
     moving = np.ones(f.shape, dtype=bool)
+    ok = np.empty(f.shape, dtype=bool)
     for _ in range(ORACLE_NEWTON_MAX_ITER):
-        step = (c * (b * np.sinh(f) + a * f) - target) / (c * (b * np.cosh(f) + a))
-        f_next = f - step
-        moving &= (step * inward > 0.0) & (f_next != f)
-        if not np.any(moving):
+        # step = (c (b sinh F + a F) - target) / (c (b cosh F + a))
+        np.sinh(f, out=step)
+        step *= b
+        step += np.multiply(a, f, out=den)
+        step *= c
+        step -= target
+        np.cosh(f, out=den)
+        den *= b
+        den += a
+        den *= c
+        step /= den
+        np.subtract(f, step, out=f_next)
+        step *= inward
+        moving &= np.greater(step, 0.0, out=ok)
+        moving &= np.not_equal(f_next, f, out=ok)
+        if not moving.any():
             break
-        f = np.where(moving, f_next, f)
+        np.copyto(f, f_next, where=moving)
 
     y = b * np.cosh(f) + a
-    ydot = b * np.sinh(f) / (c * y)
-    return y, ydot, np.where(f0 < 0.0, -tau0, np.nan), a + b, moving
+    return y, b * np.sinh(f) / (c * y), moving

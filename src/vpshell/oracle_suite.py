@@ -15,9 +15,11 @@ The draws are seeded and the profiles include the two extremes
 profiles, which span the differential-inequality hypothesis class.
 
 The suite works BATCH_CASES cases at a time: their bounds, sample times,
-trajectories (integrate_oracle_batch) and checks are array passes, and
-a horizon that ends before a case turns is widened 4 times for that
-case alone, up to N_HORIZONS horizons.  check_case is the one-case call.
+trajectories (integrate_oracle_batch, which computes each segment's
+orbit constants once per case and only the Newton solve and the
+trajectory per sample) and checks are array passes, and a horizon that
+ends before a case turns is widened 4 times for that case alone, up to
+N_HORIZONS horizons.  check_case is the one-case call.
 Each outcome equals the one the case gets when checked alone.
 """
 
@@ -46,9 +48,12 @@ N_SAMPLES = 129
 # never turning.
 N_HORIZONS = 6
 # Cases solved together in one array pass; bounds the pass's memory.
-# On the benchmark's 200 cases, 25 per pass raised peak RSS by 2% over
-# one case at a time, 50 by 3% for 15% less time.
-BATCH_CASES = 25
+# run_oracle_suite(200), 2-core Xeon, medians of 60 interleaved passes
+# at 25, 50, 100 and 200 per pass: 19.4, 14.8, 12.4 and 12.3 ms; the
+# benchmark's peak RSS 40.9, 41.0, 41.6 and 42.8 MiB; check_cases'
+# traced peak 0.39, 0.66, 1.25 and 2.40 MiB.  100 takes nearly all of
+# the time 200 saves for half its memory.
+BATCH_CASES = 100
 
 
 @dataclass(frozen=True)
@@ -152,12 +157,13 @@ def _sample_times(t_end: np.ndarray, t_extra: np.ndarray):
     """N_SAMPLES even times on [0, t_end[i]] for each case i, joined by
     t_extra[i] when it lies inside and is not one of them already, as
     np.unique would join it; returns (times, case), flat."""
-    grid = np.linspace(0.0, t_end, N_SAMPLES, axis=1)
-    extra = np.where(t_extra <= t_end, t_extra, np.nan)
-    joined = np.sort(np.column_stack((grid, extra)), axis=1)  # NaN sorts last
+    joined = np.empty((t_end.size, N_SAMPLES + 1))
+    joined[:, :N_SAMPLES] = np.linspace(0.0, t_end, N_SAMPLES, axis=1)
+    joined[:, N_SAMPLES] = np.where(t_extra <= t_end, t_extra, np.nan)
+    joined.sort(axis=1)  # NaN sorts last
     keep = ~np.isnan(joined)
     keep[:, 1:] &= joined[:, 1:] != joined[:, :-1]
-    return joined[keep], np.nonzero(keep)[0]
+    return joined[keep], np.repeat(np.arange(t_end.size), np.count_nonzero(keep, axis=1))
 
 
 def _checks(traj: OracleBatch, L, P, y0, y1, bound: TurningBound):
@@ -219,18 +225,24 @@ def _check_batch(cases: Sequence[OracleCase], first_index: int) -> list:
             raise OracleError(f"{cases[pending[exc.case]].label}: {exc}") from exc
         sub = TurningBound(y_star=bound.y_star[pending], t0_lower=bound.t0_lower[pending])
         flags = _checks(traj, L[pending], P[pending], y0[pending], y1[pending], sub)
-        for j in np.flatnonzero(~np.isnan(traj.turning_time)):
-            i = pending[j]
+        # Python floats and bools, one conversion per column
+        t0_lower, y_star, turning_time, y_turn, ydot_ok, y_turn_ok, envelope_ok = (
+            column.tolist() for column in (
+                sub.t0_lower, sub.y_star, traj.turning_time, traj.y_turn, *flags[:3]
+            )
+        )
+        for j in np.flatnonzero(~np.isnan(traj.turning_time)).tolist():
+            i = int(pending[j])
             outcomes[i] = CaseOutcome(
-                index=first_index + int(i),
+                index=first_index + i,
                 label=cases[i].label,
-                t0_lower=float(bound.t0_lower[i]),
-                y_star=float(bound.y_star[i]),
-                turning_time=float(traj.turning_time[j]),
-                y_turn=float(traj.y_turn[j]),
-                ydot_ok=bool(flags[0][j]),
-                y_turn_ok=bool(flags[1][j]),
-                envelope_ok=bool(flags[2][j]),
+                t0_lower=t0_lower[j],
+                y_star=y_star[j],
+                turning_time=turning_time[j],
+                y_turn=y_turn[j],
+                ydot_ok=ydot_ok[j],
+                y_turn_ok=y_turn_ok[j],
+                envelope_ok=envelope_ok[j],
                 detail=flags[3][j],
             )
         pending = pending[np.isnan(traj.turning_time)]

@@ -31,7 +31,9 @@ a certificate the run was not made from.  Every INI reader raises
 RecordError starting with the file's path for a file it cannot decode or
 parse, a missing section or key, and a value that is not a finite
 number, true or false where one is expected; load_run_config also
-refuses a key it does not read.
+refuses a key it does not read, and load_verification_report a stage
+status other than pass, fail or skipped.  RunSetup refuses a grid size
+that is not an integer, which run.ini could not read back.
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .design import BoundsCertificate, RefusalError, StageResult, VerificationReport
+from .design import (
+    STAGE_STATUSES,
+    BoundsCertificate,
+    RefusalError,
+    StageResult,
+    VerificationReport,
+)
 from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult
 from .field import N_BINS
 from .initial_data import ClassSpec
@@ -206,6 +214,13 @@ class RunSetup:
     dt_max: Optional[float] = None  # default: t_end / 50
     cfl: float = IntegratorConfig.cfl
     mark_times: tuple[float, ...] = ()  # default: (certificate t_horizon,)
+
+    def __post_init__(self):
+        # a grid size run.ini could not read back as written is refused here
+        for name in _RUN_KEYS["sampling"].values():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
     def resolve(self, cert: BoundsCertificate):
         """Fill defaults from the certificate and check the result; returns
@@ -537,6 +552,11 @@ def load_verification_report(path) -> VerificationReport:
             if section.startswith("stage:"):
                 text = {name: s[key] for key, name in _STAGE_KEYS.items() if key in s}
                 values = _from_section(StageResult, text, skip="name")
+                if values["status"] not in STAGE_STATUSES:
+                    raise ValueError(
+                        f"[{section}] status {values['status']!r} is not one of "
+                        f"{', '.join(STAGE_STATUSES)}"
+                    )
                 stages.append(StageResult(name=section[len("stage:"):], **values))
         head = _from_section(VerificationReport, parser["verification"], skip="stages")
         return VerificationReport(tuple(stages), **head)

@@ -1,11 +1,13 @@
 """The mutant kill matrix: one named mutant per row, each an edit to a
-written run record, and the check that should catch it.
+written run record or a change to the code that wrote it, and the check
+that should catch it.
 
 A mutant is caught when `vpshell verify` refuses or fails the edited
-record: it exits nonzero and, where the row names one, prints the
-refusal.  A mutant no check catches yet is xfail(strict=True) with the
-ROADMAP item that would catch it as its reason, so the change that kills
-it must remove the marker.
+record, or the record of a `vpshell run` made with the changed code: it
+exits nonzero and, where the row names one, prints the refusal.  A
+mutant no check catches yet is xfail(strict=True) with the ROADMAP item
+that would catch it as its reason, so the change that kills it must
+remove the marker.
 """
 
 import contextlib
@@ -15,7 +17,8 @@ import shutil
 
 import pytest
 
-from vpshell import cli
+from vpshell import cli, dynamics
+from vpshell.field import SortedMassIndex
 from vpshell.reporting import RunSetup, load_run_data, save_run_config, save_snapshot
 
 
@@ -78,3 +81,57 @@ def test_verify_catches(desk_run, tmp_path, mutate, refusal):
     assert code != 0
     if refusal is not None:
         assert code == 2 and refusal in err.getvalue()
+
+
+def _halve_the_force_mass(monkeypatch):
+    """The force ell/r^3 + m_enc/r^2 with m_enc halved."""
+    force = dynamics._force
+    monkeypatch.setattr(dynamics, "_force", lambda ell_r3, m_enc, r2, out: force(
+        ell_r3, 0.5 * m_enc, r2, out
+    ))
+
+
+def _count_own_weight(monkeypatch):
+    """interior_mass counting each shell's own weight in full."""
+    interior_mass = SortedMassIndex.interior_mass
+
+    def mutant(self, out=None):
+        out = interior_mass(self, out)
+        out[self.order] += self.weights
+        return out
+
+    monkeypatch.setattr(SortedMassIndex, "interior_mass", mutant)
+
+
+# Neither run's record contradicts itself, so only a replay of the run
+# from its record, compared byte for byte, can tell it from the code's.
+RUN_MUTANTS = [
+    pytest.param(
+        _halve_the_force_mass, id="force-mass-halved",
+        marks=pytest.mark.xfail(strict=True, reason="item 1"),
+    ),
+    pytest.param(
+        _count_own_weight, id="own-weight-counted",
+        marks=pytest.mark.xfail(strict=True, reason="item 1"),
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate", RUN_MUTANTS)
+def test_verify_catches_a_run_made_by(desk_run, tmp_path, monkeypatch, mutate):
+    """`vpshell run` with the mutant in place, on the desk run's
+    certificate and run.ini, then `vpshell verify` without it."""
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    for name in ("cert.ini", "run.ini"):
+        shutil.copy(desk_run / name, ws / name)
+    with monkeypatch.context() as patch:
+        mutate(patch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(ws / "run.ini"), "--out", str(ws / "run")]) == 0
+    # the mutant is live: the run's final state is not the code's
+    final = sorted((ws / "run").glob("snapshot_*.csv"))[-1].name
+    assert (ws / "run" / final).read_bytes() != (desk_run / "run" / final).read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", str(ws / "run"), str(ws / "cert.ini")])
+    assert code != 0

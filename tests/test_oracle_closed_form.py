@@ -12,8 +12,10 @@ from vpshell.dynamics import (
     ORACLE_NEWTON_MAX_ITER,
     OracleBatch,
     OracleTrajectory,
-    _free_segment,
-    _kepler_segment,
+    _free_orbit,
+    _free_samples,
+    _kepler_orbit,
+    _kepler_samples,
     free_motion_radius_squared,
     integrate_oracle_batch,
 )
@@ -287,7 +289,9 @@ def test_segments_from_arrays_equal_segments_from_floats():
     the last bit for about 1 x in 1000; the segments square through
     np.float_power so that their array entries equal these float
     formulas bit for bit.  Checked on 2,000 random segments and on the
-    segments of a 200,000-draw pool where some squared constant splits."""
+    segments of a 200,000-draw pool where some squared constant splits,
+    each sampled at t and t/2 from its orbit's constants gathered per
+    sample, as integrate_oracle_batch gathers them."""
     rng = np.random.default_rng(2024)
     n = 200_000
     y0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), n))
@@ -306,12 +310,19 @@ def test_segments_from_arrays_equal_segments_from_floats():
     picked = np.union1d(picked, np.flatnonzero(split_turn & (w0 < 0.0)))
     y0, w0, ell, k, t = (v[picked] for v in (y0, w0, ell, k, t))
 
-    free = np.array(_free_segment(y0, w0, ell, t))
-    kepler = _kepler_segment(y0, w0, ell, k, t)
-    assert not np.any(kepler[4])
-    kepler = np.array(kepler[:4])
-    for i in range(picked.size):
+    # sample 2i is orbit i at t[i], sample 2i + 1 at t[i] / 2
+    owner = np.repeat(np.arange(picked.size), 2)
+    times = np.column_stack((t, 0.5 * t)).ravel()
+
+    y0_sq, t_turn, y_turn = _free_orbit(y0, w0, ell)
+    y, ydot = _free_samples(y0[owner], w0[owner], ell[owner], y0_sq[owner], times)
+    free = np.array((y, ydot, t_turn[owner], y_turn[owner]))
+    a, b, c, tau0, t_turn, y_turn = _kepler_orbit(y0, w0, ell, k)
+    y, ydot, stuck = _kepler_samples(a[owner], b[owner], c[owner], tau0[owner], times)
+    assert not np.any(stuck)
+    kepler = np.array((y, ydot, t_turn[owner], y_turn[owner]))
+    for s, i in enumerate(owner):
         args = (float(y0[i]), float(w0[i]), float(ell[i]))
-        at = t[i : i + 1]
-        assert free[:, i].tobytes() == np.hstack(_scalar_free(*args, at)).tobytes()
-        assert kepler[:, i].tobytes() == np.hstack(_scalar_kepler(*args, float(k[i]), at)).tobytes()
+        at = times[s : s + 1]
+        assert free[:, s].tobytes() == np.hstack(_scalar_free(*args, at)).tobytes()
+        assert kepler[:, s].tobytes() == np.hstack(_scalar_kepler(*args, float(k[i]), at)).tobytes()

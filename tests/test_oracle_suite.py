@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_drift_trajectories_are_pinned():
             digest.update(column.tobytes())
         digest.update(repr((traj.turning_time, traj.y_turn)).encode())
     assert digest.hexdigest() == "21922c130c1f6440934a6397a6263657b3853be19029da0cd7727bbdcd42ca0e"
+
+
+def test_suite_pass_stays_within_its_memory_budget():
+    """check_cases on 200 cases, BATCH_CASES at a time, peaks below
+    1.5 MiB of traced allocations.  Measured over seeds 0, 1234, 5 and
+    99: 1.25-1.30 MiB at 100 cases per pass; 2.36-2.46 MiB at 200 per
+    pass, and 1.57-1.63 MiB at 100 per pass when every sample recomputed
+    its orbit's constants."""
+    cases = draw_cases(200, seed=0)
+    tracemalloc.start()
+    try:
+        check_cases(cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_batched_outcomes_equal_one_case_outcomes():

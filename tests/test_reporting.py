@@ -100,6 +100,20 @@ class TestRunConfigFiles:
         assert loaded == setup
         assert loaded.t_end is None and loaded.dt_max is None
 
+    @pytest.mark.parametrize("size", [8.0, True, "8", None])
+    def test_non_integer_grid_size_is_refused(self, size):
+        for name in ("n_r", "n_w", "n_ell"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                RunSetup(certificate_path="cert.ini", **{name: size})
+
+    def test_integer_grid_sizes_round_trip(self, tmp_path):
+        """Every grid size RunSetup accepts, numpy integers too, is written
+        as digits that load_run_config reads back."""
+        setup = RunSetup(certificate_path="cert.ini", n_r=np.int64(8), n_w=9, n_ell=np.int32(6))
+        path = save_run_config(setup, tmp_path / "run.ini")
+        assert "n_r = 8\n" in path.read_text()
+        assert load_run_config(path) == setup
+
     def test_absent_t_end_leaves_the_step_budget_to_the_run(self, tmp_path):
         """The certificate's horizon fills t_end, so 1e8 steps of 1e-8 are
         not counted against dt_max alone."""
@@ -594,6 +608,19 @@ class TestReports:
         assert loaded == report
         assert not loaded.passed
         assert loaded.first_failure().witness_id == 17
+
+    @pytest.mark.parametrize("status", ["bogus", "PASS", ""])
+    def test_unknown_stage_status_is_refused(self, tmp_path, status):
+        report = VerificationReport(
+            stages=(StageResult("total-mass", "pass", "ok"),), exploratory=False
+        )
+        path = save_verification_report(report, tmp_path / "v.ini")
+        text = path.read_text()
+        assert "status = pass\n" in text
+        path.write_text(text.replace("status = pass\n", f"status = {status}\n"))
+        with pytest.raises(RecordError, match=r"v\.ini: \[stage:total-mass\] status") as info:
+            load_verification_report(path)
+        assert str(path) in str(info.value)
 
     def test_membership_report_file(self, tmp_path, small_run):
         from vpshell import InitialData, check_membership
