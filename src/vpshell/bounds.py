@@ -52,9 +52,10 @@ def _first_breaking(value, holds):
 
 
 def _check_hypotheses(L, P, y0, y1):
+    # each test is written so that NaN fails it
     for value, holds, need in (
         (L, np.greater(L, 0), "L > 0 (shells without angular momentum are excluded)"),
-        (P, ~np.less(P, 0), "P >= 0"),
+        (P, np.greater_equal(P, 0), "P >= 0"),
         (y0, np.greater(y0, 0), "y0 > 0"),
         (y1, np.less(y1, 0), "y1 < 0 (inward start)"),
     ):

@@ -36,7 +36,10 @@ y'' = ell/y^3 + profile(t) * P / y^2 exactly, for many cases at once:
 under a piecewise-constant profile each segment is free motion or a
 repulsive Kepler orbit, whose time equation a Newton solve of at most
 ORACLE_NEWTON_MAX_ITER steps inverts, and the turning point is that
-orbit's pericenter.  Round j advances segment j of every case in
+orbit's pericenter.  It takes the profiles as padded rows, one per
+case: the breakpoints padded with inf and the values padded with
+zeros, which profile_rows builds from profile objects and the oracle
+suite draws directly.  Round j advances segment j of every case in
 elementwise passes over arrays: one over the cases for the orbit's
 constants and pericenter (_free_orbit, _kepler_orbit), and one over the
 samples, which take those constants gathered per sample (_free_samples,
@@ -412,13 +415,14 @@ class PiecewiseConstantProfile:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
-        # a handful of entries: Python comparisons beat array passes
+        # a handful of entries: Python comparisons beat array passes; each
+        # is written so that NaN fails it
         e = edges.tolist()
-        if e and (e[0] <= 0 or any(hi <= lo for lo, hi in zip(e, e[1:]))):
+        if e and not (e[0] > 0 and all(hi > lo for lo, hi in zip(e, e[1:]))):
             raise ValueError("breakpoints must be positive and ascending")
         if values.size != edges.size + 1:
             raise ValueError("need exactly one value per segment")
-        if any(v < 0 or v > 1 for v in values.tolist()):
+        if not all(0 <= v <= 1 for v in values.tolist()):
             raise ValueError("profile values must lie in [0, 1]")
 
     def __call__(self, t):
@@ -471,7 +475,8 @@ def integrate_oracle(
         t_eval = np.linspace(0.0, t_end, 201)
     t_eval = np.sort(np.asarray(t_eval, dtype=float))
     batch = integrate_oracle_batch(
-        [r0], [w0], [ell], [P], [profile], [t_end], t_eval, np.zeros(t_eval.size, dtype=np.intp)
+        [r0], [w0], [ell], [P], *profile_rows([profile]), [t_end],
+        t_eval, np.zeros(t_eval.size, dtype=np.intp),
     )
     turned = not np.isnan(batch.turning_time[0])
     return OracleTrajectory(
@@ -483,20 +488,40 @@ def integrate_oracle(
     )
 
 
-def integrate_oracle_batch(
-    r0, w0, ell, P, profiles: Sequence, t_end, times, case
-) -> OracleBatch:
+def profile_rows(profiles: Sequence):
+    """The profiles as integrate_oracle_batch takes them, one row each:
+    (edges, values), the breakpoints padded with inf and the values with
+    zeros to the widest profile.  A float is the constant profile of
+    that value."""
+    profiles = [
+        p if isinstance(p, PiecewiseConstantProfile)
+        else PiecewiseConstantProfile(edges=(), values=(float(p),))
+        for p in profiles
+    ]
+    width = max((p.edges.size for p in profiles), default=0)
+    edges = np.full((len(profiles), width), np.inf)
+    values = np.zeros((len(profiles), width + 1))
+    for i, p in enumerate(profiles):
+        edges[i, : p.edges.size] = p.edges
+        values[i, : p.values.size] = p.values
+    return edges, values
+
+
+def integrate_oracle_batch(r0, w0, ell, P, edges, values, t_end, times, case) -> OracleBatch:
     """Exact solutions of y'' = ell/y^3 + profile(t) * P / y^2 for many cases.
 
-    Case i starts at y = r0[i], ydot = w0[i] under ell[i], P[i] and
-    profiles[i] (a float is the constant profile of that value), and is
-    sampled at the entries of `times` whose `case` is i, which must
-    ascend.  Its profile splits [0, t_end[i]] at the breakpoints; on each
-    segment the charge k = profile * P is constant and the trajectory is
-    advanced in closed form, its end state starting the next segment.  A
-    sample time on a breakpoint belongs to the earlier segment.  The
-    first turning point (ydot = 0 crossing upward) is the pericenter of
-    the first segment that starts inbound and reaches it.
+    Case i starts at y = r0[i], ydot = w0[i] under ell[i], P[i] and the
+    profile of row i of `edges` and `values`, as profile_rows gives
+    them: its breakpoints ascend, then inf pads the row; its value j, in
+    [0, 1], holds from breakpoint j - 1 (from 0 for j = 0) to breakpoint
+    j, and zeros pad the values.  It is sampled at the entries of
+    `times` whose `case` is i, which must ascend.  Its profile splits
+    [0, t_end[i]] at the breakpoints; on each segment the charge
+    k = profile * P is constant and the trajectory is advanced in closed
+    form, its end state starting the next segment.  A sample time on a
+    breakpoint belongs to the earlier segment.  The first turning point
+    (ydot = 0 crossing upward) is the pericenter of the first segment
+    that starts inbound and reaches it.
 
     Round j advances segment j of every case that has one: its orbit
     once per case, then its samples, each in a single elementwise pass,
@@ -504,30 +529,26 @@ def integrate_oracle_batch(
     OracleError carries as `case` the lowest index it failed on.
     """
     r0, w0, ell, P, t_end = (np.asarray(v, dtype=float) for v in (r0, w0, ell, P, t_end))
+    edges, values = np.asarray(edges, dtype=float), np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     case = np.asarray(case, dtype=np.intp)
+    # each check is written so that NaN fails it
     if not np.all((r0 > 0) & (ell > 0)):
         raise ValueError("oracle requires r0 > 0 and ell > 0")
-    if np.any(P < 0):
+    if not np.all(P >= 0):
         raise ValueError("P must be nonnegative")
     if not np.all(t_end > 0):
         raise ValueError("t_end must be positive")
-    if np.any(times < 0) or np.any(times > t_end[case]):
+    if not np.all((times >= 0) & (times <= t_end[case])):
         raise ValueError("t_eval must lie inside [0, t_end]")
-    profiles = [
-        p if isinstance(p, PiecewiseConstantProfile)
-        else PiecewiseConstantProfile(edges=(), values=(float(p),))
-        for p in profiles
-    ]
+    ascending = (edges[:, 1:] > edges[:, :-1]) | (edges[:, 1:] == np.inf)
+    if not (np.all(edges[:, :1] > 0) and np.all(ascending)):
+        raise ValueError("breakpoints must be positive and ascending")
+    if not np.all((values >= 0) & (values <= 1)):
+        raise ValueError("profile values must lie in [0, 1]")
 
-    # breakpoints padded with inf, so each row's cuts inside (0, t_end) lead
+    # each row's cuts inside (0, t_end) lead
     n = r0.size
-    sizes = np.array([p.edges.size for p in profiles])[:, None]
-    width = int(sizes.max())
-    edges = np.full((n, width), np.inf)
-    values = np.zeros((n, width + 1))
-    edges[np.arange(width) < sizes] = np.concatenate([p.edges for p in profiles])
-    values[np.arange(width + 1) <= sizes] = np.concatenate([p.values for p in profiles])
     interior = np.where(edges < t_end[:, None], edges, np.inf)
     n_segments = 1 + np.count_nonzero(interior < np.inf, axis=1)
     cuts = np.column_stack((np.zeros(n), interior, np.full(n, np.inf)))

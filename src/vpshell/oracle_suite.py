@@ -14,20 +14,33 @@ The draws are seeded and the profiles include the two extremes
 (identically 0 and identically 1) plus random piecewise-constant
 profiles, which span the differential-inequality hypothesis class.
 
+The cases stay arrays from the draw to the solve.  draw_cases makes
+only the generator's raw calls case by case, in the order of one
+scalar draw after another, and then computes exp, the scalings, the
+horizons and the sorted breakpoints in array passes that give the
+scalar draws' bits; it returns OracleCases, a sequence of OracleCase
+backed by those arrays, with each profile a row of breakpoints padded
+with inf and a row of values padded with zeros.  run_oracle_suite(200)
+takes 5.8 ms against 8.3 ms when each case drew its floats and built
+its profile object one by one (2-core Xeon, medians of interleaved
+passes); its draws take 0.7 ms against 3.0 ms.
+
 The suite works BATCH_CASES cases at a time: their bounds, sample times,
-trajectories (integrate_oracle_batch, which computes each segment's
-orbit constants once per case and only the Newton solve and the
-trajectory per sample) and checks are array passes, and a horizon that
-ends before a case turns is widened 4 times for that case alone, up to
-N_HORIZONS horizons.  check_case is the one-case call.
-Each outcome equals the one the case gets when checked alone.
+trajectories (integrate_oracle_batch, which takes the padded profile
+rows, computes each segment's orbit constants once per case and only
+the Newton solve and the trajectory per sample) and checks are array
+passes, and a horizon that ends before a case turns is widened 4 times
+for that case alone, up to N_HORIZONS horizons.  check_cases turns
+OracleCase objects into OracleCases once; check_case is the one-case
+call.  Each outcome equals the one the case gets when checked alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
+from typing import Union
 
 import numpy as np
 
@@ -38,6 +51,7 @@ from .dynamics import (
     PiecewiseConstantProfile,
     integrate_oracle,  # noqa: F401  bench/tracing.py wraps it under this module
     integrate_oracle_batch,
+    profile_rows,
 )
 
 # Absolute slack of the radius and envelope comparisons.
@@ -107,50 +121,99 @@ class SuiteResult:
         )
 
 
+class OracleCases(Sequence):
+    """OracleCase objects held as arrays, one entry or row per case: L,
+    P, y0 and y1, the profiles as dynamics.profile_rows pads them, and
+    the labels.  Indexing gives an OracleCase, whose profile is a float
+    when its row has no breakpoint; slicing gives an OracleCases."""
+
+    def __init__(self, L, P, y0, y1, edges, values, labels):
+        self.L, self.P, self.y0, self.y1 = L, P, y0, y1
+        self.edges, self.values, self.labels = edges, values, labels
+
+    @classmethod
+    def from_cases(cls, cases: Sequence[OracleCase]) -> "OracleCases":
+        L, P, y0, y1 = (
+            np.array([getattr(c, name) for c in cases], dtype=float) for name in ("L", "P", "y0", "y1")
+        )
+        edges, values = profile_rows([c.profile for c in cases])
+        return cls(L, P, y0, y1, edges, values, [c.label for c in cases])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OracleCases(*(column[i] for column in (
+                self.L, self.P, self.y0, self.y1, self.edges, self.values, self.labels
+            )))
+        size = int(np.count_nonzero(self.edges[i] < np.inf))
+        profile = float(self.values[i, 0]) if size == 0 else PiecewiseConstantProfile(
+            edges=self.edges[i, :size], values=self.values[i, : size + 1]
+        )
+        L, P, y0, y1 = (float(column[i]) for column in (self.L, self.P, self.y0, self.y1))
+        return OracleCase(L=L, P=P, y0=y0, y1=y1, profile=profile, label=self.labels[i])
+
+
 # (log lo, log hi) of the log-uniform draws: radii, L and P scales.
 LOG_RANGE_Y = (np.log(0.3), np.log(3.0))
 LOG_RANGE_L = (np.log(1e-4), np.log(1.0))
 LOG_RANGE_P = (np.log(1e-3), np.log(3.0))
+# Most breakpoints a random profile draws.
+MAX_CUTS = 4
 
 
-def _log_uniform(rng: np.random.Generator, log_range: tuple) -> float:
-    return float(np.exp(rng.uniform(*log_range)))
+def _exp_uniform(log_range: tuple, u: np.ndarray) -> np.ndarray:
+    """exp of Generator.uniform(*log_range) for the raw uniforms u, as
+    uniform computes it: lo + (hi - lo) u."""
+    lo, hi = log_range
+    return np.exp(lo + (hi - lo) * u)
 
 
-def _random_profile(rng: np.random.Generator, horizon: float) -> PiecewiseConstantProfile:
-    n_cuts = int(rng.integers(1, 5))
-    edges = np.sort(rng.uniform(0.0, horizon, size=n_cuts))
-    edges = edges[edges > 0]
-    values = rng.uniform(0.0, 1.0, size=edges.size + 1)
-    return PiecewiseConstantProfile(edges=edges, values=values)
-
-
-def draw_cases(n_cases: int, seed: int = 1234) -> list:
+def draw_cases(n_cases: int, seed: int = 1234) -> OracleCases:
     """Seeded hypothesis-satisfying draws; cases 0 and 1 use the extreme
-    profiles, the rest random piecewise-constant ones."""
+    profiles, the rest random piecewise-constant ones.
+
+    Each case takes its uniforms from the generator in turn: y0, y1, L,
+    a coin that sets P = 0 below 0.1, P, then for a random profile its
+    number of breakpoints (1 to MAX_CUTS), their times as fractions of
+    the horizon 3 y0/|y1| (a zero one is dropped) and one value per
+    segment.  The case's transforms are then array passes.
+    """
     if n_cases < 1:
         raise ValueError("need at least one case")
     rng = np.random.default_rng(seed)
-    cases = []
+    # per row, the uniforms of y0, y1, L, the P coin and P; P's stays 0
+    # when the coin sets P = 0, which draws none
+    head = np.zeros((n_cases, 5))
+    cut = np.full((n_cases, MAX_CUTS), np.inf)
+    values = np.zeros((n_cases, MAX_CUTS + 1))
+    values[1:2, 0] = 1.0  # the extreme profiles: 0 on row 0, 1 on row 1 if drawn
     for i in range(n_cases):
-        y0 = _log_uniform(rng, LOG_RANGE_Y)
-        y1 = -_log_uniform(rng, LOG_RANGE_Y)
-        # scale L and P against the kinetic term y0^2 y1^2 so pericenter
-        # depths range from grazing to ~100x below the start radius
-        L = _log_uniform(rng, LOG_RANGE_L) * y0**2 * y1**2
-        P = 0.0 if rng.uniform() < 0.1 else _log_uniform(rng, LOG_RANGE_P) * y0 * y1**2
-        horizon = 3.0 * y0 / abs(y1)
-        if i == 0:
-            profile: Union[float, PiecewiseConstantProfile] = 0.0
-            label = "profile-zero"
-        elif i == 1:
-            profile = 1.0
-            label = "profile-one"
-        else:
-            profile = _random_profile(rng, horizon)
-            label = f"case-{i}"
-        cases.append(OracleCase(L=L, P=P, y0=y0, y1=y1, profile=profile, label=label))
-    return cases
+        row = head[i]
+        rng.random(out=row[:4])
+        if row[3] >= 0.1:
+            row[4] = rng.random()
+        if i >= 2:
+            # one scalar integers call per case: its 32-bit draws share
+            # the generator's buffered half-word
+            fractions = cut[i, : rng.integers(1, MAX_CUTS + 1)]
+            rng.random(out=fractions)
+            rng.random(out=values[i, : np.count_nonzero(fractions) + 1])
+    cut[cut == 0.0] = np.inf  # a zero fraction makes no breakpoint
+
+    y0 = _exp_uniform(LOG_RANGE_Y, head[:, 0])
+    y1 = -_exp_uniform(LOG_RANGE_Y, head[:, 1])
+    # scale L and P against the kinetic term y0^2 y1^2 so pericenter
+    # depths range from grazing to ~100x below the start radius; squares
+    # by libm's pow, as a float's x**2 is
+    y1_sq = np.float_power(y1, 2.0)
+    L = _exp_uniform(LOG_RANGE_L, head[:, 2]) * np.float_power(y0, 2.0) * y1_sq
+    P = np.where(head[:, 3] < 0.1, 0.0, _exp_uniform(LOG_RANGE_P, head[:, 4]) * y0 * y1_sq)
+    horizon = 3.0 * y0 / np.abs(y1)
+    edges = np.sort(horizon[:, None] * cut, axis=1)
+    labels = ["profile-zero", "profile-one", *(f"case-{i}" for i in range(2, n_cases))]
+    return OracleCases(L, P, y0, y1, edges, values, labels[:n_cases])
 
 
 def _sample_times(t_end: np.ndarray, t_extra: np.ndarray):
@@ -200,14 +263,14 @@ def _checks(traj: OracleBatch, L, P, y0, y1, bound: TurningBound):
     return ydot_ok, y_turn_ok, envelope_ok, details
 
 
-def _check_batch(cases: Sequence[OracleCase], first_index: int) -> list:
+def _check_batch(cases: OracleCases, first_index: int) -> list:
     """CaseOutcomes of `cases`, indexed from first_index, solved together.
 
     Each case is solved on [0, 3 y0/|y1|] first; the cases that have not
     turned are solved again on a horizon 4 times longer, N_HORIZONS
     horizons in all, before OracleError gives up on the first of them.
     """
-    L, P, y0, y1 = (np.array([getattr(c, name) for c in cases]) for name in ("L", "P", "y0", "y1"))
+    L, P, y0, y1 = cases.L, cases.P, cases.y0, cases.y1
     bound = turning_point_bound(L, P, y0, y1)
     t_end = 3.0 * y0 / np.abs(y1)
     outcomes = [None] * len(cases)
@@ -217,12 +280,12 @@ def _check_batch(cases: Sequence[OracleCase], first_index: int) -> list:
         try:
             traj = integrate_oracle_batch(
                 y0[pending], y1[pending], L[pending], P[pending],
-                [cases[i].profile for i in pending], t_end[pending], times, at,
+                cases.edges[pending], cases.values[pending], t_end[pending], times, at,
             )
         except OracleError as exc:
             if exc.case is None:
                 raise
-            raise OracleError(f"{cases[pending[exc.case]].label}: {exc}") from exc
+            raise OracleError(f"{cases.labels[pending[exc.case]]}: {exc}") from exc
         sub = TurningBound(y_star=bound.y_star[pending], t0_lower=bound.t0_lower[pending])
         flags = _checks(traj, L[pending], P[pending], y0[pending], y1[pending], sub)
         # Python floats and bools, one conversion per column
@@ -235,7 +298,7 @@ def _check_batch(cases: Sequence[OracleCase], first_index: int) -> list:
             i = int(pending[j])
             outcomes[i] = CaseOutcome(
                 index=first_index + i,
-                label=cases[i].label,
+                label=cases.labels[i],
                 t0_lower=t0_lower[j],
                 y_star=y_star[j],
                 turning_time=turning_time[j],
@@ -255,6 +318,8 @@ def _check_batch(cases: Sequence[OracleCase], first_index: int) -> list:
 
 def check_cases(cases: Sequence[OracleCase]) -> list:
     """CaseOutcomes of `cases`, indexed from 0, solved BATCH_CASES at a time."""
+    if not isinstance(cases, OracleCases):
+        cases = OracleCases.from_cases(cases)
     outcomes = []
     for start in range(0, len(cases), BATCH_CASES):
         outcomes += _check_batch(cases[start : start + BATCH_CASES], start)
@@ -263,7 +328,7 @@ def check_cases(cases: Sequence[OracleCase]) -> list:
 
 def check_case(case: OracleCase, index: int = 0) -> CaseOutcome:
     """The outcome of one case, as check_cases gives it."""
-    return _check_batch([case], index)[0]
+    return _check_batch(OracleCases.from_cases([case]), index)[0]
 
 
 def run_oracle_suite(n_cases: int = 1000, seed: int = 1234) -> SuiteResult:

@@ -54,6 +54,12 @@ class TestTurningBound:
         with pytest.raises(ValueError):
             turning_point_bound(L=1.0, P=0.0, y0=1.0, y1=0.0)
 
+    def test_refuses_nan_charge(self):
+        with pytest.raises(ValueError, match="need P >= 0, got nan"):
+            turning_point_bound(1.0, np.nan, 1.0, -1.0)
+        with pytest.raises(ValueError, match="need P >= 0, got nan"):
+            infall_envelope(1.0, np.array([0.0, np.nan]), 1.0, -1.0, 0.5)
+
 
 class TestArrays:
     """The bounds over arrays equal the bounds of each entry alone, bit

@@ -439,6 +439,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             PiecewiseConstantProfile(edges=np.array([1.0]), values=np.array([0.5, 1.5]))
 
+    def test_refuses_nan_value(self):
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            PiecewiseConstantProfile(edges=np.array([1.0]), values=np.array([0.5, np.nan]))
+
+    def test_refuses_nan_edge(self):
+        with pytest.raises(ValueError, match="breakpoints must be positive and ascending"):
+            PiecewiseConstantProfile(edges=np.array([1.0, np.nan]), values=np.array([0.5, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="breakpoints must be positive and ascending"):
+            PiecewiseConstantProfile(edges=np.array([np.nan]), values=np.array([0.5, 1.0]))
+
 
 class TestOracle:
     def test_free_motion_case(self):
@@ -500,3 +510,30 @@ class TestOracle:
             integrate_oracle(1.0, -1.0, 1.0, t_end=1.0, t_eval=np.array([2.0]))
         with pytest.raises(ValueError):
             integrate_oracle(1.0, -1.0, 1.0, profile=1.5)
+
+    def test_refuses_nan_charge_and_times(self):
+        with pytest.raises(ValueError, match="P must be nonnegative"):
+            integrate_oracle(1.0, -1.0, 1.0, P=np.nan)
+        with pytest.raises(ValueError, match="t_eval must lie inside"):
+            integrate_oracle(1.0, -1.0, 1.0, t_end=1.0, t_eval=np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("edges, values, refusal", [
+        ([[0.5, np.inf]], [[0.2, 0.4, 0.0]], None),
+        ([[np.nan, np.inf]], [[0.2, 0.4, 0.0]], "breakpoints must be positive and ascending"),
+        ([[0.5, np.nan]], [[0.2, 0.4, 0.0]], "breakpoints must be positive and ascending"),
+        ([[np.nan]], [[0.2, 0.4]], "breakpoints must be positive and ascending"),
+        ([[np.inf, 0.5]], [[0.2, 0.4, 0.0]], "breakpoints must be positive and ascending"),
+        ([[0.5, np.inf]], [[0.2, np.nan, 0.0]], r"values must lie in \[0, 1\]"),
+    ])
+    def test_batch_refuses_nan_profile_rows(self, edges, values, refusal):
+        def solve():
+            return vpshell.dynamics.integrate_oracle_batch(
+                [1.0], [-1.0], [1.0], [1.0], edges, values, [1.0],
+                np.linspace(0.0, 1.0, 5), np.zeros(5, dtype=int),
+            )
+
+        if refusal is None:
+            assert np.all(np.isfinite(solve().y))
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                solve()

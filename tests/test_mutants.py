@@ -1,13 +1,14 @@
 """The mutant kill matrix: one named mutant per row, each an edit to a
-written run record or a change to the code that wrote it, and the check
-that should catch it.
+written run record or a change to the code, and the check that should
+catch it.
 
-A mutant is caught when `vpshell verify` refuses or fails the edited
-record, or the record of a `vpshell run` made with the changed code: it
-exits nonzero and, where the row names one, prints the refusal.  A
-mutant no check catches yet is xfail(strict=True) with the ROADMAP item
-that would catch it as its reason, so the change that kills it must
-remove the marker.
+A record mutant is caught when `vpshell verify` refuses or fails the
+edited record, or the record of a `vpshell run` made with the changed
+code: it exits nonzero and, where the row names one, prints the
+refusal.  A bound mutant, a weakened bound formula, is caught when the
+1000-case oracle suite finds a violation.  A mutant no check catches
+yet is xfail(strict=True) with the ROADMAP item that would catch it as
+its reason, so the change that kills it must remove the marker.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import shutil
 
 import pytest
 
-from vpshell import cli, dynamics
+from vpshell import cli, dynamics, oracle_suite
 from vpshell.field import SortedMassIndex
 from vpshell.reporting import RunSetup, load_run_data, save_run_config, save_snapshot
 
@@ -135,3 +136,37 @@ def test_verify_catches_a_run_made_by(desk_run, tmp_path, monkeypatch, mutate):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["verify", str(ws / "run"), str(ws / "cert.ini")])
     assert code != 0
+
+
+# (the name oracle_suite calls, what the mutant does to its result)
+BOUND_MUTANTS = [
+    pytest.param(
+        "turning_point_bound", lambda b: dataclasses.replace(b, y_star=b.y_star - 1e-10),
+        id="y-star-lowered-1e-10", marks=pytest.mark.xfail(strict=True, reason="item 8"),
+    ),
+    pytest.param(
+        "infall_envelope", lambda env: env - 1e-10,
+        id="envelope-lowered-1e-10", marks=pytest.mark.xfail(strict=True, reason="item 8"),
+    ),
+    pytest.param(
+        "turning_point_bound", lambda b: dataclasses.replace(b, y_star=b.y_star * (1.0 - 1e-6)),
+        id="y-star-scaled-1-minus-1e-6",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, weaken", BOUND_MUTANTS)
+def test_oracle_suite_catches(monkeypatch, name, weaken):
+    """run_oracle_suite(1000, 1234) with the bound weakened as the row
+    says, wherever the suite evaluates it."""
+    bound = getattr(oracle_suite, name)
+    calls = []
+
+    def mutant(*args):
+        calls.append(args)
+        return weaken(bound(*args))
+
+    monkeypatch.setattr(oracle_suite, name, mutant)
+    result = oracle_suite.run_oracle_suite(1000, 1234)
+    assert calls  # the mutant is live
+    assert not result.passed

@@ -18,6 +18,7 @@ from vpshell.dynamics import (
     _kepler_samples,
     free_motion_radius_squared,
     integrate_oracle_batch,
+    profile_rows,
 )
 from vpshell.oracle_suite import BOUND_TOL, N_SAMPLES, check_cases
 
@@ -92,12 +93,13 @@ def test_agrees_with_dop853_reference():
     assert worst <= 1e-9
 
 
-def dop853_batch(r0, w0, ell, P, profiles, t_end, times, case):
+def dop853_batch(r0, w0, ell, P, edges, values, t_end, times, case):
     """integrate_oracle_batch's contract, met by dop853_oracle per case."""
+    sizes = np.count_nonzero(edges < np.inf, axis=1)
     trajs = [
-        dop853_oracle(r0[i], w0[i], ell[i], P=P[i], profile=profiles[i], t_end=t_end[i],
-                      t_eval=times[case == i])
-        for i in range(len(profiles))
+        dop853_oracle(r0[i], w0[i], ell[i], P=P[i], t_end=t_end[i], t_eval=times[case == i],
+                      profile=PiecewiseConstantProfile(edges[i, :size], values[i, : size + 1]))
+        for i, size in enumerate(sizes)
     ]
 
     def turning(name):
@@ -231,8 +233,8 @@ def batch_cases(draw):
 def _batch(cases):
     times = np.concatenate([c[6] for c in cases])
     case = np.repeat(np.arange(len(cases)), [c[6].size for c in cases])
-    columns = list(zip(*[c[:6] for c in cases]))
-    return integrate_oracle_batch(*columns, times, case)
+    r0, w0, ell, P, profiles, t_end = zip(*[c[:6] for c in cases])
+    return integrate_oracle_batch(r0, w0, ell, P, *profile_rows(profiles), t_end, times, case)
 
 
 @settings(max_examples=100, deadline=None)

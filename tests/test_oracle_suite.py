@@ -6,7 +6,17 @@ import pytest
 
 from vpshell import dynamics, draw_cases, oracle_suite, run_oracle_suite
 from vpshell.dynamics import OracleError, PiecewiseConstantProfile
-from vpshell.oracle_suite import N_SAMPLES, OracleCase, _sample_times, check_case, check_cases
+from vpshell.oracle_suite import (
+    LOG_RANGE_L,
+    LOG_RANGE_P,
+    LOG_RANGE_Y,
+    N_SAMPLES,
+    OracleCase,
+    OracleCases,
+    _sample_times,
+    check_case,
+    check_cases,
+)
 
 
 def test_draws_are_seeded_and_reproducible():
@@ -31,6 +41,85 @@ def test_draws_satisfy_hypotheses_and_cover_extremes():
 def test_draw_validation():
     with pytest.raises(ValueError):
         draw_cases(0)
+
+
+def _draw_digest(cases):
+    """SHA-256 over every case: L, P, y0 and y1, the profile's kind,
+    breakpoint count, edges and values, as bytes, then the label."""
+    digest = hashlib.sha256()
+    for case in cases:
+        assert all(type(v) is float for v in (case.L, case.P, case.y0, case.y1))
+        if isinstance(case.profile, PiecewiseConstantProfile):
+            kind, edges, values = b"rows", case.profile.edges, case.profile.values
+        else:
+            kind, edges, values = b"float", np.empty(0), np.array([case.profile], dtype=float)
+        digest.update(np.array([case.L, case.P, case.y0, case.y1]).tobytes())
+        digest.update(kind + np.int64(edges.size).tobytes() + edges.tobytes() + values.tobytes())
+        digest.update(case.label.encode() + b"\0")
+    return digest.hexdigest()
+
+
+# _draw_digest(draw_cases(n, seed)), recorded with the draws made one
+# scalar Generator.uniform call at a time.
+DRAW_DIGESTS = {
+    (1000, 1234): "34bdfb20c33b597eaa0330b1ac1cc25b604be3588fe7a550c7637b0acc4a04a2",
+    (1000, 5): "a40fb302d33c1113609c77c15bfc50a66ac01ebf20e96ff8b55553e991d095b0",
+    (1000, 99): "089eb8c8ac3e19dfa3f7a111502b3197e33a3a60e2885b8f24798e3697ce7e35",
+    # only the extreme profiles
+    (1, 1234): "1ca2edb3197d0f894bfba6ef612b21011fead4740b34b9808864ae5c3c89f67d",
+    (2, 1234): "b3d59d7b682e2351c8f93f18ea9e2fe2181e0dcad87a81c7ef69cceec84784c9",
+}
+
+
+@pytest.mark.parametrize("n_cases, seed", sorted(DRAW_DIGESTS))
+def test_draws_are_pinned(n_cases, seed):
+    cases = draw_cases(n_cases, seed)
+    assert len(cases) == n_cases
+    assert _draw_digest(cases) == DRAW_DIGESTS[n_cases, seed]
+
+
+def _scalar_draws(n_cases, seed):
+    """draw_cases made one scalar Generator call at a time, each case's
+    profile an object: the reference the array draws equal bit for bit."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(log_range):
+        return float(np.exp(rng.uniform(*log_range)))
+
+    cases = []
+    for i in range(n_cases):
+        y0 = log_uniform(LOG_RANGE_Y)
+        y1 = -log_uniform(LOG_RANGE_Y)
+        L = log_uniform(LOG_RANGE_L) * y0**2 * y1**2
+        P = 0.0 if rng.uniform() < 0.1 else log_uniform(LOG_RANGE_P) * y0 * y1**2
+        horizon = 3.0 * y0 / abs(y1)
+        if i < 2:
+            profile, label = float(i), ("profile-zero", "profile-one")[i]
+        else:
+            edges = np.sort(rng.uniform(0.0, horizon, size=int(rng.integers(1, 5))))
+            edges = edges[edges > 0]
+            values = rng.uniform(0.0, 1.0, size=edges.size + 1)
+            profile, label = PiecewiseConstantProfile(edges=edges, values=values), f"case-{i}"
+        cases.append(OracleCase(L=L, P=P, y0=y0, y1=y1, profile=profile, label=label))
+    return cases
+
+
+def test_array_draws_equal_scalar_draws():
+    for seed in range(20):
+        for n_cases in (1, 2, 3, 150):
+            assert _draw_digest(draw_cases(n_cases, seed)) == _draw_digest(
+                _scalar_draws(n_cases, seed)
+            ), (n_cases, seed)
+
+
+def test_drawn_cases_slice_and_index_as_a_list_does():
+    cases = draw_cases(12, seed=3)
+    listed = list(cases)
+    assert repr(cases[-1]) == repr(listed[-1])
+    assert repr(list(cases[3:9:2])) == repr(listed[3:9:2])
+    assert repr(list(OracleCases.from_cases(listed))) == repr(listed)
+    with pytest.raises(IndexError):
+        cases[12]
 
 
 def test_check_case_free_motion():
@@ -117,6 +206,20 @@ def test_batched_outcomes_equal_one_case_outcomes():
     batched = check_cases(cases)
     assert batched == [check_case(case, index=i) for i, case in enumerate(cases)]
     assert repr(batched) == repr([check_case(case, index=i) for i, case in enumerate(cases)])
+    # the drawn arrays and the same cases as objects
+    assert repr(check_cases(list(cases))) == repr(batched)
+
+
+def test_suite_draws_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw_cases(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_suite, "draw_cases", counting)
+    assert run_oracle_suite(5, seed=7).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
