@@ -17,6 +17,12 @@ H_eps (bump_profile) and the radial cutoff phi (smooth_cutoff) are fixed
 functions of the spec's eps, a0 and delta_r, so a ClassSpec and a scale
 are the whole description of the data.
 
+sample_ensemble evaluates f0 on a midpoint grid in (r, w, ell) in two
+passes: the profile's argument t = s/eps^2 on every cell, then H_eps, phi
+and the weights only on the cells with t < 1, the support of H_eps (about
+a third of the grid's box).  Each kept value is rounded as the pointwise
+evaluate_reduced rounds it.
+
 The velocity shift integrates out of f0, so the density and the mass are
 closed forms: rho0(r) = scale * phi(r) * 3/(4 pi a0^3), the homogeneous-
 ball value on the plateau of phi, and l1_norm follows from phi's moments.
@@ -99,14 +105,18 @@ class ClassSpec:
         return self.target_mass is not None
 
 
+def _bump_inside(t: np.ndarray, eps: float) -> np.ndarray:
+    # H_eps at t = s/eps^2 < 1, i.e. c exp(-1/(1-t)) / eps^3, unchecked.
+    c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
+    return c * np.exp(-1.0 / (1.0 - t)) * (1.0 / (eps * eps * eps))
+
+
 def _bump(s: np.ndarray, eps: float) -> np.ndarray:
     # H_eps(s) = H(s/eps^2)/eps^3 on a float array, unchecked.
-    c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
     t = s * (1.0 / (eps * eps))
     out = np.zeros_like(t)
     inside = t < 1.0
-    out[inside] = c * np.exp(-1.0 / (1.0 - t[inside]))
-    out *= 1.0 / (eps * eps * eps)
+    out[inside] = _bump_inside(t[inside], eps)
     return out
 
 
@@ -180,6 +190,16 @@ def derived_bounds(spec: ClassSpec) -> DerivedBounds:
     )
 
 
+def _profile_argument(spec: ClassSpec, r, w, ell):
+    # s = |a1 x - a0 v|^2 in reduced coordinates, the argument of H_eps
+    return (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2
+
+
+def _require_positive_radii(r: np.ndarray) -> None:
+    if not np.all(r > 0):
+        raise ValueError("radius must be positive (NaN refused)")
+
+
 @dataclass(frozen=True)
 class InitialData:
     """The density f0 = scale * H_eps(s) * phi(r) of a spec, where H_eps is
@@ -206,12 +226,11 @@ class InitialData:
         r = np.asarray(r, dtype=float)
         w = np.asarray(w, dtype=float)
         ell = np.asarray(ell, dtype=float)
-        if not np.all(r > 0):
-            raise ValueError("radius must be positive (NaN refused)")
+        _require_positive_radii(r)
         if np.any(ell < 0):
             raise ValueError("squared angular momentum must be nonnegative")
         spec = self.spec
-        s = (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2
+        s = _profile_argument(spec, r, w, ell)
         out = self.scale * _bump(s, spec.eps) * _cutoff(r, spec.a0, spec.delta_r)
         return float(out) if out.ndim == 0 else out
 
@@ -240,8 +259,7 @@ class InitialData:
         x, u = a1 x - a0 v turns the velocity integral of H_eps into
         PROFILE_NORMALIZATION / a0^3, so rho0 = scale * phi(r) * that."""
         r = np.asarray(r, dtype=float)
-        if not np.all(r > 0):
-            raise ValueError("radius must be positive (NaN refused)")
+        _require_positive_radii(r)
         spec = self.spec
         out = self.scale * _cutoff(r, spec.a0, spec.delta_r) * (PROFILE_NORMALIZATION / spec.a0**3)
         return float(out) if out.ndim == 0 else out
@@ -268,10 +286,16 @@ def sample_ensemble(
     the fixed-mass family the weights are rescaled so the sum equals the
     target exactly (same-quadrature normalization, no mass drift).
     A grid whose radial midpoints are not all distinct in double
-    precision is refused.
+    precision is refused, as is one with a radius that is not positive.
+
+    t = s/eps^2 is computed once on the broadcast grid; H_eps, the cutoff
+    (once per radius, gathered per cell) and the weights then run only on
+    the cells with t < 1, so no other grid-sized float array is made.
+    Each kept value equals evaluate_reduced's at that cell, bit for bit.
     """
     if min(n_r, n_w, n_ell) < 2:
         raise ValueError("need at least 2 grid points per axis")
+    spec = data.spec
     r_lo, r_hi, w_lo, w_hi, ell_hi = data.support_box()
     dr = (r_hi - r_lo) / n_r
     dw = (w_hi - w_lo) / n_w
@@ -281,30 +305,33 @@ def sample_ensemble(
     if distinct < n_r:
         raise ValueError(
             f"radial grid collapses: n_r = {n_r} cells give only {distinct} distinct "
-            f"radii at a0 = {data.spec.a0!r} in double precision"
+            f"radii at a0 = {spec.a0!r} in double precision"
         )
+    _require_positive_radii(r_mid)
     w_mid = w_lo + dw * (np.arange(n_w) + 0.5)
     ell_mid = dl * (np.arange(n_ell) + 0.5)  # strictly positive: no ell = 0 shell
-    # on broadcast axes the cutoff runs once per radius, the profile once per cell
-    f_vals = data.evaluate_reduced(
-        r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :]
-    )
-    ids = np.flatnonzero(f_vals > 0.0)
+    # t = s/eps^2 on the broadcast grid, rounded as _bump rounds it
+    t = _profile_argument(spec, r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :])
+    t *= 1.0 / (spec.eps * spec.eps)
+    ids = np.flatnonzero(t < 1.0)
+    t = t.ravel()[ids]
+    phi = _cutoff(r_mid, spec.a0, spec.delta_r)
+    f_vals = data.scale * _bump_inside(t, spec.eps) * phi[ids // (n_w * n_ell)]
+    keep = f_vals > 0.0  # exp(-1/(1-t)) underflows to 0 for t within about 1.4e-3 of 1
+    ids = ids[keep]
     if ids.size == 0:
         raise EmptyEnsembleError(
             "no shell fell inside the support; refine the sampling grid"
         )
-    i_r, rest = np.divmod(ids, n_w * n_ell)
-    i_w, i_ell = np.divmod(rest, n_ell)
-    weight = REDUCED_MEASURE * f_vals.ravel()[ids] * dr * dw * dl
-    if data.spec.is_fixed_mass:
-        weight = weight * (data.spec.target_mass / float(np.sum(weight)))
+    weight = REDUCED_MEASURE * f_vals[keep] * dr * dw * dl
+    if spec.is_fixed_mass:
+        weight = weight * (spec.target_mass / float(np.sum(weight)))
     return Ensemble(
-        r=r_mid[i_r],
-        w=w_mid[i_w],
-        ell=ell_mid[i_ell],
+        r=r_mid[ids // (n_w * n_ell)],
+        w=w_mid[ids // n_ell % n_w],
+        ell=ell_mid[ids % n_ell],
         weight=weight,
-        ids=ids.astype(np.int64),
+        ids=ids.astype(np.int64, copy=False),
         time=0.0,
     )
 
@@ -363,7 +390,7 @@ def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
     """
     spec = data.spec
     r, w, ell, m = ensemble.r, ensemble.w, ensemble.ell, ensemble.total_mass
-    s = (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2  # as evaluate_reduced
+    s = _profile_argument(spec, r, w, ell)
     per_shell = (  # (name, margin that must be > 0, detail of the least margin)
         # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2, i.e.
         # s < eps^2, a form that does not cancel at large a0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
@@ -235,6 +235,12 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"n_r = 40 cells give only 35 distinct radii"):
             sample_ensemble(data, 40, 44, 28)
 
+    def test_non_positive_radius_is_refused(self):
+        # a0 - delta_r = 0.5 - 0.729 < 0, so the first radial midpoint is negative
+        data = InitialData(spec=ClassSpec(a0=0.5, a1=-1.0, eps=0.9))
+        with pytest.raises(ValueError, match=r"^radius must be positive \(NaN refused\)$"):
+            sample_ensemble(data, 8, 8, 6)
+
     def test_empty_support_raises(self):
         dead = dataclasses.replace(canonical_data(), scale=0.0)
         with pytest.raises(EmptyEnsembleError):
@@ -292,6 +298,11 @@ class TestSampling:
         k=st.floats(0.5, 2.0),
         target_mass=st.none() | st.floats(1e-3, 1e3),
     )
+    # the desk grid, whose f0 underflows to 0 on 27 cells with t < 1, in
+    # both families; and dyadic data with two cells at t == 1.0 exactly
+    @example(grid=(40, 44, 28), a0=1.0, eps=0.2, k=1.0, target_mass=None)
+    @example(grid=(40, 44, 28), a0=1.0, eps=0.2, k=1.0, target_mass=1.0)
+    @example(grid=(2, 4, 8), a0=0.125, eps=0.5, k=1.0, target_mass=None)
     def test_matches_meshgrid_reference_bitwise(self, grid, a0, eps, k, target_mass):
         data = canonical_data(a0=a0, eps=eps, a1=-k / eps**2, target_mass=target_mass)
         expected = _meshgrid_sample(data, *grid)
@@ -314,6 +325,19 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 33.8 * 2**20
+
+    def test_sampling_peak_memory_net_of_the_ensemble(self):
+        # t on the grid is the one grid-sized float array; evaluating f0 on
+        # every cell peaked at 8.06 MiB net of the returned 4.92 MiB
+        data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec)
+        tracemalloc.start()
+        try:
+            ens = sample_ensemble(data, 80, 88, 56)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (ens.r, ens.w, ens.ell, ens.weight, ens.ids))
+        assert peak - returned < 2.5 * (80 * 88 * 56) * np.dtype(float).itemsize
 
     def test_refinement_converges_to_l1_norm(self):
         data = canonical_data()

@@ -1,14 +1,16 @@
 """The mutant kill matrix: one named mutant per row, each an edit to a
-written run record or a change to the code, and the check that should
-catch it.
+written run record, a change to the code or a wrong input the code
+itself makes, and the check that should catch it.
 
 A record mutant is caught when `vpshell verify` refuses or fails the
 edited record, or the record of a `vpshell run` made with the changed
 code: it exits nonzero and, where the row names one, prints the
 refusal.  A bound mutant, a weakened bound formula, is caught when the
-1000-case oracle suite finds a violation.  A mutant no check catches
-yet is xfail(strict=True) with the ROADMAP item that would catch it as
-its reason, so the change that kills it must remove the marker.
+1000-case oracle suite finds a violation.  A sample that is not its
+data's is caught when check_membership fails it.  A mutant no check
+catches yet is xfail(strict=True) with the ROADMAP item that would
+catch it as its reason, so the change that kills it must remove the
+marker.
 """
 
 import contextlib
@@ -16,9 +18,18 @@ import dataclasses
 import io
 import shutil
 
+import numpy as np
 import pytest
 
-from vpshell import cli, dynamics, oracle_suite
+from vpshell import (
+    InitialData,
+    check_membership,
+    cli,
+    design_fixed_mass,
+    dynamics,
+    oracle_suite,
+    sample_ensemble,
+)
 from vpshell.field import SortedMassIndex
 from vpshell.reporting import RunSetup, load_run_data, save_run_config, save_snapshot
 
@@ -170,3 +181,19 @@ def test_oracle_suite_catches(monkeypatch, name, weaken):
     result = oracle_suite.run_oracle_suite(1000, 1234)
     assert calls  # the mutant is live
     assert not result.passed
+
+
+@pytest.mark.xfail(strict=True, reason="item 11")
+def test_membership_catches_the_fixed_mass_sample_off_rho0():
+    """check_membership on the 16x16x8 sample of the fixed-mass
+    certificate C1 = 1, C2 = 1e-2, T = 1 (a0 = 9.8e5, delta_r = 1.0e-9,
+    each radial cell about one ulp of a0 wide), whose density per radial
+    cell, cell mass over 4 pi r^2 dr, is 1.3-11% below rho0."""
+    data = InitialData.from_spec(design_fixed_mass(c1=1.0, c2=1e-2, t_horizon=1.0).spec)
+    n_r = 16
+    ens = sample_ensemble(data, n_r, 16, 8)
+    r_lo, r_hi = data.support_box()[:2]
+    radii, cell = np.unique(ens.r, return_inverse=True)
+    density = np.bincount(cell, ens.weight) / (4.0 * np.pi * radii**2 * ((r_hi - r_lo) / n_r))
+    assert np.min(density / data.rho0(radii)) < 0.9  # the sample is off
+    assert not check_membership(data, ens).passed
