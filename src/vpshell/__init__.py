@@ -19,7 +19,6 @@ from .bounds import (
     SupNormBound,
     TurningBound,
     confinement_lower_bounds,
-    envelope_minimum,
     infall_envelope,
     turning_point_bound,
 )
@@ -54,11 +53,9 @@ from .initial_data import (
     ClassSpec,
     EmptyEnsembleError,
     InitialData,
-    bump_profile,
     check_membership,
     derived_bounds,
     sample_ensemble,
-    smooth_cutoff,
 )
 from .oracle_suite import draw_cases, run_oracle_suite
 from .phase_space import (

@@ -94,18 +94,6 @@ def infall_envelope(L, P, y0, y1, t):
     return _scalar_or_array(out)
 
 
-def envelope_minimum(L: float, P: float, y0: float, y1: float):
-    """Argmin and minimum of the envelope parabola.
-
-    The minimum value equals turning_point_bound(...).y_star ** 2, which
-    ties the two bounds together; tests assert this identity.
-    """
-    _check_hypotheses(L, P, y0, y1)
-    c = L / y0**2 + P / y0
-    t_min = -y1 * y0 / (y1**2 + c)
-    return float(t_min), float(infall_envelope(L, P, y0, y1, t_min))
-
-
 def confinement_lower_bounds(M: float, B: float) -> SupNormBound:
     """Sup-norm lower bounds when mass M is confined inside radius B.
 

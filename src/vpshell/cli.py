@@ -12,9 +12,9 @@ Subcommands:
 Exit codes, mapped from exceptions in main alone: 0 success / all
 checks pass, 1 a check failed or the run (too stiff, out of steps) or the
 oracle aborted, 2 usage error or refusal (bad argument, missing file or
-key, unread run config key, t_end beyond MAX_STEPS steps of dt_max,
-inconsistent run record, run not made from the certificate or stopped
-before T).
+key, unread run config key, t_end beyond MAX_STEPS steps of dt_max, a
+grid too large to allocate, inconsistent run record, run not made from
+the certificate or stopped before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"{args.command} error: missing key {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OSError, configparser.Error) as exc:
+    except (ValueError, OSError, configparser.Error, MemoryError) as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

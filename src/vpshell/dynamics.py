@@ -56,7 +56,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .field import N_BINS, SortedMassIndex, sup_norms
+from .field import SortedMassIndex, sup_norms
 from .phase_space import Ensemble
 
 # Newton steps allowed per sample when solving the Kepler time equation.
@@ -267,7 +267,7 @@ def integrate(
     from the step that saw w change sign (trajectories are convex, so the
     first sign change is the only one).  Each state is sorted once: its
     SortedMassIndex gives the state's row (sup norms and a density binned
-    on N_BINS geometric bins spanning its radii, see sup_norms) and the
+    on field.N_BINS geometric bins spanning its radii, see sup_norms) and the
     next step's enclosed masses.  The step writes into work arrays the
     run allocates once (see the module docstring); the caller's ensemble
     and every snapshot keep arrays that are never written.  An empty
@@ -290,7 +290,7 @@ def integrate(
     t_at_r_min = np.full(n, ens.time)
 
     def make_row(state: Ensemble, index: SortedMassIndex, dt_current: float) -> DiagnosticsRow:
-        norms = sup_norms(index, N_BINS)
+        norms = sup_norms(index)
         return DiagnosticsRow(
             t=state.time,
             rho_sup_binned=norms.rho_sup_binned,

@@ -256,17 +256,15 @@ class DensityGrid:
         return float(np.sum(self.bin_masses))
 
 
-def default_grid_edges(r_min: float, r_max: float, n_bins: int = N_BINS) -> np.ndarray:
-    """Geometric bin edges from r_min/2 to r_max * 1.01.
+def default_grid_edges(r_min: float, r_max: float) -> np.ndarray:
+    """Edges of N_BINS geometric bins from r_min/2 to r_max * 1.01.
 
     Geometric spacing resolves the many-decades radius range that opens
     up during focusing.
     """
     if not (r_min > 0 and r_max >= r_min):
         raise ValueError("need 0 < r_min <= r_max")
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
-    return np.geomspace(0.5 * r_min, 1.01 * r_max, n_bins + 1)
+    return np.geomspace(0.5 * r_min, 1.01 * r_max, N_BINS + 1)
 
 
 def density_estimate(index: SortedMassIndex, bin_edges: np.ndarray) -> DensityGrid:
@@ -303,17 +301,14 @@ class SupNorms:
     r_max: float
 
 
-def sup_norms(index: SortedMassIndex, n_bins: int = N_BINS) -> SupNorms:
-    """Sup norms of the state that index was built from.
-
-    The density is binned from the index on
-    default_grid_edges(r_min, r_max, n_bins).
-    """
+def sup_norms(index: SortedMassIndex) -> SupNorms:
+    """Sup norms of the state that index was built from; the density is
+    binned from the index on default_grid_edges(r_min, r_max)."""
     if len(index) == 0:
         raise ValueError("sup norms are undefined for an empty ensemble")
     r_min = float(index.radii[0])
     r_max = float(index.radii[-1])
-    grid = density_estimate(index, default_grid_edges(r_min, r_max, n_bins))
+    grid = density_estimate(index, default_grid_edges(r_min, r_max))
     certified = 3.0 * index.total_mass / (4.0 * np.pi * r_max**3)
     return SupNorms(
         rho_sup_binned=float(np.max(grid.bin_values)),

@@ -13,9 +13,13 @@ velocity scale a1 < 0 and thinness parameter eps:
 Both families use one construction, f0 = H_eps(|a1 x - a0 v|^2) phi(|x|),
 which in reduced coordinates reads
 H_eps((a1 r - a0 w)^2 + a0^2 l / r^2) phi(r).  The velocity profile
-H_eps (bump_profile) and the radial cutoff phi (smooth_cutoff) are fixed
-functions of the spec's eps, a0 and delta_r, so a ClassSpec and a scale
-are the whole description of the data.
+H_eps(s) = H(s/eps^2)/eps^3, with H(s) = c exp(-1/(1-s)) on [0, 1) and 0
+for s >= 1, and the radial cutoff phi, a smooth step from 0 at
+a0 - delta_r to 1 on [a0 - delta_r/2, a0 + delta_r/2] mirrored about a0,
+are fixed functions of the spec's eps, a0 and delta_r, so a ClassSpec
+and a scale are the whole description of the data.  c is fixed by
+BUMP_INTEGRAL so H_eps(|u|^2) integrates to 3/(4 pi) over 3-space for
+every eps.
 
 sample_ensemble evaluates f0 on a midpoint grid in (r, w, ell) in two
 passes: the profile's argument t = s/eps^2 on every cell, then H_eps, phi
@@ -120,22 +124,6 @@ def _bump(s: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def bump_profile(s, eps: float = 1.0):
-    """Velocity profile H_eps(s) = H(s/eps^2)/eps^3 of the smooth bump
-    H(s) = c exp(-1/(1-s)) on [0, 1), zero for s >= 1.
-
-    c is fixed by BUMP_INTEGRAL so H_eps(|u|^2) integrates to 3/(4 pi)
-    over 3-space for every eps; H_eps vanishes for s >= eps^2.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("profile argument must be nonnegative")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    out = _bump(s, eps)
-    return float(out) if out.ndim == 0 else out
-
-
 def _smooth_rise(t: np.ndarray) -> np.ndarray:
     # C-infinity step: 0 for t <= 0, 1 for t >= 1.
     t = np.asarray(t, dtype=float)
@@ -149,24 +137,12 @@ def _smooth_rise(t: np.ndarray) -> np.ndarray:
 
 
 def _cutoff(r: np.ndarray, a0: float, delta_r: float) -> np.ndarray:
-    # smooth_cutoff on a float array, unchecked.
+    # phi(r) on a float array, unchecked: 0 outside (a0 - delta_r, a0 + delta_r)
+    # and exactly 1 on [a0 - delta_r/2, a0 + delta_r/2].
     half = 0.5 * delta_r
     left = _smooth_rise((r - (a0 - delta_r)) / half)
     right = _smooth_rise(((a0 + delta_r) - r) / half)
     return np.where(r < a0, left, right)
-
-
-def smooth_cutoff(r, a0: float, delta_r: float):
-    """Radial cutoff phi(r) built from the smooth step.
-
-    0 outside (a0 - delta_r, a0 + delta_r), rising to 1 at
-    a0 - delta_r/2 and mirrored on the right; exactly 1 on the closed
-    plateau [a0 - delta_r/2, a0 + delta_r/2], values in [0, 1].
-    """
-    if not (a0 > 0 and delta_r > 0):
-        raise ValueError("a0 and delta_r must be positive")
-    out = _cutoff(np.asarray(r, dtype=float), a0, delta_r)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -202,9 +178,8 @@ def _require_positive_radii(r: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class InitialData:
-    """The density f0 = scale * H_eps(s) * phi(r) of a spec, where H_eps is
-    bump_profile at the spec's eps and phi is smooth_cutoff at its a0 and
-    delta_r.
+    """The density f0 = scale * H_eps(s) * phi(r) of a spec, with H_eps at
+    the spec's eps and phi at its a0 and delta_r (see the module docstring).
 
     scale is 1 for the small-density family and target_mass/||f0||_1 for
     the fixed-mass family, so evaluate() returns the final density.

@@ -447,9 +447,11 @@ def load_run_data(out_dir) -> RunResult:
 
     Raises RecordError unless the manifest lists [snapshots] count files
     and ascending times from the first to the last time of rows.csv,
-    every snapshot and shells.csv has [run] n_shells rows, and the id,
-    ell, weight, r_final and w_final columns of shells.csv are bitwise
-    equal to the final snapshot's.
+    [run] steps is at least one less than rows.csv's rows (a step adds at
+    most one), every snapshot and shells.csv has [run] n_shells rows, the
+    id, ell and weight columns of every snapshot, which a run never
+    changes, and the r_final and w_final columns of shells.csv are
+    bitwise equal to the final snapshot's.
     """
     out = Path(out_dir)
     table = _read_table(out / "rows.csv", ROWS_COLUMNS)
@@ -470,6 +472,8 @@ def load_run_data(out_dir) -> RunResult:
             raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")
         n_shells = int(manifest["run"]["n_shells"])
         steps = int(manifest["run"]["steps"])
+        if steps < len(rows) - 1:
+            raise ValueError(f"[run] steps = {steps} is too few for rows.csv's {len(rows)} rows")
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
@@ -480,6 +484,11 @@ def load_run_data(out_dir) -> RunResult:
     for name, length in lengths:
         if length != n_shells:
             raise RecordError(f"{out / name}: {length} rows, [run] n_shells is {n_shells}")
+    final = _columns(snapshots[-1][1], SNAPSHOT_COLUMNS)
+    for name, (_, ens) in zip(files, snapshots):
+        for column in ("id", "ell", "weight"):
+            if getattr(ens, SNAPSHOT_COLUMNS[column]).tobytes() != final[column].tobytes():
+                raise RecordError(f"{out / name}: column {column} differs from {files[-1]}")
 
     run = RunResult(
         rows=rows,

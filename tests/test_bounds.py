@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from vpshell import (
     confinement_lower_bounds,
-    envelope_minimum,
     free_motion_radius_squared,
     infall_envelope,
     turning_point_bound,
@@ -101,14 +100,18 @@ class TestEnvelope:
 
     @given(y0=positive, y1=positive, L=positive, P=st.floats(0.0, 1e2))
     def test_minimum_equals_turning_radius_squared(self, y0, y1, L, P):
-        t_min, value = envelope_minimum(L=L, P=P, y0=y0, y1=-y1)
+        # the parabola (y0 + y1 t)^2 + c t^2, c = L/y0^2 + P/y0, is least
+        # at t = -y1 y0 / (y1^2 + c), and its value there is y_star^2
+        t_min = y1 * y0 / (y1**2 + L / y0**2 + P / y0)
+        value = infall_envelope(L=L, P=P, y0=y0, y1=-y1, t=t_min)
         tb = turning_point_bound(L=L, P=P, y0=y0, y1=-y1)
         assert t_min > 0.0
         assert value == pytest.approx(tb.y_star**2, rel=1e-12)
 
     @given(y0=positive, y1=positive, L=positive)
     def test_minimum_is_global(self, y0, y1, L):
-        t_min, value = envelope_minimum(L=L, P=0.0, y0=y0, y1=-y1)
+        t_min = y1 * y0 / (y1**2 + L / y0**2)
+        value = infall_envelope(L=L, P=0.0, y0=y0, y1=-y1, t=t_min)
         probes = t_min * np.array([0.0, 0.5, 0.9, 1.1, 2.0])
         env = infall_envelope(L=L, P=0.0, y0=y0, y1=-y1, t=probes)
         assert np.all(env >= value * (1.0 - 1e-12))

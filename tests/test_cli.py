@@ -252,6 +252,18 @@ def _collapsed_radial_grid(command):
     return argv
 
 
+def _unallocatable_grid(command):
+    """A radial grid of 1e14 cells, whose 728 TiB np.arange numpy refuses
+    before any memory is touched.  Only a grid that no machine can
+    allocate belongs here: one numpy could allocate would be filled."""
+    def argv(ws):
+        config = save_run_config(
+            RunSetup(certificate_path="cert.ini", n_r=10**14, n_w=8, n_ell=6), ws / "huge.ini"
+        )
+        return [command, "--config", str(config), "--out", str(ws / command)]
+    return argv
+
+
 def _run_t_end_nan(ws):
     config = save_run_config(
         RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6, t_end=float("nan"),
@@ -282,6 +294,8 @@ USAGE_ERRORS = {
     "run-t_end-nan": _run_t_end_nan,
     "init-collapsed-radial-grid": _collapsed_radial_grid("init"),
     "run-collapsed-radial-grid": _collapsed_radial_grid("run"),
+    "init-unallocatable-grid": _unallocatable_grid("init"),
+    "run-unallocatable-grid": _unallocatable_grid("run"),
 }
 
 

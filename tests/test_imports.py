@@ -1,6 +1,7 @@
-"""Every name a source module imports is used in it, and every private
-module-level name is used somewhere in the package.  An import kept on
-purpose carries `# noqa: F401` on its line, as flake8 and ruff read it."""
+"""Every name a source module imports is used in it, every private
+module-level name is used somewhere in the package, and every name the
+package exports is used by its pipeline.  An import kept on purpose
+carries `# noqa: F401` on its line, as flake8 and ruff read it."""
 
 import ast
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "vpshell").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "vpshell").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
@@ -85,3 +87,47 @@ def test_only_the_ini_writer_and_reader_make_a_parser():
         if isinstance(node, ast.Name) and node.id == "_new_parser"
     }
     assert users == {"_write_ini", "_reading_ini"}
+
+
+# Exported for its tests alone: they check the paper's reduction from
+# (x, v) to (r, w, ell) both ways, and only to_radial's way is run.
+EXPORTED_FOR_TESTS = {"from_radial"}
+
+
+def _references(tree) -> set:
+    """Names a module refers to: loaded names, attributes, imported names
+    and string constants (bench/tracing.py names what it patches), leaving
+    out each top-level definition's references to its own name."""
+    used = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                found = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = {node.value}
+            else:
+                continue
+            used |= found - {own}
+    return used
+
+
+def test_every_export_is_used_by_the_pipeline():
+    """A name vpshell exports is used by another part of src/, by bench/ or
+    by tests/test_acceptance.py; one that only its own tests call is dead
+    code with a test around it."""
+    init = next(p for p in PACKAGE if p.name == "__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in users))
+    assert sorted(exported - used - EXPORTED_FOR_TESTS) == []
+    assert EXPORTED_FOR_TESTS <= exported - used  # the exception is still needed

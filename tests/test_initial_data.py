@@ -12,13 +12,11 @@ from vpshell import (
     ClassSpec,
     EmptyEnsembleError,
     InitialData,
-    bump_profile,
     check_membership,
     derived_bounds,
     design_fixed_mass,
     design_small_data,
     sample_ensemble,
-    smooth_cutoff,
 )
 from vpshell.initial_data import BUMP_INTEGRAL, PROFILE_NORMALIZATION, RISE_MOMENT
 from vpshell.phase_space import REDUCED_MEASURE
@@ -31,9 +29,25 @@ def canonical_data(a0=1.0, eps=0.2, a1=None, target_mass=None):
     return InitialData.from_spec(spec)
 
 
+def profile(s, eps=1.0):
+    """H_eps(s) as f0 carries it: evaluate_reduced at r = a0 = 1, w = a1,
+    ell = s, where the profile's argument is s, phi is 1 and scale is 1."""
+    data = canonical_data(eps=eps)
+    return data.evaluate_reduced(data.spec.a0, data.spec.a1, s)
+
+
+def cutoff(r, eps=0.2):
+    """phi(r) at a0 = 1 and delta_r = eps^3, as rho0 / (PROFILE_NORMALIZATION
+    / a0^3) reads it; exact where phi is 0 or 1."""
+    data = canonical_data(eps=eps)
+    return data.rho0(r) / (PROFILE_NORMALIZATION / data.spec.a0**3)
+
+
 def space_integral(eps=1.0):
     """4 pi * integral of H_eps(u^2) u^2 du over the profile's support u < eps."""
-    val, _ = quad(lambda u: bump_profile(u * u, eps) * u * u, 0.0, eps, limit=200)
+    data = canonical_data(eps=eps)
+    a0, a1 = data.spec.a0, data.spec.a1
+    val, _ = quad(lambda u: data.evaluate_reduced(a0, a1, u * u) * u * u, 0.0, eps, limit=200)
     return 4.0 * np.pi * val
 
 
@@ -59,24 +73,27 @@ class TestProfile:
 
     def test_rescaled_support_shrinks(self):
         # support shrinks to s < eps^2 = 0.25
-        assert bump_profile(0.25, 0.5) == 0.0
-        assert bump_profile(0.3, 0.5) == 0.0
-        assert bump_profile(0.2, 0.5) > 0.0
+        assert profile(0.25, 0.5) == 0.0
+        assert profile(0.3, 0.5) == 0.0
+        assert profile(0.2, 0.5) > 0.0
         # peak value scales like eps^-3
-        assert bump_profile(0.0, 0.5) == pytest.approx(8.0 * bump_profile(0.0), rel=1e-12)
+        assert profile(0.0, 0.5) == pytest.approx(8.0 * profile(0.0), rel=1e-12)
 
     def test_rescale_rejects_bad_eps(self):
+        # ClassSpec refuses these, so no InitialData evaluates H_eps at them
         for eps in (0.0, -0.5, np.nan):
-            with pytest.raises(ValueError):
-                bump_profile(0.1, eps)
+            with pytest.raises(ValueError, match="eps"):
+                canonical_data(eps=eps, a1=-1.0)
 
     def test_profile_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            bump_profile(-0.1)
+        # s = (a1 r - a0 w)^2 + a0^2 ell / r^2 is negative only for ell < 0
+        data = canonical_data(eps=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            data.evaluate_reduced(data.spec.a0, data.spec.a1, -0.1)
 
     def test_vector_evaluation(self):
         s = np.array([0.0, 0.5, 0.99, 1.0, 2.0])
-        v = bump_profile(s)
+        v = profile(s)
         assert v.shape == s.shape
         assert v[3] == 0.0 and v[4] == 0.0
         assert np.all(v[:3] > 0.0)
@@ -84,24 +101,29 @@ class TestProfile:
 
 class TestCutoff:
     def test_plateau_and_support(self):
-        a0, dr = 1.0, 0.008
+        a0, dr = 1.0, 0.2**3
         # exactly 1 on the closed inner plateau, exactly 0 outside
         for r in (a0 - dr / 2, a0, a0 + dr / 2):
-            assert smooth_cutoff(r, a0, dr) == 1.0
+            assert cutoff(r) == 1.0
         for r in (a0 - dr, a0 - 2 * dr, a0 + dr, a0 + 2 * dr):
-            assert smooth_cutoff(r, a0, dr) == 0.0
+            assert cutoff(r) == 0.0
 
     def test_values_in_unit_interval_and_monotone_rise(self):
         r = np.linspace(1.0 - 0.008, 1.0 - 0.004, 50)
-        v = smooth_cutoff(r, 1.0, 0.008)
+        v = cutoff(r)
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert np.all(np.diff(v) >= 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            smooth_cutoff(1.0, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            smooth_cutoff(1.0, 1.0, 0.0)
+        # phi's a0 and delta_r = eps^3 come from a ClassSpec, which refuses
+        # a0 <= 0 and eps <= 0; rho0 refuses a radius that is not positive
+        with pytest.raises(ValueError, match="a0"):
+            ClassSpec(a0=-1.0, a1=-1.0, eps=0.1)
+        with pytest.raises(ValueError, match="eps"):
+            ClassSpec(a0=1.0, a1=-1.0, eps=0.0)
+        for r in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                cutoff(r)
 
 
 class TestClassSpec:
@@ -156,7 +178,9 @@ class TestInitialData:
         f_cart = data.evaluate([a0, 0.0, 0.0], [a1, 0.0, 0.0])
         f_red = data.evaluate_reduced(a0, a1, 0.0)
         assert f_cart == f_red
-        assert f_cart == data.scale * bump_profile(0.0, data.spec.eps)
+        # the comoving point is the profile's peak, c exp(-1) / eps^3
+        c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
+        assert f_cart == pytest.approx(data.scale * c * np.exp(-1.0) / data.spec.eps**3, rel=1e-15)
 
     def test_data_is_its_spec_and_scale(self):
         spec = ClassSpec(a0=1.0, a1=-25.0, eps=0.2, target_mass=1.0)
@@ -382,17 +406,13 @@ def _loop_rho0(data, radii):
     nodes, wts = leggauss(N_QUAD)
     vals = np.zeros_like(radii)
     for i, ri in enumerate(radii):
-        phi_r = float(smooth_cutoff(ri, spec.a0, spec.delta_r))
-        if phi_r == 0.0:
-            continue
         w_half = np.sqrt(s_max) / spec.a0
         w_nodes = spec.a1 * ri / spec.a0 + w_half * nodes
         s1 = (spec.a1 * ri - spec.a0 * w_nodes) ** 2
         ell_top = ri**2 * np.clip(s_max - s1, 0.0, None) / spec.a0**2
         ell_nodes = 0.5 * ell_top[:, None] * (nodes[None, :] + 1.0)
         ell_weights = 0.5 * ell_top[:, None] * wts[None, :]
-        s_grid = s1[:, None] + spec.a0**2 * ell_nodes / ri**2
-        f_grid = data.scale * bump_profile(s_grid, spec.eps) * phi_r
+        f_grid = data.evaluate_reduced(ri, w_nodes[:, None], ell_nodes)
         inner = np.sum(f_grid * ell_weights, axis=1)
         vals[i] = np.pi / ri**2 * np.sum(inner * (w_half * wts))
     return vals

@@ -7,7 +7,9 @@ edited record, or the record of a `vpshell run` made with the changed
 code: it exits nonzero and, where the row names one, prints the
 refusal.  A bound mutant, a weakened bound formula, is caught when the
 1000-case oracle suite finds a violation.  A sample that is not its
-data's is caught when check_membership fails it.  A mutant no check
+data's is caught when check_membership fails it.  A run whose settings
+the code accepts but whose shells break their own proven bounds is
+caught when `vpshell verify` fails it.  A mutant no check
 catches yet is xfail(strict=True) with the ROADMAP item that would
 catch it as its reason, so the change that kills it must remove the
 marker.
@@ -29,9 +31,16 @@ from vpshell import (
     dynamics,
     oracle_suite,
     sample_ensemble,
+    turning_point_bound,
 )
 from vpshell.field import SortedMassIndex
-from vpshell.reporting import RunSetup, load_run_data, save_run_config, save_snapshot
+from vpshell.reporting import (
+    RunSetup,
+    load_certificate,
+    load_run_data,
+    save_run_config,
+    save_snapshot,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +68,11 @@ def _scale_snapshot_0(run_dir):
     ))
 
 
+def _move_snapshot_0(run_dir):
+    """Snapshot 0 with r x3 and w x0.1, its ids, ell and weights kept."""
+    _edit_snapshot(run_dir, 0, lambda ens: dataclasses.replace(ens, r=ens.r * 3.0, w=ens.w * 0.1))
+
+
 def _nudge_one_final_weight(run_dir):
     """The final snapshot's weight x(1 + 1e-15) on one shell, a few ulp."""
 
@@ -73,7 +87,10 @@ def _nudge_one_final_weight(run_dir):
 
 MUTANTS = [
     pytest.param(
-        _scale_snapshot_0, None, id="snapshot-0-scaled",
+        _scale_snapshot_0, "snapshot_000.csv: column weight differs", id="snapshot-0-scaled",
+    ),
+    pytest.param(
+        _move_snapshot_0, None, id="snapshot-0-moved",
         marks=pytest.mark.xfail(strict=True, reason="item 1"),
     ),
     pytest.param(
@@ -197,3 +214,27 @@ def test_membership_catches_the_fixed_mass_sample_off_rho0():
     density = np.bincount(cell, ens.weight) / (4.0 * np.pi * radii**2 * ((r_hi - r_lo) / n_r))
     assert np.min(density / data.rho0(radii)) < 0.9  # the sample is off
     assert not check_membership(data, ens).passed
+
+
+@pytest.mark.xfail(strict=True, reason="item 2")
+def test_verify_catches_a_shell_turning_before_its_bound(tmp_path):
+    """The focus certificate C1 = 32, C2 = 1e-7, eps = 0.05 on an 8x8x6
+    grid, run to 3T with dt_max = 3T/150 at cfl = 1, which
+    IntegratorConfig allows (170 steps).  A shell turns at 0.988 of the
+    t0_lower its own turning_point_bound proves, with P the total mass;
+    at cfl = 0.2 the least ratio is 1.000069."""
+    design = ["design", "--c1", "32", "--c2", "1e-7", "--eps", "0.05", "--out", str(tmp_path / "cert.ini")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(design) == 0
+        t = load_certificate(tmp_path / "cert.ini").t_horizon
+        setup = RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6,
+                         t_end=3.0 * t, dt_max=3.0 * t / 150.0, cfl=1.0)
+        save_run_config(setup, tmp_path / "run.ini")
+        assert cli.main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "run")]) == 0
+    run = load_run_data(tmp_path / "run")
+    start = run.snapshots[0][1]
+    bound = turning_point_bound(start.ell, start.total_mass, start.r, start.w)
+    assert np.min(run.turning_time / bound.t0_lower) < 0.99  # the run is off
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", str(tmp_path / "run"), str(tmp_path / "cert.ini")])
+    assert code == 1

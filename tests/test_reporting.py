@@ -478,9 +478,12 @@ class TestTableWriter:
         for k, (_, ens) in enumerate(snapshots):
             columns = {name: getattr(ens, attr) for name, attr in SNAPSHOT_COLUMNS.items()}
             assert (out / f"snapshot_{k:03d}.csv").read_bytes() == _csv_writer_table(columns)
-        summary = load_run_data(out)
-        for (_, read), (_, written) in zip(summary.snapshots, snapshots):
-            assert read.ell.tobytes() == written.ell.tobytes()
+        for k, (_, written) in enumerate(snapshots):
+            read = _read_table(out / f"snapshot_{k:03d}.csv", SNAPSHOT_COLUMNS)
+            assert read["ell"].tobytes() == written.ell.tobytes()
+        # a run never changes ell, so its record is not one a run makes
+        with pytest.raises(RecordError, match=r"snapshot_000\.csv: column ell differs"):
+            load_run_data(out)
 
 
 @st.composite
@@ -569,6 +572,21 @@ def _edit_manifest(old, new):
     return edit
 
 
+def _edit_snapshot_0(column, edit):
+    def tamper(out):
+        table = _read_table(out / "snapshot_000.csv", SNAPSHOT_COLUMNS)
+        table[column] = edit(table[column])
+        _write_table(out / "snapshot_000.csv", table)
+    return tamper
+
+
+def _set_manifest_steps(steps):
+    def edit(out):
+        text = (out / "manifest.ini").read_text()
+        (out / "manifest.ini").write_text(re.sub(r"^steps = \d+$", f"steps = {steps}", text, flags=re.M))
+    return edit
+
+
 class TestRunDirectoryIntegrity:
     @pytest.mark.parametrize(
         "tamper",
@@ -589,6 +607,31 @@ class TestRunDirectoryIntegrity:
         load_run_data(out)
         tamper(out)
         with pytest.raises(RecordError):
+            load_run_data(out)
+
+    @pytest.mark.parametrize(
+        "tamper, refusal",
+        [
+            (_edit_snapshot_0("id", lambda ids: np.concatenate([[999999], ids[1:]])),
+             r"snapshot_000\.csv: column id differs from snapshot_001\.csv"),
+            (_edit_snapshot_0("ell", lambda ell: ell * 2.0),
+             r"snapshot_000\.csv: column ell differs from snapshot_001\.csv"),
+            (_edit_snapshot_0("weight", lambda weight: weight * 0.5),
+             r"snapshot_000\.csv: column weight differs from snapshot_001\.csv"),
+            (_set_manifest_steps(-5),
+             r"manifest\.ini: \[run\] steps = -5 is too few for rows\.csv's \d+ rows"),
+        ],
+        ids=["snapshot-0-id", "snapshot-0-ell-doubled", "snapshot-0-weight-halved", "steps-negative"],
+    )
+    def test_record_no_run_makes_is_refused_naming_its_file(
+        self, tmp_path, small_run, tamper, refusal
+    ):
+        """A run never changes a shell's id, ell or weight, and each step
+        adds at most one row."""
+        cert, setup, result = small_run
+        out = save_run(result, cert, setup, tmp_path / "out")
+        tamper(out)
+        with pytest.raises(RecordError, match=refusal):
             load_run_data(out)
 
 
