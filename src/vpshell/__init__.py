@@ -26,6 +26,7 @@ from .design import (
     BoundsCertificate,
     InadmissibleParameterError,
     RefusalError,
+    check_membership,
     decay_slope,
     design_fixed_mass,
     design_small_data,
@@ -53,7 +54,6 @@ from .initial_data import (
     ClassSpec,
     EmptyEnsembleError,
     InitialData,
-    check_membership,
     derived_bounds,
     sample_ensemble,
 )

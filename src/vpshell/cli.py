@@ -13,8 +13,9 @@ Exit codes, mapped from exceptions in main alone: 0 success / all
 checks pass, 1 a check failed or the run (too stiff, out of steps) or the
 oracle aborted, 2 usage error or refusal (bad argument, missing file or
 key, unread run config key, t_end beyond MAX_STEPS steps of dt_max, a
-grid too large to allocate, inconsistent run record, run not made from
-the certificate or stopped before T).
+grid too large to allocate, a certificate whose recipe and class
+disagree, inconsistent run record, run not made from the certificate or
+stopped before T).
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -30,12 +31,13 @@ from pathlib import Path
 from .design import (
     InadmissibleParameterError,
     RefusalError,
+    check_membership,
     design_fixed_mass,
     design_small_data,
     verify_focusing_run,
 )
 from .dynamics import OracleError, StepBudgetError, StiffnessError, integrate
-from .initial_data import InitialData, check_membership, sample_ensemble
+from .initial_data import InitialData, sample_ensemble
 from .reporting import (
     load_certificate,
     load_run_config,

@@ -1,5 +1,6 @@
 """Parameter recipes for the two focusing regimes, their certificates,
-and verification of a completed run against a certificate.
+and the checks of both the data and the run against a certificate's
+class.
 
 Both recipes take target constants C1 and C2 and emit a certificate: a
 machine-checkable record of the derived initial-data parameters and the
@@ -14,15 +15,20 @@ predicted bounds.
   infall concentrates near the origin at time T with certified lower
   bounds exceeding C2 for admissible eps.
 
-verify_focusing_run replays the certificate's claims against a
-dynamics.RunResult, as integrate returns it or reporting.load_run_data
-reads it back, in five stages: (i) time-zero sup-norm bounds, (ii) total
-mass, (iii) all turning times beyond T, (iv) all radii at T within the
-predicted confinement radius, (v) certified sup-norm lower bounds at T;
-_stage keeps a stage's witness shell only when it fails.  An
-inadmissible eps can be forced through with exploratory=True, which
-marks the certificate, skips stages (i) and (ii) and checks the
-certificate's own scaled predictions instead of C2.
+Every check is a StageResult built by _stage, which keeps a stage's
+witness shell only when it fails.  check_membership checks a sampled
+ensemble and its data against the class's conditions on the initial
+data: the support per shell, the closed-form density (small-density
+family) and the total mass.  verify_focusing_run replays the
+certificate's claims against a dynamics.RunResult, as integrate returns
+it or reporting.load_run_data reads it back, in five stages: (i)
+time-zero sup-norm bounds, (ii) total mass, (iii) all turning times
+beyond T, (iv) all radii at T within the predicted confinement radius,
+(v) certified sup-norm lower bounds at T.  Membership and stage (ii)
+share one mass rule, _mass_stage.  An inadmissible eps can be forced
+through with exploratory=True, which marks the certificate, skips
+stages (i) and (ii) and checks the certificate's own scaled predictions
+instead of C2.
 """
 
 from __future__ import annotations
@@ -36,8 +42,21 @@ import numpy as np
 
 from .bounds import confinement_lower_bounds
 from .dynamics import RunResult
-from .initial_data import MASS_REL_TOL, ClassSpec, derived_bounds
+from .initial_data import (
+    PROFILE_NORMALIZATION,
+    ClassSpec,
+    InitialData,
+    derived_bounds,
+    profile_argument,
+)
+from .phase_space import Ensemble
 
+# Radii sampled by each density membership stage.
+N_RHO_SAMPLES = 33
+# Relative tolerance of the density bound and plateau stages.
+RHO_REL_TOL = 1e-6
+# Relative tolerance of a fixed-mass total against C1.
+MASS_REL_TOL = 1e-12
 # Relative headroom of the binned time-zero density over its cap.
 RHO_BIN_SLACK = 0.5
 # Relative headroom of the radii at T over the confinement radius.
@@ -86,11 +105,20 @@ class BoundsCertificate:
 
     def __post_init__(self):
         # verify_focusing_run checks the time-zero bounds of every small-data
-        # certificate, so one read back without them must not get that far
+        # certificate, and _mass_stage reads the mass rule off the class, so
+        # one read back without them, or with a class its recipe does not
+        # make, must not get that far
         if self.recipe not in ("small-data", "fixed-mass"):
             raise ValueError(f"unknown recipe {self.recipe!r}")
         if self.recipe == "small-data" and None in (self.rho0_sup_bound, self.e0_sup_bound):
             raise ValueError("a small-data certificate needs rho0_sup_bound and e0_sup_bound")
+        want = self.c1 if self.recipe == "fixed-mass" else None
+        if self.spec.target_mass != want:
+            need = "absent" if want is None else f"equal to c1 = {want!r}"
+            raise ValueError(
+                f"a {self.recipe} certificate needs target_mass {need}, "
+                f"got {self.spec.target_mass!r}"
+            )
 
 
 def _validate_targets(c1: float, c2: float):
@@ -205,7 +233,7 @@ def design_fixed_mass(
     )
 
 
-# Every status a verification stage can have.
+# Every status a stage can have.
 STAGE_STATUSES = ("pass", "fail", "skipped")
 
 
@@ -215,6 +243,26 @@ class StageResult:
     status: str  # one of STAGE_STATUSES
     detail: str
     witness_id: Optional[int] = None
+
+
+def _stage_lines(head: str, stages) -> str:
+    lines = [head]
+    for s in stages:
+        suffix = f" [witness shell {s.witness_id}]" if s.witness_id is not None else ""
+        lines.append(f"  {s.status:7s} {s.name}: {s.detail}{suffix}")
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    stages: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(s.status != "fail" for s in self.stages)
+
+    def __str__(self) -> str:
+        return _stage_lines("membership", self.stages)
 
 
 @dataclass(frozen=True)
@@ -231,11 +279,7 @@ class VerificationReport:
 
     def __str__(self) -> str:
         head = "verification (exploratory certificate)" if self.exploratory else "verification"
-        lines = [head]
-        for s in self.stages:
-            suffix = f" [witness shell {s.witness_id}]" if s.witness_id is not None else ""
-            lines.append(f"  {s.status:7s} {s.name}: {s.detail}{suffix}")
-        return "\n".join(lines)
+        return _stage_lines(head, self.stages)
 
 
 def _stage(name: str, ok, detail: str, witness: Optional[int] = None) -> StageResult:
@@ -244,30 +288,99 @@ def _stage(name: str, ok, detail: str, witness: Optional[int] = None) -> StageRe
     return StageResult(name, "pass" if ok else "fail", detail, None if ok else witness)
 
 
+def _mass_stage(spec: ClassSpec, mass: float) -> StageResult:
+    """The total-mass stage of membership and of verification: a fixed-mass
+    total within MASS_REL_TOL of C1, any other inside the mass sandwich."""
+    if spec.is_fixed_mass:
+        rel = abs(mass / spec.target_mass - 1.0)
+        ok = rel <= MASS_REL_TOL
+        detail = f"mass {mass!r} vs C1 {spec.target_mass!r}, rel err {rel:.3e}"
+    else:
+        db = derived_bounds(spec)
+        ok = db.mass_lower <= mass <= db.mass_upper
+        detail = f"mass {mass:.6e} in sandwich [{db.mass_lower:.6e}, {db.mass_upper:.6e}]"
+    return _stage("total-mass", ok, detail)
+
+
+def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
+    """Check an ensemble and its generating data against the class's
+    conditions on the initial data, stage by stage.
+
+    The support conditions are checked per shell, and a failed one names
+    its worst shell; the density conditions of the small-density family,
+    the bound and the plateau equality, are checked on the closed-form
+    continuum density rho0 at N_RHO_SAMPLES radii, up to RHO_REL_TOL; the
+    weight sum is checked by _mass_stage, as verification's stage (ii).
+    """
+    spec = data.spec
+    r, w, ell = ensemble.r, ensemble.w, ensemble.ell
+    s = profile_argument(spec, r, w, ell)
+    per_shell = (  # (name, margin that must be > 0, detail of the least margin)
+        # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2, i.e.
+        # s < eps^2, a form that does not cancel at large a0
+        ("support-ellipse", (spec.eps**2 - s) / spec.a1**2, "min margin {:.3e} (must be > 0)"),
+        # radial shell: a0 - delta_r < r < a0 + delta_r
+        ("radial-shell", np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r),
+         "min distance to shell edge {:.3e}"),
+        # velocity window: w in (a1 - delta_w, a1 + delta_w)
+        ("velocity-window", np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w),
+         "min distance to window edge {:.3e}"),
+        # angular momentum bound: ell < (r/a0)^2 eps^2
+        ("ell-bound", (r / spec.a0) ** 2 * spec.eps**2 - ell, "min margin {:.3e}"),
+    )
+    stages = []
+    for name, margin, detail in per_shell:
+        worst = int(np.argmin(margin))
+        detail = detail.format(float(margin[worst]))
+        stages.append(_stage(name, np.all(margin > 0), detail, int(ensemble.ids[worst])))
+
+    if not spec.is_fixed_mass:
+        rho_cap = PROFILE_NORMALIZATION / spec.a0**3  # 3/(4 pi a0^3), as rho0 computes it
+        # density bound everywhere (sampled across the shell and just outside)
+        radii = np.linspace(
+            spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES
+        )
+        peak = float(np.max(data.rho0(radii))) / rho_cap
+        stages.append(_stage(
+            "density-bound",
+            peak <= 1.0 + RHO_REL_TOL,
+            f"max rho0 / cap = {peak:.12f} (tol {RHO_REL_TOL:g})",
+        ))
+        # plateau equality on [a0 - delta_r/2, a0 + delta_r/2]
+        plateau = np.linspace(
+            spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, N_RHO_SAMPLES
+        )
+        rel_err = float(np.max(np.abs(data.rho0(plateau) / rho_cap - 1.0)))
+        stages.append(_stage(
+            "density-plateau",
+            rel_err <= RHO_REL_TOL,
+            f"max relative deviation {rel_err:.3e} (tol {RHO_REL_TOL:g})",
+        ))
+    stages.append(_mass_stage(spec, ensemble.total_mass))
+    return MembershipReport(stages=tuple(stages))
+
+
 def verify_focusing_run(run: RunResult, cert: BoundsCertificate) -> VerificationReport:
     """Check a completed run against its certificate, stage by stage.
 
     The binned density at time zero is only compared up to RHO_BIN_SLACK
     because column quantization makes the histogram noisy on a thin
     shell; the continuum density bound is checked on the closed-form rho0
-    when the data are made (membership checks), and the certified bound
+    when the data are made (check_membership), and the certified bound
     and the exact field sup are checked without slack.  The radii at T are
-    compared up to RADIUS_REL_SLACK, and a fixed-mass run's total mass
-    up to initial_data.MASS_REL_TOL.
+    compared up to RADIUS_REL_SLACK, and the total mass by _mass_stage.
     """
     t_target = cert.t_horizon
-    mass = run.final.total_mass
     # (i) time-zero sup-norm bounds and (ii) total mass
     if cert.exploratory:
         stages = [
             StageResult(name, "skipped", "exploratory certificate")
             for name in ("initial-sup-norms", "total-mass")
         ]
-    elif cert.recipe == "small-data":
-        row0 = run.rows[0]
-        db = derived_bounds(cert.spec)
-        stages = [
-            _stage(
+    else:
+        if cert.recipe == "small-data":
+            row0 = run.rows[0]
+            initial = _stage(
                 "initial-sup-norms",
                 row0.e_sup_exact <= cert.e0_sup_bound
                 and row0.rho_sup_certified <= cert.rho0_sup_bound
@@ -275,25 +388,12 @@ def verify_focusing_run(run: RunResult, cert: BoundsCertificate) -> Verification
                 f"E {row0.e_sup_exact:.6g} <= {cert.e0_sup_bound:.6g}; "
                 f"rho certified {row0.rho_sup_certified:.6g} <= {cert.rho0_sup_bound:.6g}; "
                 f"rho binned {row0.rho_sup_binned:.6g} <= cap*(1+{RHO_BIN_SLACK:g})",
-            ),
-            _stage(
-                "total-mass",
-                db.mass_lower <= mass <= db.mass_upper,
-                f"mass {mass:.6e} in sandwich [{db.mass_lower:.6e}, {db.mass_upper:.6e}]",
-            ),
-        ]
-    else:
-        rel = abs(mass / cert.c1 - 1.0)
-        stages = [
-            StageResult(
+            )
+        else:
+            initial = StageResult(
                 "initial-sup-norms", "skipped", "fixed-mass recipe makes no time-zero claims"
-            ),
-            _stage(
-                "total-mass",
-                rel <= MASS_REL_TOL,
-                f"mass {mass!r} vs C1 {cert.c1!r}, rel err {rel:.3e}",
-            ),
-        ]
+            )
+        stages = [initial, _mass_stage(cert.spec, run.final.total_mass)]
 
     # (iii) every turning time beyond T
     margin = run.turning_time - t_target

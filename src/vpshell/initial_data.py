@@ -1,4 +1,4 @@
-"""Construction, validation, and sampling of thin-shell initial data.
+"""Construction and sampling of thin-shell initial data.
 
 Two families are supported, both describing a thin spherical shell of
 nearly radially infalling particles centered at radius a0 with inward
@@ -30,6 +30,7 @@ evaluate_reduced rounds it.
 The velocity shift integrates out of f0, so the density and the mass are
 closed forms: rho0(r) = scale * phi(r) * 3/(4 pi a0^3), the homogeneous-
 ball value on the plateau of phi, and l1_norm follows from phi's moments.
+design.check_membership checks a sample against its class.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ BUMP_INTEGRAL = 0.03510073837648729
 # adaptive quadrature at relative tolerance 1e-13 returns it; the tests
 # recompute it.  Fixes the second moment of phi about a0 in l1_norm.
 RISE_MOMENT = 0.20801118298082247
-
-# Radii sampled by each density membership check.
-N_RHO_SAMPLES = 33
-# Relative tolerance of the density bound and plateau checks.
-RHO_REL_TOL = 1e-6
-# Relative tolerance of a fixed-mass total against its target.
-MASS_REL_TOL = 1e-12
 
 
 class EmptyEnsembleError(ValueError):
@@ -166,8 +160,8 @@ def derived_bounds(spec: ClassSpec) -> DerivedBounds:
     )
 
 
-def _profile_argument(spec: ClassSpec, r, w, ell):
-    # s = |a1 x - a0 v|^2 in reduced coordinates, the argument of H_eps
+def profile_argument(spec: ClassSpec, r, w, ell):
+    """s = |a1 x - a0 v|^2 in reduced coordinates, the argument of H_eps."""
     return (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2
 
 
@@ -205,7 +199,7 @@ class InitialData:
         if np.any(ell < 0):
             raise ValueError("squared angular momentum must be nonnegative")
         spec = self.spec
-        s = _profile_argument(spec, r, w, ell)
+        s = profile_argument(spec, r, w, ell)
         out = self.scale * _bump(s, spec.eps) * _cutoff(r, spec.a0, spec.delta_r)
         return float(out) if out.ndim == 0 else out
 
@@ -286,7 +280,7 @@ def sample_ensemble(
     w_mid = w_lo + dw * (np.arange(n_w) + 0.5)
     ell_mid = dl * (np.arange(n_ell) + 0.5)  # strictly positive: no ell = 0 shell
     # t = s/eps^2 on the broadcast grid, rounded as _bump rounds it
-    t = _profile_argument(spec, r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :])
+    t = profile_argument(spec, r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :])
     t *= 1.0 / (spec.eps * spec.eps)
     ids = np.flatnonzero(t < 1.0)
     t = t.ravel()[ids]
@@ -310,131 +304,3 @@ def sample_ensemble(
         time=0.0,
     )
 
-
-@dataclass(frozen=True)
-class MembershipCheck:
-    """Outcome of a single membership condition.
-
-    hard distinguishes structural conditions (strict support inequalities,
-    the mass sandwich) from comparisons of the continuum density or of the
-    weight sum with their targets up to a relative tolerance.
-    """
-
-    name: str
-    passed: bool
-    hard: bool
-    detail: str
-    witness: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else ("FAIL" if c.hard else "miss")
-            lines.append(f"[{status}] {c.name}: {c.detail}")
-        return "\n".join(lines)
-
-
-def _check(name: str, ok, hard: bool, detail: str, witness: Optional[tuple] = None):
-    """A membership condition's outcome, keeping the witness only on a miss."""
-    ok = bool(ok)
-    return MembershipCheck(name, ok, hard, detail, None if ok else witness)
-
-
-def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
-    """Validate an ensemble and its generating data against the family
-    conditions.
-
-    Per-shell support conditions are checked on the ensemble, and a miss
-    names the worst shell (id, r, w, ell); the density conditions are
-    checked on the closed-form continuum density rho0 at N_RHO_SAMPLES
-    radii, up to RHO_REL_TOL.  The density bound and plateau equality apply
-    to the small-density family; the fixed-mass family instead requires the
-    weight sum to equal the target mass up to MASS_REL_TOL.
-    """
-    spec = data.spec
-    r, w, ell, m = ensemble.r, ensemble.w, ensemble.ell, ensemble.total_mass
-    s = _profile_argument(spec, r, w, ell)
-    per_shell = (  # (name, margin that must be > 0, detail of the least margin)
-        # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2, i.e.
-        # s < eps^2, a form that does not cancel at large a0
-        ("support-ellipse", (spec.eps**2 - s) / spec.a1**2, "min margin {:.3e} (must be > 0)"),
-        # radial shell: a0 - delta_r < r < a0 + delta_r
-        ("radial-shell", np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r),
-         "min distance to shell edge {:.3e}"),
-        # velocity window: w in (a1 - delta_w, a1 + delta_w)
-        ("velocity-window", np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w),
-         "min distance to window edge {:.3e}"),
-        # angular momentum bound: ell < (r/a0)^2 eps^2
-        ("ell-bound", (r / spec.a0) ** 2 * spec.eps**2 - ell, "min margin {:.3e}"),
-    )
-    checks = []
-    for name, margin, detail in per_shell:
-        i = int(np.argmin(margin))
-        witness = (int(ensemble.ids[i]), float(r[i]), float(w[i]), float(ell[i]))
-        detail = detail.format(float(np.min(margin)))
-        checks.append(_check(name, np.all(margin > 0), True, detail, witness))
-
-    if spec.is_fixed_mass:
-        rel = abs(m / spec.target_mass - 1.0)
-        checks.append(
-            _check(
-                "total-mass",
-                rel <= MASS_REL_TOL,
-                False,
-                f"mass {m!r} vs target {spec.target_mass!r}, rel err {rel:.3e}",
-            )
-        )
-        return MembershipReport(checks=tuple(checks))
-
-    rho_cap = PROFILE_NORMALIZATION / spec.a0**3  # 3/(4 pi a0^3), as rho0 computes it
-    # density bound everywhere (sampled across the shell and just outside)
-    radii = np.linspace(spec.a0 - 1.5 * spec.delta_r, spec.a0 + 1.5 * spec.delta_r, N_RHO_SAMPLES)
-    rho = data.rho0(radii)
-    worst = float(np.max(rho)) / rho_cap
-    checks.append(
-        _check(
-            "density-bound",
-            worst <= 1.0 + RHO_REL_TOL,
-            False,
-            f"max rho0 / cap = {worst:.12f} (tol {RHO_REL_TOL:g})",
-            (float(radii[int(np.argmax(rho))]),),
-        )
-    )
-    # plateau equality on [a0 - delta_r/2, a0 + delta_r/2]
-    plateau = np.linspace(
-        spec.a0 - 0.5 * spec.delta_r, spec.a0 + 0.5 * spec.delta_r, N_RHO_SAMPLES
-    )
-    deviation = np.abs(data.rho0(plateau) / rho_cap - 1.0)
-    rel_err = float(np.max(deviation))
-    checks.append(
-        _check(
-            "density-plateau",
-            rel_err <= RHO_REL_TOL,
-            False,
-            f"max relative deviation {rel_err:.3e} (tol {RHO_REL_TOL:g})",
-            (float(plateau[int(np.argmax(deviation))]),),
-        )
-    )
-    # mass sandwich 3 eps^3/a0 <= M <= 8 eps^3/a0
-    db = derived_bounds(spec)
-    checks.append(
-        _check(
-            "mass-sandwich",
-            db.mass_lower <= m <= db.mass_upper,
-            True,
-            f"mass {m:.6e} in [{db.mass_lower:.6e}, {db.mass_upper:.6e}]",
-        )
-    )
-    return MembershipReport(checks=tuple(checks))

@@ -20,10 +20,7 @@ scalar draw after another, and then computes exp, the scalings, the
 horizons and the sorted breakpoints in array passes that give the
 scalar draws' bits; it returns OracleCases, a sequence of OracleCase
 backed by those arrays, with each profile a row of breakpoints padded
-with inf and a row of values padded with zeros.  run_oracle_suite(200)
-takes 5.8 ms against 8.3 ms when each case drew its floats and built
-its profile object one by one (2-core Xeon, medians of interleaved
-passes); its draws take 0.7 ms against 3.0 ms.
+with inf and a row of values padded with zeros.
 
 The suite works BATCH_CASES cases at a time: their bounds, sample times,
 trajectories (integrate_oracle_batch, which takes the padded profile

@@ -1,17 +1,18 @@
 """Serialization layer: certificates, run configs, manifests, CSV tables.
 
 INI (key/value with sections) holds configuration, certificates,
-manifests, and verification reports; CSV holds the run record's tables:
-rows.csv (diagnostics), shells.csv (per-shell summary), and snapshots
-(initial.csv included).  Each record is described once: the rows.csv
-columns, the [certificate] and [class] keys and the membership and
-verification sections' keys are dataclass fields, SHELLS_COLUMNS and
-SNAPSHOT_COLUMNS map columns to attributes, and _RUN_KEYS and
-_STAGE_KEYS map run.ini's and verification.ini's keys to fields for
-their writers and readers alike.  Every table is written by _write_table
-and read by _read_table, every INI file is written by _write_ini and read
-inside _reading_ini, and _ini_value is the one rule by which an INI value
-becomes text.  Ids and ints are written as digits, other numbers as
+manifests, and membership and verification reports; CSV holds the run
+record's tables: rows.csv (diagnostics), shells.csv (per-shell summary),
+and snapshots (initial.csv included).  Each record is described once:
+the rows.csv columns, the [certificate] and [class] keys and the report
+sections' keys are dataclass fields, SHELLS_COLUMNS and
+SNAPSHOT_COLUMNS map columns to attributes, _RUN_KEYS maps run.ini's
+keys to fields for its writer and reader alike, and _STAGE_KEYS maps
+the keys of each [stage:<name>] section of membership.ini and
+verification.ini to StageResult's fields.  Every table is written by
+_write_table and read by _read_table, every INI file is written by
+_write_ini and read inside _reading_ini, and _ini_value is the one rule
+by which an INI value becomes text.  Ids and ints are written as digits, other numbers as
 repr(float(x)), which round-trips exactly, so a rerun reproduces output
 byte for byte; a field declared float is written as a float even where it
 holds an int.  save_run calls repr once per distinct float bit pattern
@@ -55,6 +56,7 @@ from . import __version__
 from .design import (
     STAGE_STATUSES,
     BoundsCertificate,
+    MembershipReport,
     RefusalError,
     StageResult,
     VerificationReport,
@@ -526,12 +528,6 @@ def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, c
 
 # -------------------------------------------------------- validation reports
 
-def save_membership_report(report, path) -> Path:
-    """Write a data-validation report (one section per condition)."""
-    checks = {f"check:{c.name}": _to_section(c, skip="name") for c in report.checks}
-    return _write_ini(path, {"membership": {"passed": report.passed}, **checks})
-
-
 def save_oracle_summary(result, path) -> Path:
     """Write the outcome counts of an oracle-suite run."""
     counts = {
@@ -540,18 +536,25 @@ def save_oracle_summary(result, path) -> Path:
     return _write_ini(path, {"oracle-suite": counts})
 
 
-# verification.ini [stage:<name>] key -> StageResult field; [verification]
-# holds passed and VerificationReport's fields but stages
+# [stage:<name>] key -> StageResult field, in membership.ini and
+# verification.ini alike; their head section holds passed and the
+# report's fields but stages
 _STAGE_KEYS = {"status": "status", "detail": "detail", "witness_shell": "witness_id"}
 
 
+def _save_stages(report, head: str, path) -> Path:
+    sections = {head: {"passed": report.passed, **_to_section(report, skip="stages")}}
+    for s in report.stages:
+        sections[f"stage:{s.name}"] = {key: getattr(s, name) for key, name in _STAGE_KEYS.items()}
+    return _write_ini(path, sections)
+
+
+def save_membership_report(report: MembershipReport, path) -> Path:
+    return _save_stages(report, "membership", path)
+
+
 def save_verification_report(report: VerificationReport, path) -> Path:
-    head = {"passed": report.passed, **_to_section(report, skip="stages")}
-    stages = {
-        f"stage:{s.name}": {key: getattr(s, name) for key, name in _STAGE_KEYS.items()}
-        for s in report.stages
-    }
-    return _write_ini(path, {"verification": head, **stages})
+    return _save_stages(report, "verification", path)
 
 
 def load_verification_report(path) -> VerificationReport:

@@ -122,7 +122,7 @@ class TestPipeline:
         capsys.readouterr()
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
-        assert "[FAIL] mass-sandwich" in out
+        assert "  fail    total-mass: mass 2.114861e-02 in sandwich" in out
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
         cert.write_text(cert.read_text().replace("exploratory = false", "exploratory = true"))
@@ -177,6 +177,38 @@ class TestPipeline:
         assert rc == 1
         report = load_verification_report(out_dir / "verification.ini")
         assert report.first_failure().name == "certified-lower-bounds"
+
+    @pytest.mark.parametrize("design, edit", [
+        (["--c1", "1", "--c2", "1e-4", "--t", "1"], ("c1 = 1.0\n", "c1 = 2.0\n")),
+        (["--c1", "32", "--c2", "1e-7", "--eps", "0.2"],
+         ("[class]\n", "[class]\ntarget_mass = 0.03\n")),
+    ], ids=["fixed-mass-c1-not-target-mass", "small-data-with-target-mass"])
+    def test_certificate_whose_recipe_and_class_disagree_is_refused(
+        self, tmp_path, capsys, design, edit
+    ):
+        """A fixed-mass certificate whose c1 = 2.0 is not its [class]
+        target_mass = 1.0, and a small-data one given a target_mass, are
+        refused by run and verify with exit 2 and one line naming the file;
+        run used to sample the class's mass and verify to fail total-mass."""
+        cert = tmp_path / "cert.ini"
+        config = save_run_config(
+            RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6), tmp_path / "run.ini"
+        )
+        assert cli.main(["design", *design, "--out", str(cert)]) == 0
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        text = cert.read_text()
+        assert text.count(edit[0]) == 1
+        cert.write_text(text.replace(*edit))
+        capsys.readouterr()
+        for argv in (
+            ["run", "--config", str(config), "--out", str(tmp_path / "rerun")],
+            ["verify", str(tmp_path / "out"), str(cert)],
+        ):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]} error: {cert}: a ") and "target_mass" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "rerun").exists()
 
 
 class TestOracleCommand:
@@ -402,10 +434,12 @@ def test_desk_run_files_match_recorded_digests(tmp_path):
     assert digests == recorded
     initial = hashlib.sha256((tmp_path / "init" / "initial.csv").read_bytes()).hexdigest()
     assert initial == recorded["snapshot_000.csv"]
-    # re-recorded when rho0 became closed form: the density-plateau deviation
-    # reads 0.000e+00 where the quadrature read 2.409e-14
+    # re-recorded when rho0 became closed form (the density-plateau deviation
+    # reads 0.000e+00 where the quadrature read 2.409e-14), and again when
+    # membership.ini took verification.ini's [stage:<name>] layout and
+    # mass-sandwich became total-mass
     membership = hashlib.sha256((tmp_path / "init" / "membership.ini").read_bytes()).hexdigest()
-    assert membership == "5daa3f92d33a4007a238640c5be448ce0f9b2158a414c7ccbf589cae4363a29b"
+    assert membership == "dcd911a0949143152b60a022c74a5b41b31a6c81c6301a05758a1f74f12ea650"
 
 
 # ------------------------------------------------------- malformed INI files

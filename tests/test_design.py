@@ -7,6 +7,7 @@ import pytest
 from vpshell import (
     InadmissibleParameterError,
     IntegratorConfig,
+    check_membership,
     confinement_lower_bounds,
     decay_slope,
     design_fixed_mass,
@@ -204,6 +205,28 @@ class TestVerification:
         assert report.stages[1].status == "skipped"
         assert report.passed
         assert "exploratory" in str(report)
+
+
+DESK = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
+
+
+@pytest.mark.parametrize("cert, grid, status", [
+    (DESK, (8, 8, 6), "pass"),
+    (design_fixed_mass(1.0, 1e-4, 1.0), (8, 8, 6), "pass"),
+    (DESK, (4, 2, 2), "fail"),
+], ids=["desk-8x8x6", "fixed-mass-8x8x6", "desk-4x2x2"])
+def test_membership_and_verification_share_the_mass_stage(cert, grid, status):
+    """check_membership on an ensemble and verify_focusing_run on its run
+    to T give one total-mass stage, field for field.  The desk certificate
+    on a 4x2x2 grid samples a mass of 2.1e-2, below the sandwich's 2.4e-2."""
+    data = InitialData.from_spec(cert.spec)
+    ens = sample_ensemble(data, *grid)
+    config = IntegratorConfig(t_end=cert.t_horizon, dt_max=cert.t_horizon / 50.0)
+    run = integrate(ens, config, mark_times=(cert.t_horizon,))
+    (membership,) = [s for s in check_membership(data, ens).stages if s.name == "total-mass"]
+    (verification,) = [s for s in verify_focusing_run(run, cert).stages if s.name == "total-mass"]
+    assert membership == verification
+    assert membership.status == status
 
 
 class TestDecaySlope:

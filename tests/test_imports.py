@@ -131,3 +131,33 @@ def test_every_export_is_used_by_the_pipeline():
     used = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in users))
     assert sorted(exported - used - EXPORTED_FOR_TESTS) == []
     assert EXPORTED_FOR_TESTS <= exported - used  # the exception is still needed
+
+
+# The package's layers, lowest first.  A module imports only modules
+# before it, so the verdict types live in design with the checks that make
+# them: initial_data, the data, never imports the module that checks it.
+LAYERS = (
+    "phase_space", "bounds", "field", "dynamics", "initial_data",
+    "design", "oracle_suite", "reporting", "cli",
+)
+
+
+def _package_imports(tree) -> set:
+    """The package modules a module imports with `from .x import` or
+    `from . import x`, at any depth in it (cli imports oracle_suite lazily)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found & set(LAYERS)
+
+
+def test_every_module_imports_only_lower_layers():
+    assert sorted(p.stem for p in SOURCES) == sorted(LAYERS)
+    upward = [
+        f"{path.stem} imports {imported}"
+        for path in SOURCES
+        for imported in sorted(_package_imports(ast.parse(path.read_text(), filename=str(path))))
+        if LAYERS.index(imported) >= LAYERS.index(path.stem)
+    ]
+    assert upward == []

@@ -461,7 +461,7 @@ class TestMembership:
         ens = sample_ensemble(data, 12, 12, 8)
         report = check_membership(data, ens)
         assert report.passed, str(report)
-        names = [c.name for c in report.checks]
+        names = [s.name for s in report.stages]
         assert names == [
             "support-ellipse",
             "radial-shell",
@@ -469,16 +469,16 @@ class TestMembership:
             "ell-bound",
             "density-bound",
             "density-plateau",
-            "mass-sandwich",
+            "total-mass",
         ]
-        assert all(c.witness is None for c in report.checks)
+        assert all(s.status == "pass" and s.witness_id is None for s in report.stages)
 
     def test_canonical_fixed_mass_passes(self):
         data = canonical_data(eps=0.2, target_mass=1.0)
         ens = sample_ensemble(data, 12, 12, 8)
         report = check_membership(data, ens)
         assert report.passed, str(report)
-        names = [c.name for c in report.checks]
+        names = [s.name for s in report.stages]
         assert "total-mass" in names
         assert "density-bound" not in names
 
@@ -488,18 +488,17 @@ class TestMembership:
         shifted = ens.advanced(ens.r * 2.0, ens.w, time=0.0)
         report = check_membership(data, shifted)
         assert not report.passed
-        failed = {c.name: c for c in report.failures()}
+        failed = {s.name: s for s in report.stages if s.status == "fail"}
         assert "radial-shell" in failed
-        assert failed["radial-shell"].hard
-        assert failed["radial-shell"].witness is not None
-        assert "FAIL" in str(report)
+        assert failed["radial-shell"].witness_id in ens.ids
+        assert "  fail    radial-shell: " in str(report)
 
     def test_overdense_data_fails_density_bound(self):
         data = canonical_data()
         ens = sample_ensemble(data, 8, 8, 6)
         hot = dataclasses.replace(data, scale=1.1)
         report = check_membership(hot, ens)
-        failed = {c.name for c in report.failures()}
+        failed = {s.name for s in report.stages if s.status == "fail"}
         assert "density-bound" in failed
 
 

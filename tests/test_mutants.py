@@ -7,9 +7,10 @@ edited record, or the record of a `vpshell run` made with the changed
 code: it exits nonzero and, where the row names one, prints the
 refusal.  A bound mutant, a weakened bound formula, is caught when the
 1000-case oracle suite finds a violation.  A sample that is not its
-data's is caught when check_membership fails it.  A run whose settings
-the code accepts but whose shells break their own proven bounds is
-caught when `vpshell verify` fails it.  A mutant no check
+data's is caught when check_membership fails it, or when its runs on the
+refinement grids do not settle as test_refinement.py requires.  A run
+whose settings the code accepts but whose shells break their own proven
+bounds is caught when `vpshell verify` fails it.  A mutant no check
 catches yet is xfail(strict=True) with the ROADMAP item that would
 catch it as its reason, so the change that kills it must remove the
 marker.
@@ -28,12 +29,15 @@ from vpshell import (
     check_membership,
     cli,
     design_fixed_mass,
+    design_small_data,
     dynamics,
+    integrate,
     oracle_suite,
     sample_ensemble,
     turning_point_bound,
 )
 from vpshell.field import SortedMassIndex
+from vpshell.phase_space import REDUCED_MEASURE, Ensemble
 from vpshell.reporting import (
     RunSetup,
     load_certificate,
@@ -41,6 +45,8 @@ from vpshell.reporting import (
     save_run_config,
     save_snapshot,
 )
+
+from test_refinement import GRIDS, ORDER_BANDS, _observed_order
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +220,47 @@ def test_membership_catches_the_fixed_mass_sample_off_rho0():
     density = np.bincount(cell, ens.weight) / (4.0 * np.pi * radii**2 * ((r_hi - r_lo) / n_r))
     assert np.min(density / data.rho0(radii)) < 0.9  # the sample is off
     assert not check_membership(data, ens).passed
+
+
+def _sample_at_radial_quarter_points(data, n_r, n_w, n_ell):
+    """sample_ensemble's grid with the radial midpoints moved to the cells'
+    quarter points, r_lo + dr (k + 1/4); the w and ell midpoints, the
+    weights f0 REDUCED_MEASURE dr dw dl and the dropped zero cells as there."""
+    r_lo, r_hi, w_lo, w_hi, ell_hi = data.support_box()
+    dr, dw, dl = (r_hi - r_lo) / n_r, (w_hi - w_lo) / n_w, ell_hi / n_ell
+    r, w, ell = np.meshgrid(
+        r_lo + dr * (np.arange(n_r) + 0.25),
+        w_lo + dw * (np.arange(n_w) + 0.5),
+        dl * (np.arange(n_ell) + 0.5),
+        indexing="ij",
+    )
+    weight = REDUCED_MEASURE * data.evaluate_reduced(r, w, ell) * dr * dw * dl
+    ids = np.flatnonzero(weight > 0.0)
+    return Ensemble(
+        r=r.ravel()[ids], w=w.ravel()[ids], ell=ell.ravel()[ids],
+        weight=weight.ravel()[ids], ids=ids, time=0.0,
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="item 15")
+def test_refinement_catches_a_sampler_off_the_radial_midpoints():
+    """The desk certificate sampled at the radial quarter points on each of
+    test_refinement.py's grids and run to T: e_sup_exact settles at order
+    1.926 and r_max at 1.000001, both ascending, inside their bands.
+    Moving the w and ell points as well is caught (e_sup_exact order 1.0,
+    not ascending)."""
+    cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
+    data = InitialData.from_spec(cert.spec)
+    rows = []
+    for grid in GRIDS:
+        config, marks = RunSetup("cert.ini", *grid).resolve(cert)
+        ens = _sample_at_radial_quarter_points(data, *grid)
+        rows.append(integrate(ens, config, marks).rows[-1])
+    settled = []
+    for name, (lo, hi) in ORDER_BANDS.items():
+        values = [getattr(row, name) for row in rows]
+        settled.append(values[0] < values[1] < values[2] and lo <= _observed_order(values) <= hi)
+    assert not all(settled)
 
 
 @pytest.mark.xfail(strict=True, reason="item 2")

@@ -1,7 +1,7 @@
 """Byte pins of the output that the desk digests (bench/desk_digests.json)
 do not reach: fixed-mass verification with and without an exploratory
 certificate, a failing report with witness shells, membership reports of
-a fixed-mass sample, a mass-sandwich miss and a per-shell miss, and the
+a fixed-mass sample, a total-mass miss and a per-shell miss, and the
 INI records a desk run never writes: fixed-mass and exploratory
 certificates, a fixed-mass manifest, and a run.ini and certificate given
 ints where floats are declared.  A change to any of these bytes must be
@@ -115,11 +115,18 @@ def _membership_digest(tmp_path, data, ensemble):
     return report, _sha256(save_membership_report(report, tmp_path / "membership.ini"))
 
 
+# The three membership pins were re-recorded when membership.ini took
+# verification.ini's stage layout: [stage:<name>] sections with status,
+# detail and witness_shell in place of [check:<name>] sections with
+# passed, hard, detail and an (id, r, w, ell) witness, mass-sandwich
+# renamed total-mass, and the fixed-mass mass detail reading "vs C1".
+
+
 def test_fixed_mass_membership(tmp_path):
     data = InitialData.from_spec(design_fixed_mass(1.0, 1e-4, 1.0).spec)
     report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 8, 8, 6))
     assert report.passed
-    assert digest == "c86b6399e882c3df4873fcb0486fe6eb8ecaf7a5a5a92de39245f6ec67b29980"
+    assert digest == "54bd55944a8439b3c86ada2a863214a3507b9fc0f07c1cc305a31a8e31a8bc87"
 
 
 def test_mass_sandwich_miss_membership(tmp_path):
@@ -127,9 +134,8 @@ def test_mass_sandwich_miss_membership(tmp_path):
     the sandwich's lower end 2.4e-2."""
     data = InitialData.from_spec(design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec)
     report, digest = _membership_digest(tmp_path, data, sample_ensemble(data, 4, 2, 2))
-    assert [c.name for c in report.failures()] == ["mass-sandwich"]
-    assert report.failures()[0].hard
-    assert digest == "33e068a97f3a28541bd062868aa80c8b6e0ed5adb4cbd25801400681b787870d"
+    assert [s.name for s in report.stages if s.status == "fail"] == ["total-mass"]
+    assert digest == "ed26efe90531d18d40a419e69e6cea134cd33ae278ea7cb8d44e2f1b426d993b"
 
 
 def test_per_shell_miss_membership(tmp_path):
@@ -139,12 +145,11 @@ def test_per_shell_miss_membership(tmp_path):
     ens = sample_ensemble(data, 8, 8, 6)
     moved = ens.advanced(ens.r + 0.5 * data.spec.delta_r, ens.w, ens.time)
     report, digest = _membership_digest(tmp_path, data, moved)
-    missed = {c.name: c.witness for c in report.failures()}
-    assert sorted(missed) == ["radial-shell", "support-ellipse"]
-    assert all(len(witness) == 4 for witness in missed.values())  # (id, r, w, ell)
+    missed = {s.name: s.witness_id for s in report.stages if s.status == "fail"}
+    assert missed == {"support-ellipse": 42, "radial-shell": 336}
     # re-recorded when rho0 became closed form: density-plateau reads
     # 0.000e+00 where the quadrature read 2.409e-14
-    assert digest == "0cd5e9238d70262e4c3d717f47cb61d74f8a3ea20481dc8e81e43609a9896322"
+    assert digest == "710d70c05305a9c43a1523e699d41ded1d8ca91609798ca79011d730acfe6471"
 
 
 def test_fixed_mass_run_from_int_settings(tmp_path):

@@ -675,7 +675,7 @@ class TestReports:
         text = path.read_text()
         assert "[membership]" in text
         assert "passed = true" in text
-        assert "[check:support-ellipse]" in text
+        assert "[stage:support-ellipse]\nstatus = pass\n" in text
 
 
 @given(st.floats(allow_nan=False, allow_infinity=True))
