@@ -13,9 +13,9 @@ Exit codes, mapped from exceptions in main alone: 0 success / all
 checks pass, 1 a check failed or the run (too stiff, out of steps) or the
 oracle aborted, 2 usage error or refusal (bad argument, missing file or
 key, unread run config key, t_end beyond MAX_STEPS steps of dt_max, a
-grid too large to allocate, a certificate whose recipe and class
-disagree, inconsistent run record, run not made from the certificate or
-stopped before T).
+grid too large to allocate, a certificate its recipe does not remake,
+inconsistent run record, run not made from the certificate or stopped
+before T); a certificate marked exploratory by hand only claims less.
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.

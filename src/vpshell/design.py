@@ -25,15 +25,12 @@ it or reporting.load_run_data reads it back, in five stages: (i)
 time-zero sup-norm bounds, (ii) total mass, (iii) all turning times
 beyond T, (iv) all radii at T within the predicted confinement radius,
 (v) certified sup-norm lower bounds at T.  Membership and stage (ii)
-share one mass rule, _mass_stage.  An inadmissible eps can be forced
-through with exploratory=True, which marks the certificate, skips
-stages (i) and (ii) and checks the certificate's own scaled predictions
-instead of C2.
+share one mass rule, _mass_stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import math
@@ -77,14 +74,15 @@ class RefusalError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundsCertificate:
-    """Predicted quantities of a designed run.
+    """Predicted quantities of a designed run, as rederive remakes them.
 
     rho0_sup_bound / E0_sup_bound are None for the fixed-mass recipe,
     which makes no time-zero sup-norm claims.  mass_used is the mass the
     time-T predictions assume (sandwich lower end for small-data, C1 for
     fixed-mass).  exploratory marks a certificate whose eps exceeds the
-    admissible bound; its time-T predictions are the recipe formulas
-    evaluated at that eps, not guaranteed to reach C2.
+    admissible bound, or one marked by hand, which only claims less: its
+    time-T predictions need not reach C2, and verify_focusing_run skips
+    stages (i) and (ii) and checks them instead of C2.
     """
 
     recipe: str  # "small-data" or "fixed-mass"
@@ -102,23 +100,6 @@ class BoundsCertificate:
     e0_sup_bound: Optional[float] = None
     c0: Optional[float] = None
     eta: Optional[float] = None
-
-    def __post_init__(self):
-        # verify_focusing_run checks the time-zero bounds of every small-data
-        # certificate, and _mass_stage reads the mass rule off the class, so
-        # one read back without them, or with a class its recipe does not
-        # make, must not get that far
-        if self.recipe not in ("small-data", "fixed-mass"):
-            raise ValueError(f"unknown recipe {self.recipe!r}")
-        if self.recipe == "small-data" and None in (self.rho0_sup_bound, self.e0_sup_bound):
-            raise ValueError("a small-data certificate needs rho0_sup_bound and e0_sup_bound")
-        want = self.c1 if self.recipe == "fixed-mass" else None
-        if self.spec.target_mass != want:
-            need = "absent" if want is None else f"equal to c1 = {want!r}"
-            raise ValueError(
-                f"a {self.recipe} certificate needs target_mass {need}, "
-                f"got {self.spec.target_mass!r}"
-            )
 
 
 def _validate_targets(c1: float, c2: float):
@@ -231,6 +212,16 @@ def design_fixed_mass(
         c0=c0,
         eta=eta,
     )
+
+
+def rederive(cert: BoundsCertificate) -> BoundsCertificate:
+    """What cert's recipe makes of its inputs c1, c2, eps, T (fixed-mass only)
+    and exploratory, keeping its mark; other recipes are read as small-data."""
+    if cert.recipe == "fixed-mass":
+        derived = design_fixed_mass(cert.c1, cert.c2, cert.t_horizon, cert.spec.eps, cert.exploratory)
+    else:
+        derived = design_small_data(cert.c1, cert.c2, cert.spec.eps, cert.exploratory)
+    return replace(derived, exploratory=cert.exploratory)
 
 
 # Every status a stage can have.

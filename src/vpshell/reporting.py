@@ -5,36 +5,36 @@ manifests, and membership and verification reports; CSV holds the run
 record's tables: rows.csv (diagnostics), shells.csv (per-shell summary),
 and snapshots (initial.csv included).  Each record is described once:
 the rows.csv columns, the [certificate] and [class] keys and the report
-sections' keys are dataclass fields, SHELLS_COLUMNS and
-SNAPSHOT_COLUMNS map columns to attributes, _RUN_KEYS maps run.ini's
-keys to fields for its writer and reader alike, and _STAGE_KEYS maps
-the keys of each [stage:<name>] section of membership.ini and
-verification.ini to StageResult's fields.  Every table is written by
-_write_table and read by _read_table, every INI file is written by
-_write_ini and read inside _reading_ini, and _ini_value is the one rule
-by which an INI value becomes text.  Ids and ints are written as digits, other numbers as
+sections' keys are dataclass fields, SHELLS_COLUMNS and SNAPSHOT_COLUMNS
+map columns to attributes, _RUN_KEYS maps run.ini's keys to fields for
+its writer and reader alike, and _STAGE_KEYS maps the keys of each
+[stage:<name>] section of membership.ini and verification.ini to
+StageResult's fields.  Every table is written by _write_table and read
+by _read_table, every INI file is written by _write_ini and read inside
+_reading_ini, and _ini_value is the one rule by which an INI value
+becomes text.  Ids and ints are written as digits, other numbers as
 repr(float(x)), which round-trips exactly, so a rerun reproduces output
-byte for byte; a field declared float is written as a float even where it
-holds an int.  save_run calls repr once per distinct float bit pattern
-of the run's tables (the initial snapshot holds a few grid values, the
-snapshots share ell and weight, and shells.csv repeats the final r and
-w), gathers each column's cells from that one text table and joins rows
-with str.join.  _read_table parses a table with one np.loadtxt call,
-which rounds as float() does; a table it cannot parse, a blank line and
-a non-ASCII line are refused with RecordError naming the file and, for a
-wrong field count, the line.  The manifest deliberately omits wall-clock
-times and thread counts: results do not depend on them and reruns must
-compare equal.  load_run_data reads a run directory back as the
-dynamics.RunResult integrate returned, every field of it, and raises
-RecordError for one whose tables disagree with the manifest or with each
-other; require_manifest_matches reads the manifest's [class] to refuse
-a certificate the run was not made from.  Every INI reader raises
-RecordError starting with the file's path for a file it cannot decode or
-parse, a missing section or key, and a value that is not a finite
-number, true or false where one is expected; load_run_config also
-refuses a key it does not read, and load_verification_report a stage
-status other than pass, fail or skipped.  RunSetup refuses a grid size
-that is not an integer, which run.ini could not read back.
+byte for byte; a field declared float is written as a float even where
+it holds an int.  save_run calls repr once per distinct float bit
+pattern of the run's tables, gathers each column's cells from that one
+text table and joins rows with str.join.  _read_table parses a table
+with one np.loadtxt call, which rounds as float() does; a table it
+cannot parse, a blank line and a non-ASCII line are refused with
+RecordError naming the file and, for a wrong field count, the line.  The
+manifest deliberately omits wall-clock times and thread counts: results
+do not depend on them and reruns must compare equal.  load_run_data
+reads a run directory back as the dynamics.RunResult integrate returned,
+every field of it, and raises RecordError for one whose tables disagree
+with the manifest or with each other; require_manifest_matches reads the
+manifest's [class] to refuse a certificate the run was not made from.
+Every INI reader raises RecordError starting with the file's path for a
+file it cannot decode or parse, a missing section or key, and a value
+that is not a finite number, true or false where one is expected;
+load_run_config also refuses a key it does not read,
+load_verification_report a stage status other than pass, fail or
+skipped, and load_certificate a certificate design.rederive does not
+remake.  RunSetup refuses a grid size that is not an integer, which
+run.ini could not read back.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .design import (
     RefusalError,
     StageResult,
     VerificationReport,
+    rederive,
 )
 from .dynamics import DiagnosticsRow, IntegratorConfig, RunResult
 from .field import N_BINS
@@ -191,15 +192,23 @@ def _read_class(section) -> ClassSpec:
 
 # ---------------------------------------------------------------- certificates
 
+def _certificate_sections(cert: BoundsCertificate) -> dict:
+    return {"certificate": _to_section(cert, skip="spec"), "class": _to_section(cert.spec)}
+
+
 def save_certificate(cert: BoundsCertificate, path) -> Path:
-    sections = {"certificate": _to_section(cert, skip="spec"), "class": _to_section(cert.spec)}
-    return _write_ini(path, sections)
+    return _write_ini(path, _certificate_sections(cert))
 
 
 def load_certificate(path) -> BoundsCertificate:
     with _reading_ini(path, f"certificate file not found: {path}") as parser:
         values = _from_section(BoundsCertificate, parser["certificate"], skip="spec")
-        return BoundsCertificate(spec=_read_class(parser["class"]), **values)
+        cert = BoundsCertificate(spec=_read_class(parser["class"]), **values)
+        read, derived = _certificate_sections(cert), _certificate_sections(rederive(cert))
+        differ = ", ".join(k for s, v in read.items() for k in v if v[k] != derived[s][k])
+        if differ:
+            raise ValueError(f"a {cert.recipe} certificate that differs from its recipe at {differ}")
+        return cert
 
 
 # ----------------------------------------------------------------- run configs

@@ -20,8 +20,11 @@ from vpshell.dynamics import OracleError, StiffnessError
 from vpshell.reporting import (
     RunSetup,
     load_certificate,
+    load_run_config,
+    load_run_data,
     load_verification_report,
     save_certificate,
+    save_run,
     save_run_config,
 )
 
@@ -164,6 +167,11 @@ class TestPipeline:
         assert "refused" in capsys.readouterr().err
 
     def test_verify_fails_on_unreachable_claims(self, workspace, capsys):
+        """A density claim 12 orders stronger than the recipe's is refused
+        naming rhot_lower, before any report is written (in process,
+        verify_focusing_run fails it at certified-lower-bounds); the
+        certificate's own claims fail, exit 1, against a record one of
+        whose shells turns at T/2."""
         ws, cert_path, config_path = workspace
         out_dir = ws / "out_fail"
         assert cli.main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
@@ -173,10 +181,20 @@ class TestPipeline:
         greedy = dataclasses.replace(cert, rhot_lower=cert.rhot_lower * 1e12)
         greedy_path = ws / "greedy.ini"
         save_certificate(greedy, greedy_path)
-        rc = cli.main(["verify", str(out_dir), str(greedy_path)])
-        assert rc == 1
-        report = load_verification_report(out_dir / "verification.ini")
-        assert report.first_failure().name == "certified-lower-bounds"
+        capsys.readouterr()
+        assert cli.main(["verify", str(out_dir), str(greedy_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"verify error: {greedy_path}: ") and "rhot_lower" in err
+        assert not (out_dir / "verification.ini").exists()
+
+        run = load_run_data(out_dir)
+        turning = run.turning_time.copy()
+        turning[3] = 0.5 * cert.t_horizon
+        early = dataclasses.replace(run, turning_time=turning)
+        save_run(early, cert, load_run_config(config_path), out_dir)
+        assert cli.main(["verify", str(out_dir), str(cert_path)]) == 1
+        first = load_verification_report(out_dir / "verification.ini").first_failure()
+        assert first.name == "turning-after-T" and first.witness_id == run.final.ids[3]
 
     @pytest.mark.parametrize("design, edit", [
         (["--c1", "1", "--c2", "1e-4", "--t", "1"], ("c1 = 1.0\n", "c1 = 2.0\n")),

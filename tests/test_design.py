@@ -189,6 +189,14 @@ class TestVerification:
         report = verify_focusing_run(result, tight)
         assert report.first_failure().name == "initial-sup-norms"
 
+    def test_unreachable_density_claim_fails_stage_five(self, desk_run):
+        """A density claim at T 12 orders stronger than the recipe's, which
+        load_certificate would refuse in a file."""
+        cert, result = desk_run
+        greedy = dataclasses.replace(cert, rhot_lower=cert.rhot_lower * 1e12)
+        report = verify_focusing_run(result, greedy)
+        assert report.first_failure().name == "certified-lower-bounds"
+
     def test_mass_outside_sandwich_fails_stage_two(self, desk_run):
         cert, result = desk_run
         shrunk = dataclasses.replace(

@@ -1,19 +1,19 @@
 """The mutant kill matrix: one named mutant per row, each an edit to a
-written run record, a change to the code or a wrong input the code
-itself makes, and the check that should catch it.
+written run record or its certificate, a change to the code or a wrong
+input the code itself makes, and the check that should catch it.
 
 A record mutant is caught when `vpshell verify` refuses or fails the
-edited record, or the record of a `vpshell run` made with the changed
-code: it exits nonzero and, where the row names one, prints the
-refusal.  A bound mutant, a weakened bound formula, is caught when the
-1000-case oracle suite finds a violation.  A sample that is not its
-data's is caught when check_membership fails it, or when its runs on the
-refinement grids do not settle as test_refinement.py requires.  A run
-whose settings the code accepts but whose shells break their own proven
-bounds is caught when `vpshell verify` fails it.  A mutant no check
-catches yet is xfail(strict=True) with the ROADMAP item that would
-catch it as its reason, so the change that kills it must remove the
-marker.
+edited record or certificate, or the record of a `vpshell run` made
+with the changed code: it exits nonzero and, where the row names one,
+prints the refusal.  A bound mutant, a weakened bound formula, is
+caught when the 1000-case oracle suite finds a violation.  A sample
+that is not its data's is caught when check_membership fails it, or
+when its runs on the refinement grids do not settle as
+test_refinement.py requires.  A run whose settings the code accepts but
+whose shells break their own proven bounds is caught when `vpshell
+verify` fails it.  A mutant no check catches yet is xfail(strict=True)
+with the ROADMAP item that would catch it as its reason, so the change
+that kills it must remove the marker.
 """
 
 import contextlib
@@ -42,6 +42,7 @@ from vpshell.reporting import (
     RunSetup,
     load_certificate,
     load_run_data,
+    save_certificate,
     save_run_config,
     save_snapshot,
 )
@@ -91,6 +92,14 @@ def _nudge_one_final_weight(run_dir):
     _edit_snapshot(run_dir, -1, edit)
 
 
+def _loosen_certificate_bounds(run_dir):
+    """The run's certificate with sup_r_bound, rho0_sup_bound and
+    e0_sup_bound at 1e9, where its recipe gives 4.0, 0.2387 and 32.0."""
+    path = run_dir.parent / "cert.ini"
+    loose = dict.fromkeys(("sup_r_bound", "rho0_sup_bound", "e0_sup_bound"), 1e9)
+    save_certificate(dataclasses.replace(load_certificate(path), **loose), path)
+
+
 MUTANTS = [
     pytest.param(
         _scale_snapshot_0, "snapshot_000.csv: column weight differs", id="snapshot-0-scaled",
@@ -102,6 +111,9 @@ MUTANTS = [
     pytest.param(
         _nudge_one_final_weight, "column weight differs",
         id="final-weight-nudged",
+    ),
+    pytest.param(
+        _loosen_certificate_bounds, "sup_r_bound", id="certificate-bounds-loosened",
     ),
 ]
 

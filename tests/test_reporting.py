@@ -16,6 +16,7 @@ from vpshell import (
     InitialData,
     IntegratorConfig,
     RefusalError,
+    cli,
     design_fixed_mass,
     design_small_data,
     integrate,
@@ -58,7 +59,68 @@ def small_run():
     return cert, setup, result
 
 
+# how a drawn certificate's eps is chosen: the recipe's default, drawn
+# below the admissible bound, drawn past it and marked exploratory, or
+# drawn below it and then marked exploratory by hand, which only weakens
+# the claim
+EPS_CHOICES = ("default", "admissible", "exploratory", "hand-marked")
+
+
+def _drawn_certificate(seed):
+    """A certificate from log-uniform draws of c1, c2, T and eps, redrawn
+    until the recipe accepts them; seed picks the recipe and EPS_CHOICES."""
+    rng = np.random.default_rng(seed)
+    recipe = design_fixed_mass if seed % 2 else design_small_data
+    choice = EPS_CHOICES[seed // 2 % len(EPS_CHOICES)]
+    while True:
+        c1, c2, t = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(-9, 0), 10.0 ** rng.uniform(-2, 1)
+        targets = (c1, c2, t) if recipe is design_fixed_mass else (c1, c2)
+        scale = 10.0 ** rng.uniform(0, 1.5) if choice == "exploratory" else rng.uniform(0.01, 1)
+        try:
+            cert = recipe(*targets)
+            if choice != "default":
+                eps = scale * cert.eps_admissible_max
+                cert = recipe(*targets, eps=eps, exploratory=choice == "exploratory")
+        except ValueError:  # a shell too thin to resolve, or T <= 0 at an admissible eps
+            continue
+        return dataclasses.replace(cert, exploratory=True) if choice == "hand-marked" else cert
+
+
+CERTIFICATE_SEEDS = range(48)
+
+
 class TestCertificateFiles:
+    @pytest.mark.parametrize("seed", CERTIFICATE_SEEDS)
+    def test_drawn_certificate_round_trips(self, tmp_path, seed):
+        cert = _drawn_certificate(seed)
+        path = save_certificate(cert, tmp_path / "cert.ini")
+        assert load_certificate(path) == cert
+
+    def test_drawn_certificates_cover_every_choice(self):
+        """Both recipes with every EPS_CHOICES entry, exploratory and not,
+        and small-data certificates whose T is not positive."""
+        certs = [_drawn_certificate(seed) for seed in CERTIFICATE_SEEDS]
+        assert {(c.recipe, c.exploratory) for c in certs} == {
+            (recipe, marked) for recipe in ("small-data", "fixed-mass") for marked in (False, True)
+        }
+        assert any(c.recipe == "small-data" and c.t_horizon <= 0 for c in certs)
+
+    def test_unmarked_inadmissible_certificate_is_refused(self, tmp_path, capsys):
+        """eps = 0.2 is past the admissible 1.25e-7 of C1 = 32, C2 = 1: with
+        its exploratory mark flipped to false the recipe refuses it."""
+        cert = tmp_path / "cert.ini"
+        design = ["design", "--c1", "32", "--c2", "1", "--eps", "0.2", "--exploratory"]
+        assert cli.main([*design, "--out", str(cert)]) == 0
+        cert.write_text(cert.read_text().replace("exploratory = true", "exploratory = false"))
+        config = save_run_config(
+            RunSetup(certificate_path="cert.ini", n_r=8, n_w=8, n_ell=6), tmp_path / "run.ini"
+        )
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run error: {cert}: eps = 0.2 is not below the admissible bound")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_small_data_round_trip(self, tmp_path):
         cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
         path = save_certificate(cert, tmp_path / "cert.ini")
