@@ -10,12 +10,14 @@ Subcommands:
   oracle  run the randomized bound-vs-reference property suite
 
 Exit codes, mapped from exceptions in main alone: 0 success / all
-checks pass, 1 a check failed or the run (too stiff, out of steps) or the
-oracle aborted, 2 usage error or refusal (bad argument, missing file or
-key, unread run config key, t_end beyond MAX_STEPS steps of dt_max, a
-grid too large to allocate, a certificate its recipe does not remake,
-inconsistent run record, run not made from the certificate or stopped
-before T); a certificate marked exploratory by hand only claims less.
+checks pass, 1 a check failed or the run (a step below dt_min or too
+short to advance t, out of steps) or the oracle aborted, 2 usage error
+or refusal (bad argument, missing file or key, unread run config key,
+t_end beyond MAX_STEPS steps of dt_max, a grid too large to allocate, a
+certificate its recipe does not remake, inconsistent run record, run
+not made from the certificate, by its manifest's class or its own
+certificate.ini, or stopped before T); a certificate marked exploratory
+by hand only claims less.
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -209,8 +211,11 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except InadmissibleParameterError as exc:
-        print(f"{args.command} error ({exc.constraint}): {exc}", file=sys.stderr)
+    except InadmissibleParameterError as exc:  # only design's flags reach the recipe
+        print(
+            f"{args.command} error ({exc.constraint}): {exc}; pass --exploratory to force it",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     except KeyError as exc:
         print(f"{args.command} error: missing key {exc}", file=sys.stderr)

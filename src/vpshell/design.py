@@ -61,7 +61,9 @@ RADIUS_REL_SLACK = 1e-6
 
 
 class InadmissibleParameterError(ValueError):
-    """eps violates an admissibility constraint and exploratory is off."""
+    """eps violates an admissibility constraint and exploratory is off;
+    the message states the constraint, and each reader of the input names
+    the remedy in its own terms."""
 
     def __init__(self, constraint: str, message: str):
         self.constraint = constraint
@@ -119,9 +121,7 @@ def _resolve_eps(eps, admissible_max, default, exploratory):
     if exploratory:
         return float(eps), True
     raise InadmissibleParameterError(
-        "eps-admissible-max",
-        f"eps = {eps} is not below the admissible bound "
-        f"{admissible_max}; pass exploratory to force it",
+        "eps-admissible-max", f"eps = {eps} is not below the admissible bound {admissible_max}"
     )
 
 
@@ -265,9 +265,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(s.status != "fail" for s in self.stages)
 
-    def first_failure(self) -> Optional[StageResult]:
-        return next((s for s in self.stages if s.status == "fail"), None)
-
     def __str__(self) -> str:
         head = "verification (exploratory certificate)" if self.exploratory else "verification"
         return _stage_lines(head, self.stages)
@@ -305,17 +302,16 @@ def check_membership(data: InitialData, ensemble: Ensemble) -> MembershipReport:
     """
     spec = data.spec
     r, w, ell = ensemble.r, ensemble.w, ensemble.ell
+    r_lo, r_hi, w_lo, w_hi, _ = data.support_box()
     s = profile_argument(spec, r, w, ell)
     per_shell = (  # (name, margin that must be > 0, detail of the least margin)
         # support ellipse: (r + (a0/|a1|) w)^2 + l r^-2 (a0/a1)^2 < eps^2/a1^2, i.e.
         # s < eps^2, a form that does not cancel at large a0
         ("support-ellipse", (spec.eps**2 - s) / spec.a1**2, "min margin {:.3e} (must be > 0)"),
         # radial shell: a0 - delta_r < r < a0 + delta_r
-        ("radial-shell", np.minimum(r - (spec.a0 - spec.delta_r), (spec.a0 + spec.delta_r) - r),
-         "min distance to shell edge {:.3e}"),
+        ("radial-shell", np.minimum(r - r_lo, r_hi - r), "min distance to shell edge {:.3e}"),
         # velocity window: w in (a1 - delta_w, a1 + delta_w)
-        ("velocity-window", np.minimum(w - (spec.a1 - spec.delta_w), (spec.a1 + spec.delta_w) - w),
-         "min distance to window edge {:.3e}"),
+        ("velocity-window", np.minimum(w - w_lo, w_hi - w), "min distance to window edge {:.3e}"),
         # angular momentum bound: ell < (r/a0)^2 eps^2
         ("ell-bound", (r / spec.a0) ** 2 * spec.eps**2 - ell, "min margin {:.3e}"),
     )

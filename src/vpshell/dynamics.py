@@ -10,9 +10,12 @@ state's diagnostics row and the next step's enclosed masses.  The
 centrifugal term makes r = 0 unreachable for ell > 0, so halving
 succeeds eventually; a purely radial shell (ell = 0) can still fall
 toward the center, and a StiffnessError stops the run once the adaptive
-step or a halved step falls below IntegratorConfig.dt_min.  A run takes
-at most MAX_STEPS steps: IntegratorConfig refuses a t_end farther away,
-in steps of dt_max, and a StepBudgetError stops a run that uses them up.
+step or a halved step falls below IntegratorConfig.dt_min, or once a
+step that does not land on a mark is too short to advance t.  So every
+step makes a state at a later time, and every state has one row.  A run
+takes at most MAX_STEPS steps: IntegratorConfig refuses a t_end farther
+away, in steps of dt_max, and a StepBudgetError stops a run that uses
+them up.
 
 A run allocates its work arrays once (the enclosed masses, the force,
 the force's radius terms ell/r^3 and r^2, and two masks), and every
@@ -68,7 +71,8 @@ MAX_STEPS = 10_000_000
 
 
 class StiffnessError(RuntimeError):
-    """The step size fell below IntegratorConfig.dt_min."""
+    """The step size fell below IntegratorConfig.dt_min, or too low to
+    advance t."""
 
     def __init__(self, shell_id: int, time: float, dt: float):
         self.shell_id = shell_id
@@ -100,9 +104,10 @@ class IntegratorConfig:
     dt = cfl * min_i r_i / (|w_i| + sqrt(a_i r_i)) capped at dt_max; the
     sqrt term shortens steps during pericenter passage where the
     acceleration a_i blows up.  A run stops with StiffnessError when this
-    dt, or a step halved to keep radii positive, falls below dt_min.  A
-    t_end more than MAX_STEPS steps of dt_max away is refused.  These are
-    the manifest's [run] t_end, dt_max and cfl.
+    dt, or a step halved to keep radii positive, falls below dt_min or
+    leaves t where it was.  A t_end more than MAX_STEPS steps of dt_max
+    away is refused.  These are the manifest's [run] t_end, dt_max and
+    cfl.
     """
 
     t_end: float
@@ -223,7 +228,11 @@ class RunResult:
     turning_time: np.ndarray  # per shell, +inf if the radius never turned
     r_min_shell: np.ndarray  # per shell min radius over the run
     t_at_r_min: np.ndarray  # per shell time of that minimum
-    steps: int
+
+    @property
+    def steps(self) -> int:
+        """Steps taken: each made one state, and each state has one row."""
+        return len(self.rows) - 1
 
     @property
     def final(self) -> Ensemble:
@@ -313,15 +322,14 @@ def integrate(
     spare = None  # r and w of the state before ens, when free to overwrite
     kept = True  # ens's arrays are the caller's or a snapshot's
 
-    steps = 0
     stop_idx = 0
     while stop_idx < len(stops):
         target = stops[stop_idx]
         if ens.time >= target:
             stop_idx += 1
             continue
-        if steps >= MAX_STEPS:
-            raise StepBudgetError(f"{steps} steps reached at t={ens.time!r} before t_end")
+        if len(rows) - 1 >= MAX_STEPS:  # one row per state
+            raise StepBudgetError(f"{MAX_STEPS} steps reached at t={ens.time!r} before t_end")
 
         index.interior_mass(out=m_frozen)
         a_start = _force(ell_r3, m_frozen, r2, out=a)
@@ -343,6 +351,8 @@ def integrate(
             if dt_try < config.dt_min or dt_try == 0.0:
                 raise _stiffness(ens, dt_try)
         t_new = target if landing else ens.time + dt_try
+        if t_new == ens.time:  # dt_try is below half an ulp of t
+            raise _stiffness(ens, dt_try)
 
         # turning point: w crossed from negative to nonnegative this step.
         np.equal(turning_time, np.inf, out=crossing)
@@ -366,14 +376,12 @@ def integrate(
         spare = None if kept else (ens.r, ens.w)
         ens = ens.advanced(r_new, w_new, t_new)
         index = SortedMassIndex.from_ensemble(ens, out=index)
-        steps += 1
 
         lower = np.less(ens.r, r_min_shell, out=mask)
         np.copyto(r_min_shell, ens.r, where=lower)
         np.copyto(t_at_r_min, ens.time, where=lower)
 
-        if rows[-1].t != ens.time:
-            rows.append(make_row(ens, index, dt_try))
+        rows.append(make_row(ens, index, dt_try))
         kept = ens.time >= target
         if kept:
             snapshots.append((ens.time, ens))
@@ -385,7 +393,6 @@ def integrate(
         turning_time=turning_time,
         r_min_shell=r_min_shell,
         t_at_r_min=t_at_r_min,
-        steps=steps,
     )
 
 

@@ -236,8 +236,8 @@ class DensityGrid:
     """Histogram density estimate on radial bins.
 
     Bin masses are the primary data; values are mass / shell-volume, so
-    the mass-consistency identity sum(value * volume) = captured mass is
-    structural.
+    the mass-consistency identity sum(value * volume) = sum(bin_masses)
+    is structural.
     """
 
     bin_edges: np.ndarray
@@ -250,10 +250,6 @@ class DensityGrid:
     @property
     def bin_values(self) -> np.ndarray:
         return self.bin_masses / self.bin_volumes
-
-    @property
-    def captured_mass(self) -> float:
-        return float(np.sum(self.bin_masses))
 
 
 def default_grid_edges(r_min: float, r_max: float) -> np.ndarray:

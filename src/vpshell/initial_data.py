@@ -21,11 +21,12 @@ and a scale are the whole description of the data.  c is fixed by
 BUMP_INTEGRAL so H_eps(|u|^2) integrates to 3/(4 pi) over 3-space for
 every eps.
 
-sample_ensemble evaluates f0 on a midpoint grid in (r, w, ell) in two
-passes: the profile's argument t = s/eps^2 on every cell, then H_eps, phi
-and the weights only on the cells with t < 1, the support of H_eps (about
-a third of the grid's box).  Each kept value is rounded as the pointwise
-evaluate_reduced rounds it.
+evaluate_reduced at points and sample_ensemble on a midpoint grid in
+(r, w, ell) evaluate f0 in two passes through one support test,
+_bump_argument: the profile's argument t = s/eps^2 everywhere, then
+H_eps and phi only where t < 1, the support of H_eps (about a third of
+the grid's box).  So a sampled cell's value is evaluate_reduced's there,
+bit for bit.
 
 The velocity shift integrates out of f0, so the density and the mass are
 closed forms: rho0(r) = scale * phi(r) * 3/(4 pi a0^3), the homogeneous-
@@ -109,15 +110,6 @@ def _bump_inside(t: np.ndarray, eps: float) -> np.ndarray:
     return c * np.exp(-1.0 / (1.0 - t)) * (1.0 / (eps * eps * eps))
 
 
-def _bump(s: np.ndarray, eps: float) -> np.ndarray:
-    # H_eps(s) = H(s/eps^2)/eps^3 on a float array, unchecked.
-    t = s * (1.0 / (eps * eps))
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = _bump_inside(t[inside], eps)
-    return out
-
-
 def _smooth_rise(t: np.ndarray) -> np.ndarray:
     # C-infinity step: 0 for t <= 0, 1 for t >= 1.
     t = np.asarray(t, dtype=float)
@@ -165,6 +157,14 @@ def profile_argument(spec: ClassSpec, r, w, ell):
     return (spec.a1 * r - spec.a0 * w) ** 2 + spec.a0**2 * ell / r**2
 
 
+def _bump_argument(spec: ClassSpec, r, w, ell):
+    """(t, inside): t = s/eps^2, scaled in place so that no second array
+    is made, and H_eps's support t < 1, where _bump_inside applies."""
+    t = profile_argument(spec, r, w, ell)
+    t *= 1.0 / (spec.eps * spec.eps)
+    return t, t < 1.0
+
+
 def _require_positive_radii(r: np.ndarray) -> None:
     if not np.all(r > 0):
         raise ValueError("radius must be positive (NaN refused)")
@@ -199,8 +199,12 @@ class InitialData:
         if np.any(ell < 0):
             raise ValueError("squared angular momentum must be nonnegative")
         spec = self.spec
-        s = profile_argument(spec, r, w, ell)
-        out = self.scale * _bump(s, spec.eps) * _cutoff(r, spec.a0, spec.delta_r)
+        t, inside = _bump_argument(spec, r, w, ell)
+        out = np.zeros(np.shape(t))
+        r_in = np.broadcast_to(r, out.shape)[inside]
+        out[inside] = (
+            self.scale * _bump_inside(t[inside], spec.eps) * _cutoff(r_in, spec.a0, spec.delta_r)
+        )
         return float(out) if out.ndim == 0 else out
 
     def evaluate(self, x, v) -> float:
@@ -279,10 +283,11 @@ def sample_ensemble(
     _require_positive_radii(r_mid)
     w_mid = w_lo + dw * (np.arange(n_w) + 0.5)
     ell_mid = dl * (np.arange(n_ell) + 0.5)  # strictly positive: no ell = 0 shell
-    # t = s/eps^2 on the broadcast grid, rounded as _bump rounds it
-    t = profile_argument(spec, r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :])
-    t *= 1.0 / (spec.eps * spec.eps)
-    ids = np.flatnonzero(t < 1.0)
+    t, inside = _bump_argument(
+        spec, r_mid[:, None, None], w_mid[None, :, None], ell_mid[None, None, :]
+    )
+    ids = np.flatnonzero(inside)
+    del inside
     t = t.ravel()[ids]
     phi = _cutoff(r_mid, spec.a0, spec.delta_r)
     f_vals = data.scale * _bump_inside(t, spec.eps) * phi[ids // (n_w * n_ell)]

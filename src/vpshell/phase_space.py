@@ -37,11 +37,6 @@ class RadialCoordinates:
         if self.ell < 0:
             raise ValueError(f"squared angular momentum must be >= 0, got ell={self.ell}")
 
-    @property
-    def speed_squared(self) -> float:
-        """|v|^2 of any Cartesian realization: w^2 + ell / r^2."""
-        return self.w**2 + self.ell / self.r**2
-
 
 def to_radial(x, v) -> RadialCoordinates:
     """Map a Cartesian (position, velocity) pair to reduced coordinates.

@@ -26,7 +26,8 @@ do not depend on them and reruns must compare equal.  load_run_data
 reads a run directory back as the dynamics.RunResult integrate returned,
 every field of it, and raises RecordError for one whose tables disagree
 with the manifest or with each other; require_manifest_matches reads the
-manifest's [class] to refuse a certificate the run was not made from.
+manifest's [class] and the run's own certificate.ini to refuse a
+certificate the run was not made from.
 Every INI reader raises RecordError starting with the file's path for a
 file it cannot decode or parse, a missing section or key, and a value
 that is not a finite number, true or false where one is expected;
@@ -45,7 +46,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -56,6 +57,7 @@ from . import __version__
 from .design import (
     STAGE_STATUSES,
     BoundsCertificate,
+    InadmissibleParameterError,
     MembershipReport,
     RefusalError,
     StageResult,
@@ -200,12 +202,21 @@ def save_certificate(cert: BoundsCertificate, path) -> Path:
     return _write_ini(path, _certificate_sections(cert))
 
 
+def _differing_keys(cert: BoundsCertificate, other: BoundsCertificate) -> str:
+    """The keys, comma-separated, at which the two certificates' files differ."""
+    mine, theirs = _certificate_sections(cert), _certificate_sections(other)
+    return ", ".join(k for s, v in mine.items() for k in v if v[k] != theirs[s][k])
+
+
 def load_certificate(path) -> BoundsCertificate:
     with _reading_ini(path, f"certificate file not found: {path}") as parser:
         values = _from_section(BoundsCertificate, parser["certificate"], skip="spec")
         cert = BoundsCertificate(spec=_read_class(parser["class"]), **values)
-        read, derived = _certificate_sections(cert), _certificate_sections(rederive(cert))
-        differ = ", ".join(k for s, v in read.items() for k in v if v[k] != derived[s][k])
+        try:
+            derived = rederive(cert)
+        except InadmissibleParameterError as exc:
+            raise ValueError(f"{exc}; set exploratory = true to force it") from exc
+        differ = _differing_keys(cert, derived)
         if differ:
             raise ValueError(f"a {cert.recipe} certificate that differs from its recipe at {differ}")
         return cert
@@ -458,8 +469,8 @@ def load_run_data(out_dir) -> RunResult:
 
     Raises RecordError unless the manifest lists [snapshots] count files
     and ascending times from the first to the last time of rows.csv,
-    [run] steps is at least one less than rows.csv's rows (a step adds at
-    most one), every snapshot and shells.csv has [run] n_shells rows, the
+    [run] steps is one less than rows.csv's rows (a step adds exactly
+    one), every snapshot and shells.csv has [run] n_shells rows, the
     id, ell and weight columns of every snapshot, which a run never
     changes, and the r_final and w_final columns of shells.csv are
     bitwise equal to the final snapshot's.
@@ -483,8 +494,9 @@ def load_run_data(out_dir) -> RunResult:
             raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")
         n_shells = int(manifest["run"]["n_shells"])
         steps = int(manifest["run"]["steps"])
-        if steps < len(rows) - 1:
-            raise ValueError(f"[run] steps = {steps} is too few for rows.csv's {len(rows)} rows")
+        if steps != len(rows) - 1:
+            count = "few" if steps < len(rows) - 1 else "many"
+            raise ValueError(f"[run] steps = {steps} is too {count} for rows.csv's {len(rows)} rows")
     snapshots = [
         (time, _load_snapshot(out / name, time)) for name, time in zip(files, times)
     ]
@@ -504,7 +516,6 @@ def load_run_data(out_dir) -> RunResult:
     run = RunResult(
         rows=rows,
         snapshots=snapshots,
-        steps=steps,
         **{attr: shells[name] for name, attr in SHELLS_COLUMNS.items() if "." not in attr},
     )
     for name, column in _columns(run, SHELLS_COLUMNS).items():
@@ -515,9 +526,11 @@ def load_run_data(out_dir) -> RunResult:
 
 def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, cert_path):
     """Refuse to verify run, read from out_dir, against a certificate it was
-    not produced from (the class parameters recorded in the manifest must
-    agree), or a run that holds no snapshot at the certificate's horizon T.
-    cert_path names the certificate's file in the refusal."""
+    not produced from: the class parameters recorded in the manifest must
+    agree, and the run's own certificate.ini must load and equal cert but
+    for exploratory, a mark that only weakens a claim.  Also refuse a run
+    that holds no snapshot at the certificate's horizon T.  cert_path
+    names the certificate's file in the refusal."""
     manifest_path = Path(out_dir) / "manifest.ini"
     with _reading_ini(manifest_path, f"no manifest.ini under {out_dir}") as manifest:
         spec = _read_class(manifest["class"])
@@ -526,6 +539,14 @@ def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, c
             f"{manifest_path}: class parameters {spec} do not match "
             f"certificate {cert_path}: {cert.spec}"
         )
+    own_path = Path(out_dir) / "certificate.ini"
+    try:
+        own = load_certificate(own_path)
+    except (RecordError, FileNotFoundError) as exc:
+        raise RefusalError(f"{exc}; the run cannot be checked against {cert_path}") from None
+    differ = _differing_keys(replace(own, exploratory=cert.exploratory), cert)
+    if differ:
+        raise RefusalError(f"{own_path}: the run's certificate differs from {cert_path} at {differ}")
     try:
         run.snapshot_at(cert.t_horizon)
     except KeyError:

@@ -64,7 +64,9 @@ class TestDesign:
              "--out", str(tmp_path / "c.ini")]
         )
         assert rc == 2
-        assert "eps-admissible-max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eps-admissible-max" in err
+        assert err.endswith("; pass --exploratory to force it\n")
 
     def test_exploratory_flag_forces_through(self, tmp_path):
         out = tmp_path / "c.ini"
@@ -193,8 +195,61 @@ class TestPipeline:
         early = dataclasses.replace(run, turning_time=turning)
         save_run(early, cert, load_run_config(config_path), out_dir)
         assert cli.main(["verify", str(out_dir), str(cert_path)]) == 1
-        first = load_verification_report(out_dir / "verification.ini").first_failure()
+        stages = load_verification_report(out_dir / "verification.ini").stages
+        first = next(s for s in stages if s.status == "fail")
         assert first.name == "turning-after-T" and first.witness_id == run.final.ids[3]
+
+    def test_verify_refuses_steps_no_run_takes(self, workspace, capsys):
+        """Every step of a run adds one row, so [run] steps is rows.csv's
+        row count less one; a manifest claiming 1000000 is refused."""
+        ws, cert_path, _ = workspace
+        out = _run_dir(ws)
+        manifest = out / "manifest.ini"
+        text = manifest.read_text()
+        steps = len(load_run_data(out).rows) - 1
+        assert text.count(f"steps = {steps}\n") == 1
+        manifest.write_text(text.replace(f"steps = {steps}\n", "steps = 1000000\n"))
+        capsys.readouterr()
+        assert cli.main(["verify", str(out), str(cert_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"verify error: {manifest}: [run] steps = 1000000 is too many for "
+            f"rows.csv's {steps + 1} rows\n"
+        )
+
+    def test_verify_reads_the_runs_own_certificate(self, workspace, capsys):
+        """The run's certificate.ini must load and equal the given
+        certificate but for exploratory: garbage and a certificate of the
+        same class with another C2 are refused naming both files; either
+        file marked exploratory by hand only claims less and verifies."""
+        ws, cert_path, _ = workspace
+        out = _run_dir(ws)
+        own = out / "certificate.ini"
+        intact = own.read_text()
+        other = ws / "other.ini"
+        design = ["design", "--c1", "32", "--c2", "1e-8", "--eps", "0.2", "--out", str(other)]
+        assert cli.main(design) == 0
+        for text, refusal in (
+            ("garbage", f"refused: {own}: "),
+            (other.read_text(), f"refused: {own}: the run's certificate differs from {cert_path} at c2\n"),
+        ):
+            own.write_text(text)
+            capsys.readouterr()
+            assert cli.main(["verify", str(out), str(cert_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(refusal) and str(cert_path) in err, err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        own.unlink()
+        assert cli.main(["verify", str(out), str(cert_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"refused: certificate file not found: {own}; "
+            f"the run cannot be checked against {cert_path}\n"
+        )
+        marked = intact.replace("exploratory = false", "exploratory = true")
+        for run_text, given_text in ((marked, intact), (intact, marked)):
+            own.write_text(run_text)
+            cert_path.write_text(given_text)
+            assert cli.main(["verify", str(out), str(cert_path)]) == 0
 
     @pytest.mark.parametrize("design, edit", [
         (["--c1", "1", "--c2", "1e-4", "--t", "1"], ("c1 = 1.0\n", "c1 = 2.0\n")),

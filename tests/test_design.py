@@ -168,7 +168,6 @@ class TestVerification:
         report = verify_focusing_run(result, cert)
         assert report.passed, str(report)
         assert [s.status for s in report.stages] == ["pass"] * 5
-        assert report.first_failure() is None
 
     def test_report_names_first_failing_stage_with_witness(self, desk_run):
         cert, result = desk_run
@@ -177,7 +176,7 @@ class TestVerification:
         result_like = dataclasses.replace(result, turning_time=early)
         report = verify_focusing_run(result_like, cert)
         assert not report.passed
-        first = report.first_failure()
+        first = next(s for s in report.stages if s.status == "fail")
         assert first.name == "turning-after-T"
         assert first.witness_id is not None
         assert "fail" in str(report)
@@ -187,7 +186,7 @@ class TestVerification:
         tight = dataclasses.replace(cert, rho0_sup_bound=cert.rho0_sup_bound / 1e6,
                                     e0_sup_bound=cert.e0_sup_bound / 1e6)
         report = verify_focusing_run(result, tight)
-        assert report.first_failure().name == "initial-sup-norms"
+        assert next(s for s in report.stages if s.status == "fail").name == "initial-sup-norms"
 
     def test_unreachable_density_claim_fails_stage_five(self, desk_run):
         """A density claim at T 12 orders stronger than the recipe's, which
@@ -195,7 +194,7 @@ class TestVerification:
         cert, result = desk_run
         greedy = dataclasses.replace(cert, rhot_lower=cert.rhot_lower * 1e12)
         report = verify_focusing_run(result, greedy)
-        assert report.first_failure().name == "certified-lower-bounds"
+        assert next(s for s in report.stages if s.status == "fail").name == "certified-lower-bounds"
 
     def test_mass_outside_sandwich_fails_stage_two(self, desk_run):
         cert, result = desk_run

@@ -132,6 +132,18 @@ class TestStep:
             assert exc.value.dt < cfg.dt_min
             assert exc.value.time < 2.0
 
+    def test_step_too_short_to_advance_t_is_stiff(self):
+        """At t = 1e6 half an ulp of t is 5.8e-11, so the CFL step of
+        2e-11, above dt_min = 5e-13, would move the shell and leave t
+        where it was: a state without a row of its own."""
+        ens = Ensemble.single(r=1e-9, w=-10.0, ell=0.0, weight=1e-3, time=1e6)
+        cfg = IntegratorConfig(t_end=1e6 + 1.0, dt_max=0.5)
+        with pytest.raises(StiffnessError) as exc:
+            integrate(ens, cfg)
+        assert exc.value.time == 1e6
+        assert exc.value.dt >= cfg.dt_min
+        assert 1e6 + exc.value.dt == 1e6
+
     def test_one_index_build_per_state(self, monkeypatch):
         build = SortedMassIndex.from_ensemble
         calls = []

@@ -219,7 +219,8 @@ def batch_cases(draw):
         profile = draw(st.floats(0.0, 1.0))
     else:
         fractions = draw(st.lists(st.floats(0.01, 1.5), min_size=1, max_size=4, unique=True))
-        edges = np.sort(np.array(fractions)) * t_end
+        # distinct fractions may round to one breakpoint, which a profile refuses
+        edges = np.unique(np.array(fractions) * t_end)
         values = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
                                min_size=edges.size + 1, max_size=edges.size + 1))
         profile = PiecewiseConstantProfile(edges=edges, values=values)

@@ -54,7 +54,7 @@ def test_speed_decomposition_identity(x, v):
     c = to_radial(x, v)
     assert c.ell >= 0.0
     speed_sq = float(np.dot(v, v))
-    assert c.speed_squared == pytest.approx(speed_sq, rel=1e-9, abs=1e-12)
+    assert c.w**2 + c.ell / c.r**2 == pytest.approx(speed_sq, rel=1e-9, abs=1e-12)
 
 
 def test_coordinate_validation():

@@ -120,6 +120,8 @@ class TestCertificateFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"run error: {cert}: eps = 0.2 is not below the admissible bound")
         assert err.count("\n") == 1 and "Traceback" not in err
+        # the remedy is the file's own, not design's flag
+        assert err.endswith("; set exploratory = true to force it\n")
 
     def test_small_data_round_trip(self, tmp_path):
         cert = design_small_data(c1=32.0, c2=1e-7, eps=0.2)
@@ -532,7 +534,6 @@ class TestTableWriter:
             turning_time=np.array([0.3, np.inf, 0.7]),
             r_min_shell=final.r - 0.5,
             t_at_r_min=np.array([0.3, 1.0, 0.7]),
-            steps=2,
         )
         out = save_run(result, cert, setup, tmp_path / "out")
         shells = {name: attrgetter(attr)(result) for name, attr in SHELLS_COLUMNS.items()}
@@ -581,7 +582,6 @@ def _shared_runs(draw):
         turning_time=draw(column),
         r_min_shell=final.r.copy() if draw(st.booleans()) else draw(column),
         t_at_r_min=draw(column),
-        steps=len(snapshots),
     )
 
 
@@ -682,14 +682,17 @@ class TestRunDirectoryIntegrity:
              r"snapshot_000\.csv: column weight differs from snapshot_001\.csv"),
             (_set_manifest_steps(-5),
              r"manifest\.ini: \[run\] steps = -5 is too few for rows\.csv's \d+ rows"),
+            (_set_manifest_steps(1000000),
+             r"manifest\.ini: \[run\] steps = 1000000 is too many for rows\.csv's \d+ rows"),
         ],
-        ids=["snapshot-0-id", "snapshot-0-ell-doubled", "snapshot-0-weight-halved", "steps-negative"],
+        ids=["snapshot-0-id", "snapshot-0-ell-doubled", "snapshot-0-weight-halved", "steps-negative",
+             "steps-too-many"],
     )
     def test_record_no_run_makes_is_refused_naming_its_file(
         self, tmp_path, small_run, tamper, refusal
     ):
         """A run never changes a shell's id, ell or weight, and each step
-        adds at most one row."""
+        adds exactly one row."""
         cert, setup, result = small_run
         out = save_run(result, cert, setup, tmp_path / "out")
         tamper(out)
@@ -712,7 +715,7 @@ class TestReports:
         )
         assert loaded == report
         assert not loaded.passed
-        assert loaded.first_failure().witness_id == 17
+        assert [s.witness_id for s in loaded.stages if s.status == "fail"] == [17]
 
     @pytest.mark.parametrize("status", ["bogus", "PASS", ""])
     def test_unknown_stage_status_is_refused(self, tmp_path, status):
