@@ -58,9 +58,4 @@ from .initial_data import (
     sample_ensemble,
 )
 from .oracle_suite import draw_cases, run_oracle_suite
-from .phase_space import (
-    Ensemble,
-    RadialCoordinates,
-    from_radial,
-    to_radial,
-)
+from .phase_space import Ensemble

@@ -42,7 +42,6 @@ class SupNormBound:
 
     rho_lower: float
     e_lower: float
-    b_used: float
 
 
 def _first_breaking(value, holds):
@@ -109,5 +108,4 @@ def confinement_lower_bounds(M: float, B: float) -> SupNormBound:
         # B * B, not B**2: libm pow is off by an ulp for rare B, which
         # would break the bit-level tie to the field solver's squaring
         e_lower=M / (B * B),
-        b_used=B,
     )

@@ -105,25 +105,6 @@ class SortedMassIndex:
     def __len__(self) -> int:
         return self.radii.size
 
-    def enclosed_mass(self, r):
-        """Mass strictly inside radius r plus half the mass exactly at r.
-
-        Nondecreasing in r; 0 below all shells; total mass above all.
-        """
-        r = np.asarray(r, dtype=float)
-        lo = np.searchsorted(self.radii, r, side="left")
-        hi = np.searchsorted(self.radii, r, side="right")
-        out = self.cum[lo] + 0.5 * (self.cum[hi] - self.cum[lo])
-        return float(out) if out.ndim == 0 else out
-
-    def field_at(self, r):
-        """Radial field magnitude m(r)/r^2 (outward for the repulsive case)."""
-        r = np.asarray(r, dtype=float)
-        if not np.all(r > 0):
-            raise ValueError("field evaluation needs r > 0 (NaN refused)")
-        out = self.enclosed_mass(r) / np.square(r)
-        return float(out) if np.ndim(out) == 0 else out
-
     def interior_mass(self, out: np.ndarray = None) -> np.ndarray:
         """Per-shell mass felt by each shell, in ensemble order.
 

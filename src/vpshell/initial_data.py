@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .phase_space import REDUCED_MEASURE, Ensemble, to_radial
+from .phase_space import REDUCED_MEASURE, Ensemble
 
 # Value of the 3-space integral of H(|u|^2); fixes the homogeneous-ball
 # density 3/(4 pi a0^3) after the velocity shift by (a1/a0) x.
@@ -176,7 +176,7 @@ class InitialData:
     the spec's eps and phi at its a0 and delta_r (see the module docstring).
 
     scale is 1 for the small-density family and target_mass/||f0||_1 for
-    the fixed-mass family, so evaluate() returns the final density.
+    the fixed-mass family, so evaluate_reduced returns the final density.
     """
 
     spec: ClassSpec
@@ -206,11 +206,6 @@ class InitialData:
             self.scale * _bump_inside(t[inside], spec.eps) * _cutoff(r_in, spec.a0, spec.delta_r)
         )
         return float(out) if out.ndim == 0 else out
-
-    def evaluate(self, x, v) -> float:
-        """f0 at a Cartesian (position, velocity) pair; |x| > 0 required."""
-        c = to_radial(x, v)
-        return float(self.evaluate_reduced(c.r, c.w, c.ell))
 
     def support_box(self):
         """Bounding box of the support in (r, w, ell).

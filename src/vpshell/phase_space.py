@@ -19,61 +19,13 @@ REDUCED_MEASURE = 4.0 * np.pi**2
 
 
 @dataclass(frozen=True)
-class RadialCoordinates:
-    """A point (r, w, ell) of the reduced phase space.
-
-    r : radius, > 0
-    w : radial velocity (w < 0 means inward motion)
-    ell : squared angular momentum, >= 0
-    """
-
-    r: float
-    w: float
-    ell: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"radius must be positive, got r={self.r}")
-        if self.ell < 0:
-            raise ValueError(f"squared angular momentum must be >= 0, got ell={self.ell}")
-
-
-def to_radial(x, v) -> RadialCoordinates:
-    """Map a Cartesian (position, velocity) pair to reduced coordinates.
-
-    Returns (|x|, x.v/|x|, |x cross v|^2).  Raises ValueError at x = 0,
-    where the radial decomposition is undefined.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("radial coordinates are undefined at the origin (|x| = 0)")
-    w = float(np.dot(x, v)) / r
-    cross = np.cross(x, v)
-    ell = float(np.dot(cross, cross))
-    return RadialCoordinates(r=r, w=w, ell=ell)
-
-
-def from_radial(coords: RadialCoordinates):
-    """A canonical Cartesian realization of (r, w, ell).
-
-    Places the point on the x-axis with the tangential velocity along y;
-    to_radial of the result reproduces coords exactly.
-    """
-    r = coords.r
-    x = np.array([r, 0.0, 0.0])
-    v = np.array([coords.w, np.sqrt(coords.ell) / r, 0.0])
-    return x, v
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Time-stamped collection of shells, stored as parallel arrays.
 
-    total_mass caches the weight sum at construction.  Evolution steps
-    carry the weight array through untouched, so the bookkeeping identity
-    sum(weight) == total_mass holds bitwise along an entire run.
+    total_mass caches the weight sum at construction; it is not an
+    argument, so dataclasses.replace sums the new weights.  Evolution
+    steps carry the weight array through untouched, so the bookkeeping
+    identity sum(weight) == total_mass holds bitwise along an entire run.
     """
 
     r: np.ndarray
@@ -82,14 +34,13 @@ class Ensemble:
     weight: np.ndarray
     ids: np.ndarray
     time: float = 0.0
-    total_mass: float = field(default=None)  # type: ignore[assignment]
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
         self._check_shapes_and_time()
         if not np.all(self.weight >= 0):  # NaN too
             raise ValueError("shell weights must be nonnegative")
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", float(np.sum(self.weight)))
+        object.__setattr__(self, "total_mass", float(np.sum(self.weight)))
 
     def _check_shapes_and_time(self):
         for name in ("r", "w", "ell", "weight", "ids"):
@@ -105,7 +56,6 @@ class Ensemble:
     @classmethod
     def single(cls, r: float, w: float, ell: float, weight: float, time: float = 0.0) -> "Ensemble":
         """The one-shell ensemble of the point (r, w, ell), id 0."""
-        RadialCoordinates(r, w, ell)  # refuses r <= 0 and ell < 0
         return cls(
             r=np.array([r], dtype=float),
             w=np.array([w], dtype=float),

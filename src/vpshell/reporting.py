@@ -70,6 +70,9 @@ from .initial_data import ClassSpec
 from .phase_space import Ensemble
 
 ROWS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
+# manifest.ini's [manifest] format, and the name of a run's k-th snapshot
+MANIFEST_FORMAT = 1
+SNAPSHOT_NAME = "snapshot_{:03d}.csv"
 # column -> Ensemble attribute
 SNAPSHOT_COLUMNS = {"id": "ids", "r": "r", "w": "w", "ell": "ell", "weight": "weight"}
 # column -> run-record attribute; the "final." columns repeat the last snapshot
@@ -435,7 +438,7 @@ def save_run(
     snapshots = [_columns(ens, SNAPSHOT_COLUMNS) for _, ens in result.snapshots]
     text = _FloatText(rows, shells, *snapshots)
     _write_table(out / "rows.csv", rows, text)
-    names = tuple(f"snapshot_{k:03d}.csv" for k in range(len(result.snapshots)))
+    names = tuple(map(SNAPSHOT_NAME.format, range(len(result.snapshots))))
     for name, (_, ens) in zip(names, result.snapshots):
         save_snapshot(ens, out / name, text=text)
     _write_table(out / "shells.csv", shells, text)
@@ -444,7 +447,7 @@ def save_run(
     config, marks = setup.resolve(cert)
     times = tuple(float(time) for time, _ in result.snapshots)
     _write_ini(out / "manifest.ini", {
-        "manifest": {"format": 1, "version": __version__},
+        "manifest": {"format": MANIFEST_FORMAT, "version": __version__},
         "run": {
             "n_r": setup.n_r, "n_w": setup.n_w, "n_ell": setup.n_ell,
             "n_shells": len(result.final), "n_bins": N_BINS, "cfl": config.cfl,
@@ -467,8 +470,10 @@ def load_run_data(out_dir) -> RunResult:
     """Reload a run directory as the RunResult integrate returned, refusing
     a record that is incomplete or inconsistent.
 
-    Raises RecordError unless the manifest lists [snapshots] count files
-    and ascending times from the first to the last time of rows.csv,
+    Raises RecordError unless the manifest's [manifest] format is
+    MANIFEST_FORMAT and it lists [snapshots] count files, the k-th named
+    SNAPSHOT_NAME.format(k), so no file outside out_dir is opened, and
+    ascending times from the first to the last time of rows.csv,
     [run] steps is one less than rows.csv's rows (a step adds exactly
     one), every snapshot and shells.csv has [run] n_shells rows, the
     id, ell and weight columns of every snapshot, which a run never
@@ -480,6 +485,9 @@ def load_run_data(out_dir) -> RunResult:
     rows = [DiagnosticsRow(*values) for values in zip(*(c.tolist() for c in table.values()))]
 
     with _reading_ini(out / "manifest.ini", f"no manifest.ini under {out}") as manifest:
+        form = manifest["manifest"]["format"]
+        if form != _ini_value(MANIFEST_FORMAT):
+            raise ValueError(f"[manifest] format = {form} is not {MANIFEST_FORMAT}")
         snaps = manifest["snapshots"]
         files = snaps["files"].split(",")
         times = [_float(s) for s in snaps["times"].split(",")]
@@ -489,6 +497,9 @@ def load_run_data(out_dir) -> RunResult:
                 f"{len(files)} snapshot files and {len(times)} times listed, "
                 f"[snapshots] count is {count}"
             )
+        for k, name in enumerate(files):
+            if name != SNAPSHOT_NAME.format(k):
+                raise ValueError(f"[snapshots] file {k} is {name!r}, not {SNAPSHOT_NAME.format(k)!r}")
         span = (rows[0].t, rows[-1].t) if rows else None
         if (times[0], times[-1]) != span or any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError(f"[snapshots] times {times} do not ascend over rows.csv's {span}")

@@ -126,7 +126,6 @@ class TestConfinement:
         lb = confinement_lower_bounds(M=4.0 * np.pi / 3.0, B=1.0)
         assert lb.rho_lower == pytest.approx(1.0, rel=1e-15)
         assert lb.e_lower == pytest.approx(4.0 * np.pi / 3.0, rel=1e-15)
-        assert lb.b_used == 1.0
 
     def test_formulas_verbatim(self):
         m, b = 0.37, 1.71

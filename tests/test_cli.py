@@ -633,6 +633,16 @@ class TestMalformedIniFiles:
             ("manifest.ini", "count = 2", "count = two"),
             ("manifest.ini", "[snapshots]", "[snaps]"),
             ("manifest.ini", "times = 0.0,0.008", "times = 0.0,0.0"),
+            ("manifest.ini", "format = 1", "format = 7"),
+            # valid snapshots, but not where save_run puts them: not read
+            pytest.param(
+                "manifest.ini", "files = snapshot_000.csv",
+                "files = ../out/snapshot_000.csv", id="manifest.ini-files-parent-path",
+            ),
+            pytest.param(
+                "manifest.ini", "files = snapshot_000.csv",
+                "files = {intact}/out/snapshot_000.csv", id="manifest.ini-files-absolute-path",
+            ),
             ("run.ini", "n_r = 6", "n_r = six"),
             ("run.ini", "cfl = 0.2", "cfl = 0."),
             ("run.ini", "mark_times =", "mark_times = -0.001"),
@@ -656,6 +666,7 @@ class TestMalformedIniFiles:
     def test_refusals_name_the_file(self, intact, name, old, new):
         text = _ini_path(intact, name).read_text()
         assert old in text
+        new = new.format(intact=intact)
         code, err, _, path = _run_with(intact, name, text.replace(old, new).encode())
         assert code == 2
         _assert_names_file(name, err, path)

@@ -188,6 +188,19 @@ class TestVerification:
         report = verify_focusing_run(result, tight)
         assert next(s for s in report.stages if s.status == "fail").name == "initial-sup-norms"
 
+    @pytest.mark.parametrize("column, bound", [
+        ("e_sup_exact", "e0_sup_bound"),
+        ("rho_sup_certified", "rho0_sup_bound"),
+        ("rho_sup_binned", "rho0_sup_bound"),
+    ])
+    def test_one_broken_initial_norm_fails_stage_one(self, desk_run, column, bound):
+        """Row 0 over twice one bound, the other two norms within theirs."""
+        cert, result = desk_run
+        row0 = dataclasses.replace(result.rows[0], **{column: 2.0 * getattr(cert, bound)})
+        report = verify_focusing_run(dataclasses.replace(result, rows=[row0, *result.rows[1:]]), cert)
+        assert report.stages[0].name == "initial-sup-norms"
+        assert report.stages[0].status == "fail"
+
     def test_unreachable_density_claim_fails_stage_five(self, desk_run):
         """A density claim at T 12 orders stronger than the recipe's, which
         load_certificate would refuse in a file."""

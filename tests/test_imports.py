@@ -1,7 +1,8 @@
 """Every name a source module imports is used in it, every private
 module-level name is used somewhere in the package, and every name the
-package exports is used by its pipeline.  An import kept on purpose
-carries `# noqa: F401` on its line, as flake8 and ruff read it."""
+package exports and every public method of its public classes is used
+by its pipeline.  An import kept on purpose carries `# noqa: F401` on
+its line, as flake8 and ruff read it."""
 
 import ast
 import re
@@ -89,9 +90,9 @@ def test_only_the_ini_writer_and_reader_make_a_parser():
     assert users == {"_write_ini", "_reading_ini"}
 
 
-# Exported for its tests alone: they check the paper's reduction from
-# (x, v) to (r, w, ell) both ways, and only to_radial's way is run.
-EXPORTED_FOR_TESTS = {"from_radial"}
+# Kept for the tests alone: evaluate_reduced is f0 at a point, the
+# sampler's bit-for-bit reference and the quadrature tests' integrand.
+TEST_REFERENCES = {"evaluate_reduced"}
 
 
 def _references(tree) -> set:
@@ -116,6 +117,25 @@ def _references(tree) -> set:
     return used
 
 
+def _pipeline_references() -> set:
+    """Names that another part of src/, bench/ or tests/test_acceptance.py
+    refers to."""
+    users = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    return set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in users))
+
+
+def _public_methods() -> set:
+    """Public methods and properties of the public classes in src/."""
+    return {
+        node.name
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
 def test_every_export_is_used_by_the_pipeline():
     """A name vpshell exports is used by another part of src/, by bench/ or
     by tests/test_acceptance.py; one that only its own tests call is dead
@@ -127,10 +147,15 @@ def test_every_export_is_used_by_the_pipeline():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    users = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in users))
-    assert sorted(exported - used - EXPORTED_FOR_TESTS) == []
-    assert EXPORTED_FOR_TESTS <= exported - used  # the exception is still needed
+    assert sorted(exported - _pipeline_references()) == []
+
+
+def test_every_public_method_is_used_by_the_pipeline():
+    """The same rule for the public methods of public classes, which an
+    export does not name."""
+    unused = _public_methods() - _pipeline_references()
+    assert sorted(unused - TEST_REFERENCES) == []
+    assert TEST_REFERENCES <= unused  # the exception is still needed
 
 
 # The package's layers, lowest first.  A module imports only modules

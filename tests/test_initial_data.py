@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
@@ -18,8 +18,22 @@ from vpshell import (
     design_small_data,
     sample_ensemble,
 )
-from vpshell.initial_data import BUMP_INTEGRAL, PROFILE_NORMALIZATION, RISE_MOMENT
+from vpshell.initial_data import (
+    BUMP_INTEGRAL,
+    PROFILE_NORMALIZATION,
+    RISE_MOMENT,
+    profile_argument,
+)
 from vpshell.phase_space import REDUCED_MEASURE
+
+
+# the desk and focus workloads' specs and a fixed-mass one (a0 ~ 9.8e5)
+REDUCTION_SPECS = {
+    "desk": design_small_data(c1=32.0, c2=1e-7, eps=0.2).spec,
+    "focus": design_small_data(c1=32.0, c2=1e-7, eps=0.05).spec,
+    "fixed-mass": design_fixed_mass(c1=1.0, c2=1e-2, t_horizon=1.0).spec,
+}
+CUBE_POINT = st.tuples(*[st.floats(-2.0, 2.0)] * 3)  # a point of [-2, 2]^3
 
 
 def canonical_data(a0=1.0, eps=0.2, a1=None, target_mass=None):
@@ -171,16 +185,32 @@ class TestInitialData:
         r_out = spec.a0 + 2 * spec.delta_r
         assert data.evaluate_reduced(r_out, spec.a1, 0.0) == 0.0
 
-    def test_cartesian_matches_reduced(self):
+    @given(name=st.sampled_from(sorted(REDUCTION_SPECS)), x=CUBE_POINT, u=CUBE_POINT)
+    def test_cartesian_matches_reduced(self, name, x, u):
+        """profile_argument at the (r, w, ell) of a Cartesian (x, v) is
+        |a1 x - a0 v|^2, and w^2 + ell/r^2 is |v|^2; r = |x|, w = x.v/r
+        and ell = |x cross v|^2 are computed here.  v is drawn about the
+        comoving velocity (a1/a0) x, the profile's peak."""
+        spec = REDUCTION_SPECS[name]
+        x = spec.a0 * np.array(x)
+        v = spec.a1 / spec.a0 * x + abs(spec.a1) * np.array(u)
+        r = float(np.sqrt(x @ x))
+        assume(r > 1e-6 * spec.a0)
+        w = float(x @ v) / r
+        ell = float(np.sum(np.cross(x, v) ** 2))
+        speed = float(np.sqrt(v @ v))
+        shifted = spec.a1 * x - spec.a0 * v
+        scale = (abs(spec.a1) * r + spec.a0 * speed) ** 2
+        assert abs(profile_argument(spec, r, w, ell) - float(shifted @ shifted)) <= 1e-14 * scale
+        assert abs(w * w + ell / r**2 - speed**2) <= 1e-14 * speed**2
+
+    def test_peak_is_at_the_comoving_point(self):
+        # v = (a1/a0) x has w = a1, ell = 0 at |x| = a0: c exp(-1) / eps^3
         data = canonical_data()
-        a0, a1 = data.spec.a0, data.spec.a1
-        # comoving point: v = (a1/a0) x has w = a1, ell = 0 at |x| = a0
-        f_cart = data.evaluate([a0, 0.0, 0.0], [a1, 0.0, 0.0])
-        f_red = data.evaluate_reduced(a0, a1, 0.0)
-        assert f_cart == f_red
-        # the comoving point is the profile's peak, c exp(-1) / eps^3
         c = PROFILE_NORMALIZATION / (4.0 * np.pi * BUMP_INTEGRAL)
-        assert f_cart == pytest.approx(data.scale * c * np.exp(-1.0) / data.spec.eps**3, rel=1e-15)
+        assert data.evaluate_reduced(data.spec.a0, data.spec.a1, 0.0) == pytest.approx(
+            data.scale * c * np.exp(-1.0) / data.spec.eps**3, rel=1e-15
+        )
 
     def test_data_is_its_spec_and_scale(self):
         spec = ClassSpec(a0=1.0, a1=-25.0, eps=0.2, target_mass=1.0)

@@ -1,67 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from vpshell import Ensemble, RadialCoordinates, from_radial, to_radial
-
-
-def test_to_radial_orthogonal_unit_vectors():
-    c = to_radial([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert (c.r, c.w, c.ell) == (1.0, 0.0, 1.0)
-
-
-def test_to_radial_purely_radial_motion():
-    c = to_radial([0.0, 0.0, 2.0], [0.0, 0.0, -3.0])
-    assert (c.r, c.w, c.ell) == (2.0, -3.0, 0.0)
-
-
-def test_to_radial_oblique_case():
-    # x.v = 7, |x| = 5, x cross v = (0, 0, -1)
-    c = to_radial([3.0, 4.0, 0.0], [1.0, 1.0, 0.0])
-    assert c.r == 5.0
-    assert c.w == pytest.approx(1.4, rel=1e-15)
-    assert c.ell == pytest.approx(1.0, rel=1e-15)
-
-
-def test_to_radial_rejects_origin():
-    with pytest.raises(ValueError):
-        to_radial([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-
-
-@given(
-    r=st.floats(1e-3, 1e3),
-    w=st.floats(-1e3, 1e3),
-    ell=st.floats(0.0, 1e6),
-)
-def test_round_trip_from_radial(r, w, ell):
-    coords = RadialCoordinates(r=r, w=w, ell=ell)
-    x, v = from_radial(coords)
-    back = to_radial(x, v)
-    assert back.r == pytest.approx(r, rel=1e-12)
-    assert back.w == pytest.approx(w, rel=1e-12, abs=1e-12 * max(r, 1.0))
-    assert back.ell == pytest.approx(ell, rel=1e-12, abs=1e-20)
-
-
-@given(
-    x=st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
-    v=st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
-)
-def test_speed_decomposition_identity(x, v):
-    x = np.asarray(x)
-    v = np.asarray(v)
-    if np.linalg.norm(x) < 1e-6:
-        return
-    c = to_radial(x, v)
-    assert c.ell >= 0.0
-    speed_sq = float(np.dot(v, v))
-    assert c.w**2 + c.ell / c.r**2 == pytest.approx(speed_sq, rel=1e-9, abs=1e-12)
-
-
-def test_coordinate_validation():
-    with pytest.raises(ValueError):
-        RadialCoordinates(r=0.0, w=1.0, ell=1.0)
-    with pytest.raises(ValueError):
-        RadialCoordinates(r=1.0, w=1.0, ell=-1.0)
+from vpshell import Ensemble
 
 
 def test_reduced_mass_empty_and_single():
@@ -124,6 +66,17 @@ def test_mass_error_is_bitwise_zero():
     moved = ens.advanced(ens.r * 1.5, ens.w, time=1.0)
     assert moved.total_mass == ens.total_mass
     assert moved.mass_error() == 0.0
+
+
+def test_total_mass_is_the_weight_sum_of_every_ensemble():
+    """total_mass is not an argument: an ensemble made with other weights,
+    by dataclasses.replace too, caches their sum."""
+    ens = Ensemble.single(r=1.0, w=-1.0, ell=1.0, weight=0.5)
+    heavier = dataclasses.replace(ens, weight=np.array([2.0]))
+    assert heavier.total_mass == 2.0 and heavier.mass_error() == 0.0
+    with pytest.raises(TypeError, match="total_mass"):
+        Ensemble(r=np.ones(1), w=np.zeros(1), ell=np.ones(1), weight=np.ones(1),
+                 ids=np.arange(1), total_mass=123.0)
 
 
 class _CountingArray(np.ndarray):
