@@ -2,8 +2,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vpshell import Ensemble
+
+
+@given(
+    x=st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
+    v=st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
+)
+def test_speed_decomposition_identity(x, v):
+    """w^2 + ell/r^2 = |v|^2 for r = |x|, w = x.v/r, ell = |x cross v|^2."""
+    x = np.asarray(x)
+    v = np.asarray(v)
+    r = float(np.linalg.norm(x))
+    if r < 1e-6:
+        return
+    w = float(np.dot(x, v)) / r
+    ell = float(np.sum(np.cross(x, v) ** 2))
+    speed_sq = float(np.dot(v, v))
+    assert w**2 + ell / r**2 == pytest.approx(speed_sq, rel=1e-9, abs=1e-12)
 
 
 def test_reduced_mass_empty_and_single():
