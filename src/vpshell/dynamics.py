@@ -19,16 +19,14 @@ them up.
 
 A run allocates its work arrays once (the enclosed masses, the force,
 the force's radius terms ell/r^3 and r^2, and two masks), and every
-elementwise pass writes into them.  Each index build reuses the previous
-index's arrays and allocates one array of one value per shell: the
-positions its packed keys carry, or lexsort's order.  Only colliding
-keys and tied radii add arrays, sized by their members.  The radius
-terms computed for a step's closing kick are those of the next state,
-so the next step's opening force recomputes only m/r^2.  Positions and
-velocities rotate through two pairs of arrays: a state gives its r and
-w to the state after next, unless it is a snapshot or the final state,
-whose arrays, like the caller's ensemble, are never written again; a
-fresh pair replaces one kept that way.
+elementwise pass writes into them.  Each state's index is built in the
+previous state's index's arrays.  Fresh arrays in place of either raised
+the run's peak memory or its wall time.  Every other array is fresh:
+each state's r and w, which _adaptive_dt borrows as scratch before the
+step fills them and nothing writes afterwards, and the temporaries of
+the index build and its queries.  The radius terms computed for a step's
+closing kick are those of the next state, so the next step's opening
+force recomputes only m/r^2.
 
 integrate takes exactly what a run manifest's [run] records, and its
 RunResult holds exactly what the run directory holds, so a run replays
@@ -278,8 +276,8 @@ def integrate(
     SortedMassIndex gives the state's row (sup norms and a density binned
     on field.N_BINS geometric bins spanning its radii, see sup_norms) and the
     next step's enclosed masses.  The step writes into work arrays the
-    run allocates once (see the module docstring); the caller's ensemble
-    and every snapshot keep arrays that are never written.  An empty
+    run allocates once (see the module docstring) and into each new
+    state's own r and w, never into an earlier state's.  An empty
     ensemble, and a shell that _refuse_bad_shells names, is refused with
     a ValueError before the first step.
     """
@@ -288,7 +286,7 @@ def integrate(
     _refuse_bad_shells(ensemble)
     marks = sorted(set(float(m) for m in mark_times))
     for m in marks:
-        if m <= ensemble.time or m > config.t_end:
+        if not ensemble.time < m <= config.t_end:
             raise ValueError(f"mark time {m!r} outside (start, t_end]")
     stops = marks + ([config.t_end] if config.t_end not in marks else [])
 
@@ -319,8 +317,6 @@ def integrate(
     ell_r3, r2 = np.empty(n), np.empty(n)  # radius terms of ens
     _radius_terms(ens.r, ens.ell, ell_r3, r2)
     crossing, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    spare = None  # r and w of the state before ens, when free to overwrite
-    kept = True  # ens's arrays are the caller's or a snapshot's
 
     stop_idx = 0
     while stop_idx < len(stops):
@@ -333,7 +329,7 @@ def integrate(
 
         index.interior_mass(out=m_frozen)
         a_start = _force(ell_r3, m_frozen, r2, out=a)
-        r_new, w_new = spare if spare is not None else (np.empty(n), np.empty(n))
+        r_new, w_new = np.empty(n), np.empty(n)
         dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max, r_new, w_new)
         # checked before landing clips dt, so a short gap to a mark is no stop
         if dt < config.dt_min:
@@ -372,8 +368,6 @@ def integrate(
             r_min_shell[idx] = r_star[lower]
             t_at_r_min[idx] = t_star[lower]
 
-        # the state after next reuses ens's arrays unless something keeps them
-        spare = None if kept else (ens.r, ens.w)
         ens = ens.advanced(r_new, w_new, t_new)
         index = SortedMassIndex.from_ensemble(ens, out=index)
 
@@ -382,8 +376,7 @@ def integrate(
         np.copyto(t_at_r_min, ens.time, where=lower)
 
         rows.append(make_row(ens, index, dt_try))
-        kept = ens.time >= target
-        if kept:
+        if ens.time >= target:
             snapshots.append((ens.time, ens))
             stop_idx += 1
 

@@ -29,7 +29,7 @@ stored as native doubles, is lexsorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,9 +54,8 @@ class SortedMassIndex:
     every radius is a positive normal finite double, lexsort otherwise.
     group_ends is None when no two radii are equal.
 
-    work is scratch space of one float per shell: the packed keys,
-    interior_mass's sorted values and e_sup_exact's quotients pass
-    through it, so none of them allocates an n-sized temporary.
+    An index owns radii, weights, order and cum, which a build with
+    out=index takes over; everything else its methods need they allocate.
     """
 
     radii: np.ndarray      # ascending
@@ -65,29 +64,20 @@ class SortedMassIndex:
     cum: np.ndarray        # length n + 1, cum[0] = 0
     group_ends: Optional[np.ndarray]  # one past the last position of each tie group
     total_mass: float
-    work: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_ensemble(cls, ensemble: Ensemble, out: "SortedMassIndex" = None) -> "SortedMassIndex":
         """Index of ensemble's state.
 
-        An index out of the same length lends the new one its arrays and
-        is invalid afterwards: radii, weights, cum, work and order are
-        overwritten.
+        The new index is built in the arrays of out, an index of the same
+        length, which is invalid afterwards.
         """
         n = len(ensemble)
         if out is None:
-            radii, weights, cum, work = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n)
-            order = None
+            radii, weights, cum, order = np.empty(n), np.empty(n), np.empty(n + 1), None
         else:
-            radii, weights, cum, work = out.radii, out.weights, out.cum, out.work
-            order = out.order
-        # weights is filled last, so until then its bytes are the sort's
-        # boolean scratch
-        order, group_ends = _sort_by_radius_then_id(
-            ensemble.r, ensemble.ids, radii, order, work.view(np.int64),
-            weights.view(np.bool_)[:n],
-        )
+            radii, weights, cum, order = out.radii, out.weights, out.cum, out.order
+        order, group_ends = _sort_by_radius_then_id(ensemble.r, ensemble.ids, radii, order)
         # unbuffered gather, as in _sort_by_radius_then_id
         np.take(ensemble.weight, order, out=weights, mode="wrap")
         cum[0] = 0.0
@@ -99,7 +89,6 @@ class SortedMassIndex:
             cum=cum,
             group_ends=group_ends,
             total_mass=ensemble.total_mass,
-            work=work,
         )
 
     def __len__(self) -> int:
@@ -123,7 +112,7 @@ class SortedMassIndex:
             sizes = np.diff(ends, prepend=0)
             below = cum[np.repeat(ends - sizes, sizes)]
             upto = cum[np.repeat(ends, sizes)]
-        interior_sorted = np.subtract(upto, below, out=self.work)
+        interior_sorted = np.subtract(upto, below)
         np.subtract(interior_sorted, self.weights, out=interior_sorted)
         np.multiply(interior_sorted, 0.5, out=interior_sorted)
         np.add(below, interior_sorted, out=interior_sorted)
@@ -149,20 +138,19 @@ class SortedMassIndex:
             r, below_or_at = self.radii[ends - 1], self.cum[ends]
         # explicit multiply keeps the squaring bit-identical to the
         # confinement bound without leaning on numpy's ** lowering
-        quotient = np.multiply(r, r, out=self.work[: r.size])
+        quotient = np.multiply(r, r)
         return float(np.max(np.divide(below_or_at, quotient, out=quotient)))
 
 
-def _sort_by_radius_then_id(r, ids, radii, order, keys, flags):
+def _sort_by_radius_then_id(r, ids, radii, order):
     """(order, tie-group ends) of np.lexsort((ids, r)), the ends None
     when no two radii are equal; the sorted radii go into radii.
 
     Radii that are all native doubles in [tiny, inf) are sorted by packed
-    keys (see the module docstring) built in keys, r.size int64; the
-    order is written into order when that is given.  flags is a boolean
-    scratch of r.size entries.  An order is a permutation, so the
-    gathers by it take mode="wrap", which writes into their out directly
-    where the default mode="raise" buffers.
+    keys (see the module docstring); the order is written into order
+    when that is given.  An order is a permutation, so the gathers by it
+    take mode="wrap", which writes into their out directly where the
+    default mode="raise" buffers.
     """
     n = r.size
     if (
@@ -175,40 +163,36 @@ def _sort_by_radius_then_id(r, ids, radii, order, keys, flags):
     ):
         order = np.lexsort((ids, r))
         np.take(r, order, out=radii, mode="wrap")
-        return order, _tie_group_ends(radii, flags)
+        return order, _tie_group_ends(radii)
     if order is None:
         order = np.empty(n, dtype=np.intp)
     b = (n - 1).bit_length()
     low = (1 << b) - 1
-    np.bitwise_and(r.view(np.int64), ~low, out=keys)
+    keys = np.bitwise_and(r.view(np.int64), ~low)
     np.bitwise_or(keys, np.arange(n), out=keys)
     keys.view(np.float64).sort()
     np.bitwise_and(keys, low, out=order)
     high = np.right_shift(keys, b, out=keys)
-    shared = np.equal(high[1:], high[:-1], out=flags[:-1])
+    shared = high[1:] == high[:-1]
     if not shared.any():
         np.take(r, order, out=radii, mode="wrap")
         return order, None
     # A run of keys sharing their high bits is in position order.  Runs
     # are in radius order among themselves, so one lexsort over all run
     # members, written back to their slots, orders each run by (r, id).
-    flags[-1] = False
-    np.logical_or(flags[1:], flags[:-1], out=flags[1:])
-    slots = np.flatnonzero(flags)
+    member = np.append(shared, False)
+    member[1:] |= shared
+    slots = np.flatnonzero(member)
     shells = order[slots]
     order[slots] = shells[np.lexsort((ids[shells], r[shells]))]
     np.take(r, order, out=radii, mode="wrap")
-    return order, _tie_group_ends(radii, flags)
+    return order, _tie_group_ends(radii)
 
 
-def _tie_group_ends(radii: np.ndarray, last: np.ndarray) -> Optional[np.ndarray]:
+def _tie_group_ends(radii: np.ndarray) -> Optional[np.ndarray]:
     """One past the last position of each run of equal ascending radii,
-    None if no two radii are equal.
-
-    last is the boolean scratch of radii.size entries the scan writes.
-    """
-    np.not_equal(radii[1:], radii[:-1], out=last[:-1])
-    last[-1:] = True
+    None if no two radii are equal."""
+    last = np.append(radii[1:] != radii[:-1], True)
     return None if last.all() else np.flatnonzero(last) + 1
 
 
