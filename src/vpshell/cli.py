@@ -16,8 +16,8 @@ or refusal (bad argument, missing file or key, unread run config key,
 t_end beyond MAX_STEPS steps of dt_max, a grid too large to allocate, a
 certificate its recipe does not remake, inconsistent run record, run
 not made from the certificate, by its manifest's class or its own
-certificate.ini, or stopped before T); a certificate marked exploratory
-by hand only claims less.
+certificate.ini, or with no snapshot at exactly T); a certificate
+marked exploratory by hand only claims less.
 
 --threads is accepted for interface compatibility; the computation is
 deterministic and its results do not depend on it.
@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a run directory against a certificate")
     p_verify.add_argument("run_dir", help="directory written by `vpshell run`")
     p_verify.add_argument("certificate", help="certificate file")
-    p_verify.add_argument("--out", default=None, help="report path (default: <run_dir>/verification.ini)")
 
     p_oracle = sub.add_parser("oracle", help="run the bound-vs-reference property suite")
     p_oracle.add_argument("--cases", type=int, default=1000, help="number of random draws")
@@ -170,7 +169,7 @@ def _cmd_verify(args) -> int:
     run = load_run_data(args.run_dir)
     require_manifest_matches(args.run_dir, run, cert, args.certificate)
     report = verify_focusing_run(run, cert)
-    out = args.out if args.out is not None else Path(args.run_dir) / "verification.ini"
+    out = Path(args.run_dir) / "verification.ini"
     save_verification_report(report, out)
     print(report)
     print(f"report -> {out}")

@@ -62,8 +62,6 @@ from .phase_space import Ensemble
 
 # Newton steps allowed per sample when solving the Kepler time equation.
 ORACLE_NEWTON_MAX_ITER = 50
-# Relative distance within which a requested time matches a snapshot's.
-SNAPSHOT_TIME_REL_TOL = 1e-12
 # Steps one run may take.
 MAX_STEPS = 10_000_000
 
@@ -238,8 +236,10 @@ class RunResult:
         return self.snapshots[-1][1]
 
     def snapshot_at(self, t: float) -> Ensemble:
+        """The snapshot whose time is exactly t: integrate lands every
+        mark and t_end exactly, so a requested time is a key."""
         for time, ens in self.snapshots:
-            if time == t or abs(time - t) <= SNAPSHOT_TIME_REL_TOL * max(abs(t), 1.0):
+            if time == t:
                 return ens
         raise KeyError(f"no snapshot recorded at t={t!r}")
 
@@ -318,67 +318,62 @@ def integrate(
     _radius_terms(ens.r, ens.ell, ell_r3, r2)
     crossing, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
-    stop_idx = 0
-    while stop_idx < len(stops):
-        target = stops[stop_idx]
-        if ens.time >= target:
-            stop_idx += 1
-            continue
-        if len(rows) - 1 >= MAX_STEPS:  # one row per state
-            raise StepBudgetError(f"{MAX_STEPS} steps reached at t={ens.time!r} before t_end")
+    for target in stops:
+        while ens.time < target:
+            if len(rows) - 1 >= MAX_STEPS:  # one row per state
+                raise StepBudgetError(f"{MAX_STEPS} steps reached at t={ens.time!r} before t_end")
 
-        index.interior_mass(out=m_frozen)
-        a_start = _force(ell_r3, m_frozen, r2, out=a)
-        r_new, w_new = np.empty(n), np.empty(n)
-        dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max, r_new, w_new)
-        # checked before landing clips dt, so a short gap to a mark is no stop
-        if dt < config.dt_min:
-            raise _stiffness(ens, dt)
-        landing = ens.time + dt >= target
-        if landing:
-            dt = target - ens.time
+            index.interior_mass(out=m_frozen)
+            a_start = _force(ell_r3, m_frozen, r2, out=a)
+            r_new, w_new = np.empty(n), np.empty(n)
+            dt = _adaptive_dt(ens.r, ens.w, a_start, config.cfl, config.dt_max, r_new, w_new)
+            # checked before landing clips dt, so a short gap to a mark is no stop
+            if dt < config.dt_min:
+                raise _stiffness(ens, dt)
+            landing = ens.time + dt >= target
+            if landing:
+                dt = target - ens.time
 
-        dt_try = dt
-        while not _kdk_attempt(
-            ens.r, ens.w, ens.ell, m_frozen, a_start, dt_try, r_new, w_new, ell_r3, r2
-        ):
-            dt_try *= 0.5
-            landing = False
-            if dt_try < config.dt_min or dt_try == 0.0:
+            dt_try = dt
+            while not _kdk_attempt(
+                ens.r, ens.w, ens.ell, m_frozen, a_start, dt_try, r_new, w_new, ell_r3, r2
+            ):
+                dt_try *= 0.5
+                landing = False
+                if dt_try < config.dt_min or dt_try == 0.0:
+                    raise _stiffness(ens, dt_try)
+            t_new = target if landing else ens.time + dt_try
+            if t_new == ens.time:  # dt_try is below half an ulp of t
                 raise _stiffness(ens, dt_try)
-        t_new = target if landing else ens.time + dt_try
-        if t_new == ens.time:  # dt_try is below half an ulp of t
-            raise _stiffness(ens, dt_try)
 
-        # turning point: w crossed from negative to nonnegative this step.
-        np.equal(turning_time, np.inf, out=crossing)
-        np.logical_and(crossing, np.less(ens.w, 0.0, out=mask), out=crossing)
-        np.logical_and(crossing, np.greater_equal(w_new, 0.0, out=mask), out=crossing)
-        if np.any(crossing):
-            w_old = ens.w[crossing]
-            dw = w_new[crossing] - w_old
-            # w_old < 0 <= w_new, so dw >= -w_old > 0
-            tau = -w_old / dw * dt_try
-            t_star = ens.time + tau
-            # radius along the step parabola at the interpolated instant
-            r_star = ens.r[crossing] + w_old * tau + 0.5 * (dw / dt_try) * tau**2
-            turning_time[crossing] = t_star
-            lower = r_star < r_min_shell[crossing]
-            idx = np.flatnonzero(crossing)[lower]
-            r_min_shell[idx] = r_star[lower]
-            t_at_r_min[idx] = t_star[lower]
+            # turning point: w crossed from negative to nonnegative this step.
+            np.equal(turning_time, np.inf, out=crossing)
+            np.logical_and(crossing, np.less(ens.w, 0.0, out=mask), out=crossing)
+            np.logical_and(crossing, np.greater_equal(w_new, 0.0, out=mask), out=crossing)
+            if np.any(crossing):
+                w_old = ens.w[crossing]
+                dw = w_new[crossing] - w_old
+                # w_old < 0 <= w_new, so dw >= -w_old > 0
+                tau = -w_old / dw * dt_try
+                t_star = ens.time + tau
+                # radius along the step parabola at the interpolated instant
+                r_star = ens.r[crossing] + w_old * tau + 0.5 * (dw / dt_try) * tau**2
+                turning_time[crossing] = t_star
+                lower = r_star < r_min_shell[crossing]
+                idx = np.flatnonzero(crossing)[lower]
+                r_min_shell[idx] = r_star[lower]
+                t_at_r_min[idx] = t_star[lower]
 
-        ens = ens.advanced(r_new, w_new, t_new)
-        index = SortedMassIndex.from_ensemble(ens, out=index)
+            ens = ens.advanced(r_new, w_new, t_new)
+            index = SortedMassIndex.from_ensemble(ens, out=index)
 
-        lower = np.less(ens.r, r_min_shell, out=mask)
-        np.copyto(r_min_shell, ens.r, where=lower)
-        np.copyto(t_at_r_min, ens.time, where=lower)
+            lower = np.less(ens.r, r_min_shell, out=mask)
+            np.copyto(r_min_shell, ens.r, where=lower)
+            np.copyto(t_at_r_min, ens.time, where=lower)
 
-        rows.append(make_row(ens, index, dt_try))
-        if ens.time >= target:
+            rows.append(make_row(ens, index, dt_try))
+        if ens.time > snapshots[-1][0]:  # a t_end at or before the start makes no state
             snapshots.append((ens.time, ens))
-            stop_idx += 1
 
     return RunResult(
         rows=rows,

@@ -540,8 +540,8 @@ def require_manifest_matches(out_dir, run: RunResult, cert: BoundsCertificate, c
     not produced from: the class parameters recorded in the manifest must
     agree, and the run's own certificate.ini must load and equal cert but
     for exploratory, a mark that only weakens a claim.  Also refuse a run
-    that holds no snapshot at the certificate's horizon T.  cert_path
-    names the certificate's file in the refusal."""
+    that holds no snapshot at exactly the certificate's horizon T.
+    cert_path names the certificate's file in the refusal."""
     manifest_path = Path(out_dir) / "manifest.ini"
     with _reading_ini(manifest_path, f"no manifest.ini under {out_dir}") as manifest:
         spec = _read_class(manifest["class"])

@@ -251,6 +251,17 @@ class TestPipeline:
             cert_path.write_text(given_text)
             assert cli.main(["verify", str(out), str(cert_path)]) == 0
 
+    def test_verify_has_no_out_option(self, workspace, capsys):
+        """verify writes its report to <run_dir>/verification.ini only;
+        --out is a usage error from argparse."""
+        ws, cert_path, _ = workspace
+        out, report = _run_dir(ws), ws / "elsewhere.ini"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", str(out), str(cert_path), "--out", str(report)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not report.exists() and not (out / "verification.ini").exists()
+
     @pytest.mark.parametrize("design, edit", [
         (["--c1", "1", "--c2", "1e-4", "--t", "1"], ("c1 = 1.0\n", "c1 = 2.0\n")),
         (["--c1", "32", "--c2", "1e-7", "--eps", "0.2"],
@@ -311,6 +322,15 @@ def _config_without_n_w(ws):
 def _verify_stopped_before_t(ws):
     t_horizon = load_certificate(ws / "cert.ini").t_horizon
     return ["verify", str(_run_dir(ws, "short", t_end=0.5 * t_horizon)), str(ws / "cert.ini")]
+
+
+def _verify_stopped_ulps_before_t(ws):
+    """A run that ends at a mark two ulps short of T has no snapshot at
+    T: a snapshot's time is an exact key."""
+    t_horizon = load_certificate(ws / "cert.ini").t_horizon
+    near = math.nextafter(math.nextafter(t_horizon, 0.0), 0.0)
+    out = _run_dir(ws, "near", t_end=near, mark_times=(near,))
+    return ["verify", str(out), str(ws / "cert.ini")]
 
 
 def _verify_truncated(name):
@@ -390,6 +410,7 @@ USAGE_ERRORS = {
     "oracle-zero-cases": lambda ws: ["oracle", "--cases", "0"],
     "verify-missing-dir": lambda ws: ["verify", str(ws / "nowhere"), str(ws / "cert.ini")],
     "verify-stopped-before-T": _verify_stopped_before_t,
+    "verify-stopped-ulps-before-T": _verify_stopped_ulps_before_t,
     "verify-truncated-shells": _verify_truncated("shells.csv"),
     "verify-truncated-snapshot": _verify_truncated("snapshot_001.csv"),
     "design-fixed-mass-unresolved-shell": lambda ws: ["design", *FIXED_MASS_THIN, "--out", str(ws / "c.ini")],
@@ -562,11 +583,12 @@ def _run_with(intact, name, content: bytes):
         shutil.copytree(intact, ws, dirs_exist_ok=True)
         path = _ini_path(ws, name)
         path.write_bytes(content)
-        report = ws / "report.ini"
+        report = ws / "out" / "verification.ini"
+        report.unlink()  # the intact workspace's, so a report read back is this command's
         if INI_COMMANDS[name] == "run":
             argv = ["run", "--config", str(path), "--out", str(ws / "rerun")]
         else:
-            argv = ["verify", str(ws / "out"), str(ws / "cert.ini"), "--out", str(report)]
+            argv = ["verify", str(ws / "out"), str(ws / "cert.ini")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -531,6 +531,23 @@ class TestMembership:
         failed = {s.name for s in report.stages if s.status == "fail"}
         assert "density-bound" in failed
 
+    def test_plateau_a_few_ulps_wide_fails_density_plateau(self):
+        """design_small_data(c1=1, c2=1e-3) gives eps = 1.97e-5, a0 = 3.17
+        and delta_r = 7.6e-15, a few ulps of a0: phi's plateau is not
+        exact there in double precision, so density-plateau fails alone
+        (it does the same at 16x16x8 and 32x16x8).  density-bound cannot
+        fail for from_spec data, as phi <= 1 and scale = 1."""
+        cert = design_small_data(c1=1.0, c2=1e-3)
+        assert not cert.exploratory
+        data = InitialData.from_spec(cert.spec)
+        ens = sample_ensemble(data, 8, 8, 6)
+        assert len(ens) == 127
+        report = check_membership(data, ens)
+        failed = [(s.name, s.detail) for s in report.stages if s.status == "fail"]
+        assert failed == [
+            ("density-plateau", "max relative deviation 1.389e-06 (tol 1e-06)")
+        ]
+
 
 @settings(max_examples=10, deadline=None)
 @given(

@@ -210,6 +210,23 @@ def test_batched_outcomes_equal_one_case_outcomes():
     assert repr(check_cases(list(cases))) == repr(batched)
 
 
+def test_case_that_turns_on_the_third_horizon_is_checked_as_alone():
+    """L = 1e-4, P = 1.5, y0 = 1, y1 = -1 under a force switched off at
+    t = 0.4431 lies inside draw_cases' ranges, yet turns only at
+    t ~ 19.4: it is solved on horizons 3, 12 and 48.  Among drawn cases
+    its outcome is the one check_case gives it."""
+    case = OracleCase(
+        L=1e-4, P=1.5, y0=1.0, y1=-1.0,
+        profile=PiecewiseConstantProfile(edges=np.array([0.4431]), values=np.array([1.0, 0.0])),
+        label="third-horizon",
+    )
+    alone = check_case(case, index=2)
+    assert alone.passed and 12.0 < alone.turning_time < 48.0
+    cases = list(draw_cases(5, 7))
+    cases[2] = case
+    assert repr(check_cases(cases)[2]) == repr(alone)
+
+
 def test_suite_draws_once(monkeypatch):
     calls = []
 

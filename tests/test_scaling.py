@@ -26,6 +26,7 @@ from vpshell import (
     design_small_data,
     integrate,
     sample_ensemble,
+    verify_focusing_run,
 )
 
 SCALES = [(4.0, 2.0), (2.0, 2.0), (1.0, 2.0), (2.0**10, 2.0**-3), (2.0**-1, 2.0**2)]
@@ -136,3 +137,30 @@ def test_integrate_commutes_with_rescaling(base_runs, name, lam, tau):
         got = np.array([getattr(row, field) for row in result.rows])
         want = np.array([getattr(row, field) for row in base.rows]) * (lam**p * tau**q)
         assert got.tobytes() == want.tobytes(), field
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.0**-30, 2.0**-40])
+def test_verify_commutes_with_rescaling(base_runs, tau):
+    """Every stage's status and witness at tau equal those at tau = 1.
+    The certificate is exploratory, as stages (i) and (ii) read the
+    spec, which does not scale; sup_r_bound = 0.9 lies between the
+    largest radius at T (0.807) and at t = 0 (1.007).  At tau = 2**-40,
+    T = 7.3e-15 is an exact key: the state at T, not the initial state
+    a few times 1e-15 away."""
+    cert, ens, base = base_runs["desk-8x8x6"]
+
+    def judged(result, tau):
+        scaled = dataclasses.replace(
+            cert,
+            exploratory=True,
+            t_horizon=cert.t_horizon * tau,
+            sup_r_bound=0.9,
+            rhot_lower=cert.rhot_lower / tau**2,
+            et_lower=cert.et_lower / tau**2,
+        )
+        report = verify_focusing_run(result, scaled)
+        return [(s.name, s.status, s.witness_id) for s in report.stages]
+
+    result = desk_run(rescaled(ens, 1.0, tau), cert, tau)
+    assert result.snapshot_at(cert.t_horizon * tau) is result.final
+    assert judged(result, tau) == judged(base, 1.0)
